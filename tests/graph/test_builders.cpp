@@ -106,5 +106,105 @@ TEST(Builders, ErdosRenyiTooManyEdgesThrows) {
   EXPECT_THROW(erdos_renyi(10, 46, gen), CheckError);
 }
 
+// ---- bitwise pins -----------------------------------------------------------
+//
+// Same seed, same graph: every downstream golden (engine-vs-reference,
+// per-trial round counts) assumes the random builders produce exactly these
+// CSR rows from exactly these generator draws. The digest is FNV-1a over
+// each row's length and neighbor ids in stored order; the generator's next
+// output pins how many draws the build consumed. Any change to the rejection
+// rule, the retry budget, the restart loop or row order shows up here.
+
+std::uint64_t csr_digest(const Topology& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (count_t v = 0; v < t.num_nodes(); ++v) {
+    const auto row = t.neighbors(v);
+    mix(row.size());
+    for (const count_t u : row) mix(u);
+  }
+  return h;
+}
+
+struct BuildPin {
+  std::uint64_t digest;
+  std::uint64_t next_draw;
+};
+
+BuildPin pin_regular(count_t n, count_t d, std::uint64_t seed) {
+  rng::Xoshiro256pp gen(seed);
+  const Topology t = random_regular(n, d, gen);
+  EXPECT_EQ(t.min_degree(), d);
+  EXPECT_EQ(t.max_degree(), d);
+  return {csr_digest(t), gen()};
+}
+
+BuildPin pin_erdos_renyi(count_t n, std::uint64_t m, bool patch, std::uint64_t seed) {
+  rng::Xoshiro256pp gen(seed);
+  const Topology t = erdos_renyi(n, m, gen, patch);
+  return {csr_digest(t), gen()};
+}
+
+void expect_pin(const BuildPin& got, std::uint64_t digest, std::uint64_t next_draw) {
+  EXPECT_EQ(got.digest, digest);
+  EXPECT_EQ(got.next_draw, next_draw);
+}
+
+TEST(BuilderPins, RandomRegularSmall) {
+  expect_pin(pin_regular(200, 6, 1), 13748470852939771525ULL,
+             14454360113001792240ULL);
+}
+
+TEST(BuilderPins, RandomRegularSparseLarge) {
+  expect_pin(pin_regular(200'000, 8, 11), 15464217405708897285ULL,
+             125266480578426139ULL);
+}
+
+TEST(BuilderPins, RandomRegularDegree64) {
+  expect_pin(pin_regular(20'000, 64, 12), 17752671828118782385ULL,
+             4936933361496958742ULL);
+}
+
+TEST(BuilderPins, RandomRegularDense) {
+  // d = n/2: duplicates are common, so the retry loop does real work.
+  expect_pin(pin_regular(2000, 1000, 13), 15701280949156153073ULL,
+             3119056742446289853ULL);
+}
+
+TEST(BuilderPins, RandomRegularRestartsWhenStuck) {
+  // Seed 19 gets stuck four times at (8, 3) before a simple graph
+  // completes, so this pins the restart loop's draws too.
+  expect_pin(pin_regular(8, 3, 19), 12106529815894976613ULL,
+             2609240827125130426ULL);
+}
+
+TEST(BuilderPins, ErdosRenyiSparseUnpatched) {
+  expect_pin(pin_erdos_renyi(1000, 800, false, 21), 16711976356592918847ULL,
+             14342774654463400218ULL);
+}
+
+TEST(BuilderPins, ErdosRenyiSparsePatched) {
+  // Mean degree 1.6 leaves ~20% of nodes isolated before patching.
+  expect_pin(pin_erdos_renyi(1000, 800, true, 21), 8526111054676717237ULL,
+             725338173113091051ULL);
+}
+
+TEST(BuilderPins, ErdosRenyiLarge) {
+  expect_pin(pin_erdos_renyi(20'000, 100'000, true, 22), 8238471515287592346ULL,
+             8944420565364156854ULL);
+}
+
+TEST(BuilderPins, ErdosRenyiCompleteK10) {
+  expect_pin(pin_erdos_renyi(10, 45, false, 7), 8444914313282864324ULL,
+             6603830544828535498ULL);
+  expect_pin(pin_erdos_renyi(10, 45, true, 7), 8444914313282864324ULL,
+             6603830544828535498ULL);
+}
+
 }  // namespace
 }  // namespace plurality::graph
