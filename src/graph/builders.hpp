@@ -20,10 +20,11 @@ Topology torus(count_t rows, count_t cols);
 /// engine's bitwise contract (implicit_topology.hpp).
 Topology circulant_lattice(count_t n, count_t d);
 
-/// Random d-regular multigraph via the configuration model: d*n stubs
-/// paired uniformly (d*n must be even). Self-loops and parallel edges are
-/// re-paired with bounded retries; a handful may survive for tiny n, which
-/// only perturbs sampling weights marginally.
+/// Random simple d-regular graph via Steger–Wormald pairing: d*n stubs
+/// paired uniformly (d*n must be even, d < n <= 2^32 - 1). A pair that
+/// would form a self-loop or a parallel edge is redrawn, up to 200 times;
+/// if none fits, the pairing restarts. Same generator state, same graph:
+/// tests/graph/test_builders.cpp pins the rows and the draws consumed.
 Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen);
 
 /// Erdős–Rényi G(n, m): m distinct edges (no self-loops) chosen uniformly.

@@ -1,6 +1,7 @@
 #include "graph/topology.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -29,6 +30,24 @@ Topology Topology::from_edges(count_t n,
     topo.adjacency_[cursor[u]++] = v;
     if (u != v) topo.adjacency_[cursor[v]++] = u;
   }
+  return topo;
+}
+
+Topology Topology::from_csr(count_t n, std::vector<std::uint64_t> offsets,
+                            std::vector<count_t> adjacency) {
+  PLURALITY_REQUIRE(n >= 1, "Topology::from_csr: need at least one node");
+  PLURALITY_REQUIRE(offsets.size() == n + 1 && offsets.front() == 0 &&
+                        offsets.back() == adjacency.size(),
+                    "Topology::from_csr: offsets must run from 0 to the adjacency "
+                    "size in n + 1 entries");
+  PLURALITY_REQUIRE(std::is_sorted(offsets.begin(), offsets.end()),
+                    "Topology::from_csr: offsets must be non-decreasing");
+  PLURALITY_REQUIRE(std::all_of(adjacency.begin(), adjacency.end(),
+                                [n](count_t u) { return u < n; }),
+                    "Topology::from_csr: endpoint out of range");
+  Topology topo(Kind::Explicit, n);
+  topo.offsets_ = std::move(offsets);
+  topo.adjacency_ = std::move(adjacency);
   return topo;
 }
 

@@ -31,6 +31,12 @@ class Topology {
   static Topology from_edges(count_t n,
                              std::span<const std::pair<count_t, count_t>> edges);
 
+  /// Explicit graph that adopts ready-made CSR arrays: row v is
+  /// adjacency[offsets[v], offsets[v+1]). Both directions of every
+  /// undirected edge must already be present.
+  static Topology from_csr(count_t n, std::vector<std::uint64_t> offsets,
+                           std::vector<count_t> adjacency);
+
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] count_t num_nodes() const { return n_; }
 

@@ -1,5 +1,6 @@
 #include "sweep/preflight.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -51,7 +52,8 @@ std::uint64_t estimate_edges(const std::string& topology, std::uint64_t n) {
     if (kind == "torus") return sat_mul(2, n);
     if (kind == "lattice") return sat_mul(std::stoull(arg), n) / 2;
     if (kind == "regular") return sat_add(sat_mul(std::stoull(arg), n), 1) / 2;
-    if (kind == "gnm") return std::stoull(arg);
+    // Patching isolated nodes adds at most one edge per node.
+    if (kind == "gnm") return sat_add(std::stoull(arg), n);
     if (kind == "er") {
       const double p = std::stod(arg);
       // Mean p*C(n,2) plus slack for the binomial tail.
@@ -69,6 +71,38 @@ std::uint64_t estimate_edges(const std::string& topology, std::uint64_t n) {
     // stoull/stod failure: validation will reject the spec; estimate big.
   }
   return clique_edges;
+}
+
+/// Smallest power of two >= v, saturating (the edge table's slot count).
+std::uint64_t sat_bit_ceil(std::uint64_t v) {
+  return v > (std::uint64_t{1} << 63) ? kSatMax : std::bit_ceil(v);
+}
+
+/// Bytes allocated while building and packing an arena topology with m
+/// undirected edges (graph/builders.cpp, graph/agent_graph.cpp):
+///   builder scratch   regular: a u32 stub per arc, a u32 row cursor per
+///                     node and the flat edge-key table (a power of two of
+///                     at least 2m u64 slots); every other topology: the
+///                     16-byte edge pairs plus from_edges' two u64 counters
+///                     per node, and for er/gnm the same edge-key table
+///   Topology CSR      u64 offsets + a u64 id per arc
+///   arena             u64 offsets + a u32 id per arc
+/// Billed as one sum although the scratch is freed before the arena is
+/// packed; the slack covers a relabeling permutation.
+std::uint64_t arena_build_bytes(const std::string& kind, std::uint64_t n,
+                                std::uint64_t m) {
+  const std::uint64_t arcs = sat_mul(2, m);
+  const std::uint64_t offsets = sat_mul(sat_add(n, 1), 8);
+  const std::uint64_t topology_csr = sat_add(offsets, sat_mul(arcs, 8));
+  const std::uint64_t arena = sat_add(offsets, sat_mul(arcs, 4));
+  const std::uint64_t edge_table = sat_mul(sat_bit_ceil(arcs), 8);
+  std::uint64_t scratch = sat_add(sat_mul(m, 16), sat_mul(n, 16));
+  if (kind == "regular") {
+    scratch = sat_add(sat_add(sat_mul(arcs, 4), sat_mul(n, 4)), edge_table);
+  } else if (kind == "er" || kind == "gnm") {
+    scratch = sat_add(scratch, edge_table);
+  }
+  return sat_add(sat_add(scratch, topology_csr), arena);
 }
 
 /// Per-node state bytes of the graph step workspace, matching the memory
@@ -123,13 +157,10 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
   if (topo_backend == "implicit") {
     return sat_add(kFixed, workspace);
   }
-  // Arena build: CSR (offsets u64 + both directions' endpoints u32) plus
-  // the workspace, with 1.5x construction slack (the builder holds an edge
-  // list alongside the arena while packing).
-  const std::uint64_t m = estimate_edges(spec.topology, n);
-  const std::uint64_t csr =
-      sat_add(sat_mul(sat_add(n, 1), 8), sat_mul(sat_mul(2, m), 4));
-  return sat_add(sat_add(kFixed, sat_mul(csr, 3) / 2), workspace);
+  const std::string kind = spec.topology.substr(0, spec.topology.find(':'));
+  const std::uint64_t build =
+      arena_build_bytes(kind, n, estimate_edges(spec.topology, n));
+  return sat_add(sat_add(kFixed, build), workspace);
 }
 
 std::uint64_t default_memory_budget_bytes() {

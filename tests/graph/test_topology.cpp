@@ -73,5 +73,22 @@ TEST(Topology, NodeOutOfRangeThrows) {
   EXPECT_THROW(t.degree(3), CheckError);
 }
 
+TEST(Topology, FromCsrAdoptsRowsAsGiven) {
+  // Path 0-1-2 with row 1 stored as {2, 0}: rows keep their given order.
+  const Topology t = Topology::from_csr(3, {0, 1, 3, 4}, {1, 2, 0, 1});
+  EXPECT_EQ(t.kind(), Topology::Kind::Explicit);
+  EXPECT_EQ(t.num_arcs(), 4u);
+  const auto n1 = t.neighbors(1);
+  EXPECT_EQ(std::vector<count_t>(n1.begin(), n1.end()), (std::vector<count_t>{2, 0}));
+  EXPECT_TRUE(t.connected());
+}
+
+TEST(Topology, FromCsrRejectsMalformedArrays) {
+  EXPECT_THROW(Topology::from_csr(3, {0, 1, 2}, {1, 0}), CheckError);  // n entries
+  EXPECT_THROW(Topology::from_csr(2, {0, 1, 3}, {1, 0}), CheckError);  // past the end
+  EXPECT_THROW(Topology::from_csr(2, {0, 2, 1}, {1, 0}), CheckError);  // decreasing
+  EXPECT_THROW(Topology::from_csr(2, {0, 1, 2}, {1, 2}), CheckError);  // id >= n
+}
+
 }  // namespace
 }  // namespace plurality::graph

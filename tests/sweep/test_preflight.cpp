@@ -82,6 +82,34 @@ TEST(Preflight, CoarseOrderingAcrossBackends) {
   EXPECT_LE(estimate_cell_memory_bytes(agent), estimate_cell_memory_bytes(graph));
 }
 
+// The arena bill must cover what the random builders really allocate: a
+// flat 1.5x of the arena once billed regular:8 at n = 2e5 about 11 MiB
+// against ~62 MiB of measured growth, admitting cells that could not fit.
+std::uint64_t builder_sum(std::uint64_t n, std::uint64_t edges, std::uint64_t stubs,
+                          std::uint64_t table_slots) {
+  const std::uint64_t arcs = 2 * edges;
+  const std::uint64_t topology_csr = 8 * (n + 1) + 8 * arcs;
+  const std::uint64_t arena = 8 * (n + 1) + 4 * arcs;
+  return stubs + 8 * table_slots + topology_csr + arena;
+}
+
+TEST(Preflight, RegularBillCoversStubsTableCsrAndArena) {
+  const auto spec = spec_of("topology=regular:8 n=2e5");
+  const std::uint64_t n = 200'000, arcs = 8 * n;
+  const std::uint64_t sum = builder_sum(n, arcs / 2, 4 * arcs, std::uint64_t{1} << 21);
+  EXPECT_GE(estimate_cell_memory_bytes(spec), sum);
+  EXPECT_GE(sum, std::uint64_t{40} << 20);  // ~43 MiB, not the old ~11 MiB
+}
+
+TEST(Preflight, GnmBillCoversEdgePairsTableCsrAndArena) {
+  const auto spec = spec_of("topology=gnm:1000000 n=2e5");
+  const std::uint64_t n = 200'000, m = 1'000'000;
+  // Edge pairs (16 B each) stand where regular's stubs do; the table holds
+  // a power of two of at least 2m slots.
+  const std::uint64_t sum = builder_sum(n, m, 16 * m, std::uint64_t{1} << 21);
+  EXPECT_GE(estimate_cell_memory_bytes(spec), sum);
+}
+
 TEST(Preflight, FormatBytesIsHumanReadable) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(std::uint64_t{3} << 30), "3.0 GiB");
