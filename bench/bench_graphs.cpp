@@ -1,7 +1,7 @@
 // E13 + PERF — the graph backend: dynamics beyond the clique, and the CSR
 // engine's throughput against the frozen per-node reference.
 //
-// Four sections:
+// Three sections:
 //
 //  1. E13 (extension): 3-majority and the voter from the same biased start
 //     on clique / random-regular / G(n,m) / torus / cycle, via
@@ -19,15 +19,10 @@
 //     based Philox + stage-split SIMD pipeline) — against the FROZEN
 //     pre-refactor stepper (reference_sim.cpp) per topology and dynamics,
 //     plus the count-based clique stepper as the "don't simulate agents on
-//     a clique" yardstick.
+//     a clique" yardstick. The push-mode scatter stepper rides on the
+//     voter rows (the arity-1 law its kernel covers).
 //
-//  4. Locality sweep: the SAME random graph packed under each graph_layout
-//     relabeling (graph/layout.hpp) — identity vs rcm on the expanders,
-//     identity vs hilbert on the torus — per engine, with the push-mode
-//     scatter stepper riding on the voter rows. The JSON cells keyed
-//     "<topology>/<layout>" carry the per-layout deltas the docs analyze.
-//
-// Writes BENCH_graphs.json, schema_version 3 (override with --json); CI
+// Writes BENCH_graphs.json, schema_version 4 (override with --json); CI
 // re-measures --quick per commit and gates regressions against the
 // committed snapshot (scripts/perf_guard.py).
 #include <cmath>
@@ -48,7 +43,6 @@
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
-#include "graph/layout.hpp"
 #include "graph/reference_sim.hpp"
 #include "io/json.hpp"
 #include "rng/stream.hpp"
@@ -254,6 +248,7 @@ int run(int argc, const char* const* argv) {
     double strict_rps = 0.0;
     double batched_rps = 0.0;
     double reference_rps = 0.0;
+    double push_rps = 0.0;  // 0 = engine not run on this row (non-voter)
   };
   std::vector<PerfRow> perf_rows;
 
@@ -262,7 +257,8 @@ int run(int argc, const char* const* argv) {
       UndecidedState::extend_with_undecided(perf_start_colors);
 
   io::Table perf_table({"topology", "dynamics", "strict rounds/s", "batched rounds/s",
-                        "reference rounds/s", "strict/ref", "batched/strict"});
+                        "push rounds/s", "reference rounds/s", "strict/ref",
+                        "batched/strict"});
   for (const auto& entry : perf_entries) {
     struct DynEntry {
       const Dynamics* dynamics;
@@ -299,12 +295,14 @@ int run(int argc, const char* const* argv) {
       row.strict_rps = strict_rps;
       row.batched_rps = batched_rps;
       row.reference_rps = reference_rps;
+      if (dyn.dynamics == &voter) row.push_rps = engine_rps(graph::EngineMode::Push);
       perf_rows.push_back(row);
       perf_table.row()
           .cell(row.topology)
           .cell(row.dynamics)
           .cell(strict_rps)
           .cell(batched_rps)
+          .cell(row.push_rps > 0.0 ? format_sig(row.push_rps, 4) : std::string("—"))
           .cell(reference_rps)
           .cell(format_sig(strict_rps / reference_rps, 3) + "x")
           .cell(format_sig(batched_rps / strict_rps, 3) + "x");
@@ -329,6 +327,7 @@ int run(int argc, const char* const* argv) {
         .cell("—")
         .cell("—")
         .cell("—")
+        .cell("—")
         .cell("—");
   }
   std::cout << "throughput at n = " << format_count(perf_n_grid)
@@ -336,115 +335,15 @@ int run(int argc, const char* const* argv) {
             << format_sig(budget, 2) << " s/cell)\n";
   exp.emit(perf_table, "throughput");
 
-  // ------------------------------------------------ locality sweep (v3) ----
-  // The SAME random graph packed under each graph_layout relabeling
-  // (identity = the plain production build from section 3's graphs; the
-  // ref_* Topology objects were drawn from the same generator seed, so each
-  // relabeled arena names the identical adjacency). Push rides on the voter
-  // rows — the only section-4 dynamics its arity-1 kernel covers.
-  const auto perf_regular_rcm = graph::AgentGraph::from_topology(
-      ref_regular, graph::rcm_permutation(ref_regular));
-  const auto perf_gnm_degree = graph::AgentGraph::from_topology(
-      ref_gnm, graph::degree_permutation(ref_gnm));
-  const auto perf_gnm_rcm =
-      graph::AgentGraph::from_topology(ref_gnm, graph::rcm_permutation(ref_gnm));
-  const auto perf_torus_hilbert = graph::AgentGraph::from_topology(
-      ref_torus, graph::hilbert_permutation(perf_side, perf_side));
-
-  struct LayoutCell {
-    const char* base;
-    const char* layout;
-    const graph::AgentGraph* graph;
-  };
-  // Identity first within each base so the vs-identity ratios below always
-  // have their denominator.
-  const LayoutCell layout_cells[] = {
-      {"random 8-regular", "identity", &perf_regular},
-      {"random 8-regular", "rcm", &perf_regular_rcm},
-      {"torus", "identity", &perf_torus},
-      {"torus", "hilbert", &perf_torus_hilbert},
-      {"G(n, 4n)", "identity", &perf_gnm},
-      {"G(n, 4n)", "degree", &perf_gnm_degree},
-      {"G(n, 4n)", "rcm", &perf_gnm_rcm},
-  };
-
-  struct LayoutRow {
-    std::string base;
-    std::string layout;
-    std::string dynamics;
-    double strict_rps = 0.0;
-    double batched_rps = 0.0;
-    double push_rps = 0.0;  // 0 = engine not run on this row (non-arity-1)
-    double strict_vs_identity = 1.0;
-    double batched_vs_identity = 1.0;
-  };
-  std::vector<LayoutRow> layout_rows;
-  double push_voter_regular_rps = 0.0;
-  double strict_voter_regular_rps = 0.0;
-
-  io::Table layout_table({"topology", "layout", "dynamics", "strict rounds/s",
-                          "batched rounds/s", "push rounds/s", "strict vs id",
-                          "batched vs id"});
-  for (const auto& cell : layout_cells) {
-    for (const Dynamics* dyn : {static_cast<const Dynamics*>(&majority),
-                                static_cast<const Dynamics*>(&voter)}) {
-      const std::uint64_t seed = exp.seed() + 131;
-      const auto layout_rps = [&](graph::EngineMode mode) {
-        return measure_sim_rounds_per_sec(
-            [&] {
-              auto sim = std::make_unique<graph::GraphSimulation>(
-                  *dyn, *cell.graph, perf_start_colors, seed,
-                  /*shuffle_layout=*/true, mode);
-              sim->set_tuning(tuning);
-              return sim;
-            },
-            budget);
-      };
-      LayoutRow row;
-      row.base = cell.base;
-      row.layout = cell.layout;
-      row.dynamics = dyn->name();
-      row.strict_rps = layout_rps(graph::EngineMode::Strict);
-      row.batched_rps = layout_rps(graph::EngineMode::Batched);
-      if (dyn == static_cast<const Dynamics*>(&voter)) {
-        row.push_rps = layout_rps(graph::EngineMode::Push);
-      }
-      for (const LayoutRow& identity : layout_rows) {
-        if (identity.base == row.base && identity.dynamics == row.dynamics &&
-            identity.layout == "identity") {
-          row.strict_vs_identity = row.strict_rps / identity.strict_rps;
-          row.batched_vs_identity = row.batched_rps / identity.batched_rps;
-        }
-      }
-      if (row.base == "random 8-regular" && row.layout == "identity" &&
-          row.push_rps > 0.0) {
-        push_voter_regular_rps = row.push_rps;
-        strict_voter_regular_rps = row.strict_rps;
-      }
-      layout_rows.push_back(row);
-      layout_table.row()
-          .cell(row.base)
-          .cell(row.layout)
-          .cell(row.dynamics)
-          .cell(row.strict_rps)
-          .cell(row.batched_rps)
-          .cell(row.push_rps > 0.0 ? format_sig(row.push_rps, 4) : std::string("—"))
-          .cell(format_sig(row.strict_vs_identity, 3) + "x")
-          .cell(format_sig(row.batched_vs_identity, 3) + "x");
-    }
-  }
-  std::cout << "locality sweep at n = " << format_count(perf_n_grid)
-            << " (same graph per base topology, relabeled per layout)\n";
-  exp.emit(layout_table, "locality");
-
-  // ----------------------------------------- JSON (schema_version 3) ------
+  // ----------------------------------------- JSON (schema_version 4) ------
   // v2: per-row strict/batched/reference engine numbers (the perf guard's
   // cells), and the count-based yardstick reports rounds_per_sec plus a
   // clearly named equivalent_node_updates_per_sec (a count round updates k
-  // classes, not n nodes). v3 adds the locality-sweep cells — topology key
-  // "<base>/<layout>", a "layout" field, push_* metrics on the voter rows —
-  // and the push-vs-strict headline the acceptance gate reads.
-  io::JsonValue doc = make_bench_doc("graphs", 3, exp);
+  // classes, not n nodes). v3 added relabeled-layout cells keyed
+  // "<base>/<layout>"; v4 drops them (graph relabeling was removed) and
+  // carries the push_* metrics on the voter rows above, plus the
+  // push-vs-strict headline.
+  io::JsonValue doc = make_bench_doc("graphs", 4, exp);
   doc.set("n", std::uint64_t{perf_n_grid});
   doc.set("time_budget_seconds", budget);
   doc.set("rearm_period_rounds", kBlock);
@@ -472,6 +371,11 @@ int run(int argc, const char* const* argv) {
     entry.set("reference_node_updates_per_sec", nups(row.reference_rps));
     entry.set("strict_speedup_vs_reference", row.strict_rps / row.reference_rps);
     entry.set("batched_speedup_vs_strict", row.batched_rps / row.strict_rps);
+    if (row.push_rps > 0.0) {
+      entry.set("push_rounds_per_sec", row.push_rps);
+      entry.set("push_node_updates_per_sec", nups(row.push_rps));
+      entry.set("push_speedup_vs_strict", row.push_rps / row.strict_rps);
+    }
     if (row.topology == "random 8-regular") {
       best_regular_strict_speedup =
           std::max(best_regular_strict_speedup, row.strict_rps / row.reference_rps);
@@ -482,32 +386,14 @@ int run(int argc, const char* const* argv) {
   doc.set("best_random_regular_speedup", best_regular_strict_speedup);
   doc.set("best_random_regular_batched_vs_strict", best_regular_batched_vs_strict);
 
-  for (const LayoutRow& row : layout_rows) {
-    io::JsonValue& entry = rows.push(io::JsonValue::object());
-    entry.set("topology", row.base + "/" + row.layout);
-    entry.set("layout", row.layout);
-    entry.set("dynamics", row.dynamics);
-    entry.set("n", std::uint64_t{perf_n_grid});
-    entry.set("strict_rounds_per_sec", row.strict_rps);
-    entry.set("strict_node_updates_per_sec", nups(row.strict_rps));
-    entry.set("batched_rounds_per_sec", row.batched_rps);
-    entry.set("batched_node_updates_per_sec", nups(row.batched_rps));
-    if (row.push_rps > 0.0) {
-      entry.set("push_rounds_per_sec", row.push_rps);
-      entry.set("push_node_updates_per_sec", nups(row.push_rps));
-      entry.set("push_speedup_vs_strict", row.push_rps / row.strict_rps);
-    }
-    entry.set("strict_speedup_vs_identity_layout", row.strict_vs_identity);
-    entry.set("batched_speedup_vs_identity_layout", row.batched_vs_identity);
-  }
   // The acceptance headline: the scatter stepper against the pull strict
-  // baseline on the canonical expander cell (voter, random 8-regular,
-  // identity layout).
-  doc.set("push_voter_regular_node_updates_per_sec", nups(push_voter_regular_rps));
-  doc.set("push_voter_regular_vs_strict",
-          strict_voter_regular_rps > 0.0
-              ? push_voter_regular_rps / strict_voter_regular_rps
-              : 0.0);
+  // baseline on the canonical expander cell (voter, random 8-regular).
+  for (const PerfRow& row : perf_rows) {
+    if (row.topology == "random 8-regular" && row.push_rps > 0.0) {
+      doc.set("push_voter_regular_node_updates_per_sec", nups(row.push_rps));
+      doc.set("push_voter_regular_vs_strict", row.push_rps / row.strict_rps);
+    }
+  }
 
   write_bench_json(doc, exp.cli().get_string("json"));
 

@@ -78,8 +78,10 @@ def main():
     for spec in args.rename:
         try:
             old, new = spec.split("=", 1)
-            old_topo, old_dyn = old.split("/", 1)
-            new_topo, new_dyn = new.split("/", 1)
+            # Split at the LAST '/': topology keys may contain one
+            # ("random 8-regular/identity"), dynamics names never do.
+            old_topo, old_dyn = old.rsplit("/", 1)
+            new_topo, new_dyn = new.rsplit("/", 1)
         except ValueError:
             print(f"perf_guard: bad --rename '{spec}' "
                   f"(want old_topo/old_dyn=new_topo/new_dyn)", file=sys.stderr)

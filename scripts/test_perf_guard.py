@@ -104,6 +104,22 @@ class PerfGuardTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("strict_node_updates_per_sec", err)
 
+    def test_rename_topology_containing_slash(self):
+        # Cell keys like "random 8-regular/identity" carry a '/', so the
+        # rename must split old/new keys at the LAST '/' to reach them.
+        base = doc([("random 8-regular/identity", "voter", 100.0, 400.0)])
+        base["topologies"][0]["push_node_updates_per_sec"] = 900.0
+        meas = doc([("random 8-regular", "voter", 100.0, 400.0)])
+        meas["topologies"][0]["push_node_updates_per_sec"] = 100.0
+        code, out, err = self.run_guard(
+            base, meas, "--rename",
+            "random 8-regular/identity/voter=random 8-regular/voter")
+        self.assertIn("[map ]", out)
+        self.assertNotIn("[skip]", out)
+        self.assertNotIn("[new ]", out)
+        self.assertEqual(code, 1)
+        self.assertIn("push_node_updates_per_sec", err)
+
     def test_push_metric_is_guarded(self):
         # The locality-sweep voter rows carry push_node_updates_per_sec;
         # a scatter-path regression must trip the guard like any engine.

@@ -121,7 +121,7 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
     ws.bytes_only = graph_bytes_only_auto(config.n(), config.k(),
                                           options.adversary != nullptr);
     ws.prepare(config.n(), config.k());
-    load_nodes(config, options.shuffle_layout, trial_streams, ws, &graph);
+    load_nodes(config, options.shuffle_layout, trial_streams, ws);
 
     RoundObserver* const observer = options.observer;
     if (observer != nullptr) observer->begin_trial(trial, config, num_colors);

@@ -45,7 +45,7 @@ using plurality::EngineMode;
 /// down to the kernels. Pure performance tuning: every setting produces
 /// bitwise-identical results per engine mode (tile addressing is
 /// counter-based; the strict window replays the exact draw order), pinned
-/// by test_layout's tuning-invariance battery.
+/// by the StepTuningKnobs battery in tests/graph/test_graph_batched.cpp.
 struct StepTuning {
   /// Batched-pipeline tile size in nodes (0 = derive from
   /// kernels_batched::kBatchedWordBudget; clamped to the word budget).

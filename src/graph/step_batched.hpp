@@ -29,10 +29,7 @@ class AgentGraph;
 /// but randomness is Philox keyed by streams.master_seed() with `round` as
 /// the counter domain — bitwise identical results for any thread count,
 /// chunking, or tile size (so `tuning` never changes results, only speed).
-/// On a relabeled graph (graph.is_relabeled()) every node's words are
-/// addressed by its ORIGINAL id, which makes batched results permutation-
-/// equivariant in the layout: counts and trial summaries are bitwise
-/// invariant under graph_layout. Requires batched_has_kernel(dynamics).
+/// Requires batched_has_kernel(dynamics).
 void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
                         Configuration& config, const rng::StreamFactory& streams,
                         round_t round, GraphStepWorkspace& ws,

@@ -59,7 +59,7 @@ struct PushUndecided {
 /// word for word.
 template <class Rule, typename TNode, class SourceOf>
 void push_sweep(const TNode* nodes, state_t* out, TNode* mirror_out, std::size_t n,
-                state_t k, const std::uint32_t* orig, rng::Philox4x32::Key key,
+                state_t k, rng::Philox4x32::Key key,
                 std::uint64_t round, GraphStepWorkspace& ws,
                 SourceOf&& source_of) {
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
@@ -76,8 +76,7 @@ void push_sweep(const TNode* nodes, state_t* out, TNode* mirror_out, std::size_t
   // the neighbor row, and src[] are all walked in node order) + histogram
   // by source bucket. Words are block-generated like the batched engine's
   // pass 1 (SIMD fill when the host supports it, bitwise-pinned to the
-  // scalar fill); a relabeled graph addresses each word by original id —
-  // non-contiguous, so it keeps the scalar per-word path.
+  // scalar fill).
   const simd::Ops* ops = simd::detect();
   const auto fill = (ops != nullptr && ops->fill_words != nullptr)
                         ? ops->fill_words
@@ -92,14 +91,7 @@ void push_sweep(const TNode* nodes, state_t* out, TNode* mirror_out, std::size_t
     std::array<std::uint64_t, kPushWordBlock> wbuf;
     for (std::size_t base = lo; base < hi; base += kPushWordBlock) {
       const std::size_t nb = std::min(kPushWordBlock, hi - base);
-      if (orig == nullptr) {
-        fill(key, round, base, nb, wbuf.data());
-      } else {
-        for (std::size_t i = 0; i < nb; ++i) {
-          wbuf[i] = rng::Philox4x32::word<kb::kSamplerRounds>(key, round,
-                                                              orig[base + i]);
-        }
-      }
+      fill(key, round, base, nb, wbuf.data());
       for (std::size_t i = 0; i < nb; ++i) {
         const std::uint32_t u = source_of(base + i, wbuf[i]);
         src[base + i] = u;
@@ -180,8 +172,6 @@ void step_push_all(const AgentGraph& graph, Configuration& config,
   const state_t k = config.k();
   const rng::Philox4x32::Key key =
       rng::Philox4x32::key_from_seed(streams.master_seed(), kb::kBatchedKeyTag);
-  const std::uint32_t* orig =
-      graph.is_relabeled() ? graph.orig_of().data() : nullptr;
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
   const bool complete = graph.is_complete();
   const bool implicit = graph.is_implicit();
@@ -194,13 +184,13 @@ void step_push_all(const AgentGraph& graph, Configuration& config,
   const auto sweep = [&](auto nodes_ptr, auto* mirror_out) {
     using TNode = std::remove_const_t<std::remove_pointer_t<decltype(nodes_ptr)>>;
     if (complete) {
-      push_sweep<Rule>(nodes_ptr, out, mirror_out, n, k, orig, key, round, ws,
+      push_sweep<Rule>(nodes_ptr, out, mirror_out, n, k, key, round, ws,
                        [n](std::size_t, std::uint64_t x) {
                          return kb::scale_word(x, n);
                        });
     } else if (implicit) {
       const ImplicitTopology topo = graph.implicit_topology();
-      push_sweep<Rule>(nodes_ptr, out, mirror_out, n, k, orig, key, round, ws,
+      push_sweep<Rule>(nodes_ptr, out, mirror_out, n, k, key, round, ws,
                        [topo](std::size_t i, std::uint64_t x) {
                          return static_cast<std::uint32_t>(
                              topo.neighbor(i, kb::scale_word(x, topo.degree)));
@@ -208,14 +198,14 @@ void step_push_all(const AgentGraph& graph, Configuration& config,
     } else if (regular) {
       const std::uint32_t* neighbors = graph.neighbors();
       const std::uint64_t degree = graph.min_degree();
-      push_sweep<Rule>(nodes_ptr, out, mirror_out, n, k, orig, key, round, ws,
+      push_sweep<Rule>(nodes_ptr, out, mirror_out, n, k, key, round, ws,
                        [neighbors, degree](std::size_t i, std::uint64_t x) {
                          return neighbors[i * degree + kb::scale_word(x, degree)];
                        });
     } else {
       const std::uint64_t* offsets = graph.offsets();
       const std::uint32_t* neighbors = graph.neighbors();
-      push_sweep<Rule>(nodes_ptr, out, mirror_out, n, k, orig, key, round, ws,
+      push_sweep<Rule>(nodes_ptr, out, mirror_out, n, k, key, round, ws,
                        [offsets, neighbors](std::size_t i, std::uint64_t x) {
                          const std::uint64_t off = offsets[i];
                          return neighbors[off +

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -233,40 +232,14 @@ void validate_topology_spec(const std::string& spec, count_t n) {
   PLURALITY_REQUIRE(false, "unknown topology '" << kind << "'" << kUnknownMessage);
 }
 
-AgentGraph make_topology(const std::string& spec, count_t n, rng::Xoshiro256pp& gen,
-                         GraphLayout layout) {
+AgentGraph make_topology(const std::string& spec, count_t n, rng::Xoshiro256pp& gen) {
   const auto [kind, arg] = split_spec(spec);
-  // Relabel-then-pack for the layouts that apply to any explicit topology;
-  // Hilbert needs a grid shape, so only the torus/lattice branches accept it.
-  const auto pack = [&, &kind = kind](const Topology& topology) {
-    switch (layout) {
-      case GraphLayout::Identity:
-        return AgentGraph::from_topology(topology);
-      case GraphLayout::Degree:
-        return AgentGraph::from_topology(topology, degree_permutation(topology));
-      case GraphLayout::Rcm:
-        return AgentGraph::from_topology(topology, rcm_permutation(topology));
-      case GraphLayout::Hilbert:
-        break;
-    }
-    PLURALITY_REQUIRE(false, "topology '" << kind << "': graph_layout=hilbert needs "
-                      "a 2-D grid; only torus[:<r>x<c>] and lattice:<d> accept it");
-    return AgentGraph();  // unreachable
-  };
   if (kind == "clique") {
     PLURALITY_REQUIRE(arg.empty(), "topology 'clique' takes no argument");
-    PLURALITY_REQUIRE(layout == GraphLayout::Identity,
-                      "topology 'clique' samples uniformly over all nodes; a layout "
-                      "permutation cannot change its locality (use graph_layout="
-                      "identity or auto)");
     return AgentGraph::complete(n);
   }
   if (kind == "gossip") {
     PLURALITY_REQUIRE(arg.empty(), "topology 'gossip' takes no argument");
-    PLURALITY_REQUIRE(layout == GraphLayout::Identity,
-                      "topology 'gossip' samples uniformly over all nodes; a layout "
-                      "permutation cannot change its locality (use graph_layout="
-                      "identity or auto)");
     PLURALITY_REQUIRE(n <= kU32Max,
                       "topology 'gossip': the batched engine's sample bound is n "
                       "itself and must fit 32 bits (got " << n << ")");
@@ -275,54 +248,38 @@ AgentGraph make_topology(const std::string& spec, count_t n, rng::Xoshiro256pp& 
   if (kind == "ring") {
     PLURALITY_REQUIRE(arg.empty(), "topology 'ring' takes no argument");
     require_arena_ids(spec, n);
-    return pack(cycle(n));
+    return AgentGraph::from_topology(cycle(n));
   }
   if (kind == "torus") {
     const auto [rows, cols] = torus_shape(arg, spec, n);
     require_arena_ids(spec, n);
-    if (layout == GraphLayout::Hilbert) {
-      return AgentGraph::from_topology(torus(rows, cols),
-                                       hilbert_permutation(rows, cols));
-    }
-    return pack(torus(rows, cols));
+    return AgentGraph::from_topology(torus(rows, cols));
   }
   if (kind == "lattice") {
     const count_t d = lattice_degree(arg, spec, n);
     require_arena_ids(spec, n);
-    if (layout == GraphLayout::Hilbert) {
-      // The circulant lattice is already bandwidth-optimal in natural order:
-      // store the identity permutation so the run still goes through the
-      // relabeled-engine semantics (the equivariance baseline).
-      std::vector<std::uint32_t> identity(n);
-      std::iota(identity.begin(), identity.end(), std::uint32_t{0});
-      return AgentGraph::from_topology(circulant_lattice(n, d), identity);
-    }
-    return pack(circulant_lattice(n, d));
+    return AgentGraph::from_topology(circulant_lattice(n, d));
   }
   if (kind == "regular") {
     require_arena_ids(spec, n);
     const count_t d = regular_degree(arg, spec, n);
-    return pack(random_regular(n, d, gen));
+    return AgentGraph::from_topology(random_regular(n, d, gen));
   }
   if (kind == "er") {
     require_arena_ids(spec, n);
     const std::uint64_t m = er_edges(arg, spec, n);
-    return pack(erdos_renyi(n, m, gen, /*patch_isolated=*/true));
+    return AgentGraph::from_topology(erdos_renyi(n, m, gen, /*patch_isolated=*/true));
   }
   if (kind == "gnm") {
     require_arena_ids(spec, n);
     const std::uint64_t m = gnm_edges(arg, spec, n);
-    return pack(erdos_renyi(n, m, gen, /*patch_isolated=*/true));
+    return AgentGraph::from_topology(erdos_renyi(n, m, gen, /*patch_isolated=*/true));
   }
   if (kind == "edges") {
     require_arena_ids(spec, n);
     PLURALITY_REQUIRE(!arg.empty(), "topology 'edges': needs a file path, e.g. "
                                     "'edges:graph.txt'");
-    const auto edges = read_edge_list(arg, n);
-    if (layout != GraphLayout::Identity) {
-      return pack(Topology::from_edges(n, edges));
-    }
-    return AgentGraph::from_edges(n, edges);
+    return AgentGraph::from_edges(n, read_edge_list(arg, n));
   }
   PLURALITY_REQUIRE(false, "unknown topology '" << kind << "'" << kUnknownMessage);
   return AgentGraph();  // unreachable

@@ -10,7 +10,6 @@
 #include "core/registry.hpp"
 #include "core/workloads.hpp"
 #include "graph/implicit_topology.hpp"
-#include "graph/layout.hpp"
 #include "graph/step_push.hpp"
 #include "graph/topology_registry.hpp"
 #include "support/check.hpp"
@@ -69,7 +68,11 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
   } else if (key == "topology_backend") {
     spec.topology_backend = value.as_string();
   } else if (key == "graph_layout") {
-    spec.graph_layout = value.as_string();
+    // Removed field: "identity" names what every run does and is dropped.
+    PLURALITY_REQUIRE(value.is_string() && value.as_string() == "identity",
+                      "scenario: field 'graph_layout' was removed; graphs step in "
+                      "builder order (only 'identity', which names that, is still "
+                      "accepted) — drop the field");
   } else if (key == "tile_nodes") {
     const std::uint64_t tile = value.as_uint();
     PLURALITY_REQUIRE(tile <= 0xFFFFFFFFULL,
@@ -100,7 +103,7 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
     PLURALITY_REQUIRE(false,
                       "scenario: unknown field '"
                           << key << "'; known: dynamics, workload, topology, adversary, "
-                          << "backend, engine, stop, topology_backend, graph_layout, "
+                          << "backend, engine, stop, topology_backend, "
                           << "n, k, trials, seed, max_rounds, parallel, shuffle_layout, "
                           << "tile_nodes, prefetch_distance");
   }
@@ -122,14 +125,6 @@ std::string resolve_backend_impl(const ScenarioSpec& spec, const Dynamics& dyn) 
   return spec.engine == "batched" ? "graph" : "agent";
 }
 
-/// The layout `spec.graph_layout == "auto"` denotes under this spec's
-/// topology (shared by validate(), resolved_graph_layout(), and
-/// Scenario::compile()). Throws on unknown layout names.
-graph::GraphLayout resolve_graph_layout_impl(const ScenarioSpec& spec) {
-  if (spec.graph_layout == "auto") return graph::resolve_auto_layout(spec.topology);
-  return graph::parse_graph_layout(spec.graph_layout);
-}
-
 /// The topology backend "auto" denotes (shared by validate() and
 /// Scenario::compile() so both always agree on what gets built).
 std::string resolve_topology_backend_impl(const ScenarioSpec& spec) {
@@ -138,8 +133,6 @@ std::string resolve_topology_backend_impl(const ScenarioSpec& spec) {
   const std::string kind = split_spec(spec.topology).kind;
   // Clique/gossip store nothing either way; report them as implicit.
   if (kind == "clique" || kind == "gossip") return "implicit";
-  // A non-identity layout relabels node ids, which only the arena stores.
-  if (resolve_graph_layout_impl(spec) != graph::GraphLayout::Identity) return "arena";
   return spec.n >= graph::kImplicitAutoThreshold ? "implicit" : "arena";
 }
 
@@ -219,7 +212,6 @@ io::JsonValue ScenarioSpec::to_json() const {
   doc.set("engine", engine);
   doc.set("stop", stop);
   doc.set("topology_backend", topology_backend);
-  doc.set("graph_layout", graph_layout);
   doc.set("n", std::uint64_t{n});
   doc.set("k", std::uint64_t{k});
   doc.set("trials", trials);
@@ -236,8 +228,7 @@ std::string ScenarioSpec::to_spec_string() const {
   std::ostringstream os;
   os << "dynamics=" << dynamics << " workload=" << workload << " topology=" << topology
      << " adversary=" << adversary << " backend=" << backend << " engine=" << engine
-     << " stop=" << stop << " topology_backend=" << topology_backend
-     << " graph_layout=" << graph_layout << " n=" << n
+     << " stop=" << stop << " topology_backend=" << topology_backend << " n=" << n
      << " k=" << k << " trials=" << trials
      << " seed=" << seed << " max_rounds=" << max_rounds
      << " parallel=" << (parallel ? "true" : "false")
@@ -254,11 +245,6 @@ std::string ScenarioSpec::resolved_backend() const {
 std::string ScenarioSpec::resolved_topology_backend() const {
   validate();
   return resolve_topology_backend_impl(*this);
-}
-
-std::string ScenarioSpec::resolved_graph_layout() const {
-  validate();
-  return graph::graph_layout_name(resolve_graph_layout_impl(*this));
 }
 
 void ScenarioSpec::validate() const {
@@ -298,38 +284,6 @@ void ScenarioSpec::validate() const {
                       "scenario: topology '" << topology << "' has no implicit form; "
                       "implicit-capable: clique, gossip, ring, torus[:<r>x<c>], "
                       "lattice:<d>; use topology_backend 'arena' (or 'auto')");
-  }
-  // The layout axis: resolve first (throws on unknown names), then check
-  // the combinations that cannot build or would contradict each other.
-  const graph::GraphLayout layout = resolve_graph_layout_impl(*this);
-  if (layout != graph::GraphLayout::Identity) {
-    const std::string topo_kind = split_spec(topology).kind;
-    PLURALITY_REQUIRE(topo_kind != "clique" && topo_kind != "gossip",
-                      "scenario: graph_layout '" << graph_layout << "' cannot change "
-                      "locality on topology '" << topology << "' — uniform sampling "
-                      "touches every node regardless of order; use graph_layout "
-                      "'identity' (or 'auto')");
-    PLURALITY_REQUIRE(topology_backend != "implicit",
-                      "scenario: graph_layout '" << graph_layout << "' relabels node "
-                      "ids, which only the CSR arena stores; implicit topologies "
-                      "compute neighbors from the id itself — set topology_backend "
-                      "'arena' (or 'auto') or graph_layout 'identity'");
-    if (layout == graph::GraphLayout::Hilbert) {
-      PLURALITY_REQUIRE(topo_kind == "torus" || topo_kind == "lattice",
-                        "scenario: graph_layout 'hilbert' orders a 2-D grid; topology '"
-                            << topology << "' has no grid shape — use 'rcm', 'degree', "
-                            "or 'auto'");
-    }
-    PLURALITY_REQUIRE(n <= 4294967295ULL,
-                      "scenario: graph_layout '" << graph_layout << "' builds a u32 "
-                      "permutation over the CSR arena, capping n at 4294967295 (got "
-                          << n << ")");
-    PLURALITY_REQUIRE(shuffle_layout,
-                      "scenario: shuffle_layout=false pins the deterministic block "
-                      "layout, but graph_layout '" << graph_layout << "' (resolved '"
-                          << graph::graph_layout_name(layout) << "') permutes the node "
-                      "ids underneath it — the two contradict; set shuffle_layout=true "
-                      "or graph_layout='identity'");
   }
   PLURALITY_REQUIRE(tile_nodes <= 8192,
                     "scenario: tile_nodes caps at 8192 (the batched engine's per-tile "

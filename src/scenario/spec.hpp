@@ -15,7 +15,7 @@
 //   engine     strict | batched | push  (core/engine_mode.hpp)
 //   stop       consensus | m-plurality:<M> | any-reaches:<T>
 //   n, k, trials, seed, max_rounds, parallel, shuffle_layout,
-//   graph_layout, tile_nodes, prefetch_distance
+//   tile_nodes, prefetch_distance
 //
 // Specs parse from "key=value" strings or JSON files, validate with
 // actionable errors, compile (scenario.hpp) into the right backend, and
@@ -66,21 +66,6 @@ struct ScenarioSpec {
   /// builds, so this knob never changes results — only memory and the
   /// reachable n. Ignored by the count/agent backends.
   std::string topology_backend = "auto";
-  /// Node-id relabeling applied before CSR packing (graph/layout.hpp) —
-  /// the locality engine's reordering axis:
-  ///   "auto"      per-family rule: rcm for regular:<d>/er:<p>/gnm:<m>,
-  ///               degree for edges:<path>, identity everywhere else
-  ///   "identity"  keep generator order (the only value clique/gossip take)
-  ///   "degree"    ids by descending degree (hubs packed together)
-  ///   "rcm"       reverse Cuthill–McKee (bandwidth reduction)
-  ///   "hilbert"   space-filling-curve order — torus[:<r>x<c>] only
-  ///               (lattice:<d> accepts it as a no-op relabeling)
-  /// Performance-only up to node naming: a relabeled run's states, counts,
-  /// and TrialSummary are the identity-layout run's mapped through the
-  /// permutation (equivariance — tests/graph/test_layout.cpp). Non-identity
-  /// layouts need the CSR arena (rejects topology_backend=implicit) and the
-  /// per-trial shuffle (rejects shuffle_layout=false).
-  std::string graph_layout = "auto";
   count_t n = 10'000;
   state_t k = 3;
   std::uint64_t trials = 20;
@@ -143,12 +128,6 @@ struct ScenarioSpec {
   /// otherwise). validate()s first. Meaningful only when the trial backend
   /// resolves to "graph".
   [[nodiscard]] std::string resolved_topology_backend() const;
-
-  /// The layout name ("identity"/"degree"/"rcm"/"hilbert") graph_layout
-  /// resolves to under this spec's topology (the "auto" per-family rule;
-  /// identity for explicit values). validate()s first. Meaningful only when
-  /// the trial backend resolves to "graph"; echoed into compiled results.
-  [[nodiscard]] std::string resolved_graph_layout() const;
 };
 
 /// A parsed `stop` field (shared by validate() and Scenario::compile()).

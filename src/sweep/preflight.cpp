@@ -88,7 +88,7 @@ std::uint64_t sat_bit_ceil(std::uint64_t v) {
 ///   Topology CSR      u64 offsets + a u64 id per arc
 ///   arena             u64 offsets + a u32 id per arc
 /// Billed as one sum although the scratch is freed before the arena is
-/// packed; the slack covers a relabeling permutation.
+/// packed, so the bill errs high by the scratch.
 std::uint64_t arena_build_bytes(const std::string& kind, std::uint64_t n,
                                 std::uint64_t m) {
   const std::uint64_t arcs = sat_mul(2, m);

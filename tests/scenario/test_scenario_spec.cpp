@@ -7,11 +7,25 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
+#include "scenario/scenario.hpp"
 #include "support/check.hpp"
 
 namespace plurality::scenario {
 namespace {
+
+/// EXPECT_THROW plus a substring check on the message, so the "actionable
+/// error" contract is itself pinned.
+void expect_rejects(const std::string& spec_text, const std::string& needle) {
+  try {
+    ScenarioSpec::parse(spec_text).validate();
+    FAIL() << "expected '" << spec_text << "' to be rejected";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message for '" << spec_text << "' lacks '" << needle << "': " << e.what();
+  }
+}
 
 TEST(ScenarioSpec, DefaultsValidate) {
   const ScenarioSpec spec;
@@ -231,6 +245,86 @@ TEST(ScenarioSpec, StopConditionParses) {
   EXPECT_EQ(t.value, 10000u);
   EXPECT_THROW(parse_stop_condition("whenever"), CheckError);
   EXPECT_THROW(parse_stop_condition("any-reaches:soon"), CheckError);
+}
+
+TEST(ScenarioSpec, TuningKnobsRoundTripAndAreBounded) {
+  const ScenarioSpec spec =
+      ScenarioSpec::parse("topology=regular:8 tile_nodes=512 prefetch_distance=32");
+  EXPECT_EQ(spec.tile_nodes, 512u);
+  EXPECT_EQ(spec.prefetch_distance, 32u);
+  const ScenarioSpec reparsed = ScenarioSpec::parse(spec.to_spec_string());
+  EXPECT_EQ(reparsed.tile_nodes, 512u);
+  EXPECT_EQ(reparsed.prefetch_distance, 32u);
+  const ScenarioSpec rejsoned = ScenarioSpec::from_json(spec.to_json());
+  EXPECT_EQ(rejsoned.tile_nodes, 512u);
+  EXPECT_EQ(rejsoned.prefetch_distance, 32u);
+  // Defaults: derived tile, the measured prefetch sweet spot.
+  const ScenarioSpec def;
+  EXPECT_EQ(def.tile_nodes, 0u);
+  EXPECT_EQ(def.prefetch_distance, 16u);
+  ScenarioSpec::parse("tile_nodes=8192 prefetch_distance=1024").validate();
+  expect_rejects("tile_nodes=8193", "tile_nodes");
+  expect_rejects("prefetch_distance=1025", "prefetch_distance");
+}
+
+TEST(ScenarioSpec, GraphLayoutFieldWasRemoved) {
+  // Every value but "identity" fails at parse, naming the removal.
+  for (const char* text : {"topology=regular:8 graph_layout=rcm",
+                           "topology=regular:8 graph_layout=auto",
+                           "topology=torus n=10000 graph_layout=hilbert"}) {
+    expect_rejects(text, "removed");
+  }
+  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"graph_layout": "auto"})")),
+               CheckError);
+  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"graph_layout": 1})")),
+               CheckError);
+  // "identity" names what every run does: accepted and dropped, so the
+  // spec is the plain one and the field is never echoed.
+  const ScenarioSpec identity =
+      ScenarioSpec::parse("topology=regular:8 graph_layout=identity");
+  EXPECT_NO_THROW(identity.validate());
+  EXPECT_EQ(identity.to_spec_string(),
+            ScenarioSpec::parse("topology=regular:8").to_spec_string());
+  EXPECT_EQ(identity.to_spec_string().find("graph_layout"), std::string::npos);
+  EXPECT_EQ(identity.to_json().to_string().find("graph_layout"), std::string::npos);
+  const ScenarioSpec from_json =
+      ScenarioSpec::from_json(io::parse_json(R"({"graph_layout": "identity"})"));
+  EXPECT_EQ(from_json.to_spec_string(), ScenarioSpec().to_spec_string());
+  // shuffle_layout=false no longer contradicts anything on sparse graphs.
+  EXPECT_NO_THROW(ScenarioSpec::parse("topology=regular:8 shuffle_layout=false").validate());
+}
+
+TEST(ScenarioSpec, PushEngineGating) {
+  // The happy path: arity-1 dynamics on the graph backend.
+  ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=regular:8").validate();
+  ScenarioSpec::parse("engine=push dynamics=undecided topology=torus n=10000").validate();
+  // Push on the clique auto-routes to the graph engine (the implicit
+  // complete graph), never to count/agent.
+  EXPECT_EQ(ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=clique")
+                .resolved_backend(),
+            "graph");
+  // Arity >= 2 rules have no scatter formulation.
+  expect_rejects("engine=push dynamics=3-majority topology=regular:8", "arity-1");
+  // Explicit non-graph backends cannot run it.
+  expect_rejects("engine=push dynamics=voter k=2 topology=clique backend=count",
+                 "backend");
+  expect_rejects("engine=push dynamics=voter k=2 topology=clique backend=agent",
+                 "backend");
+  // The pair buffer packs two u32 ids per word.
+  ScenarioSpec big = ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=gossip");
+  big.n = 8589934592ULL;  // 2^33
+  EXPECT_THROW(big.validate(), CheckError);
+  // Unknown engine names still say what IS known.
+  expect_rejects("engine=scatter", "push");
+}
+
+TEST(ScenarioSpec, PushWithTuningCompilesAndRuns) {
+  const ScenarioResult result = run_scenario(ScenarioSpec::parse(
+      "dynamics=voter k=2 topology=regular:8 n=2000 trials=3 engine=push "
+      "tile_nodes=256 prefetch_distance=8 max_rounds=40000"));
+  EXPECT_EQ(result.resolved.backend, "graph");
+  EXPECT_EQ(result.resolved.topology_backend, "arena");
+  EXPECT_EQ(result.summary.trials, 3u);
 }
 
 }  // namespace
