@@ -20,6 +20,7 @@
 #include "core/backend.hpp"
 #include "core/majority.hpp"
 #include "core/median.hpp"
+#include "core/registry.hpp"
 #include "core/trials.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
@@ -98,6 +99,80 @@ TEST(GoldenTrajectories, AgentUndecided) {
       dyn, UndecidedState::extend_with_undecided(Configuration({600, 250, 150})), 31337);
   for (int r = 0; r < 5; ++r) sim.step();
   EXPECT_EQ(counts_of(sim.configuration()), (std::vector<count_t>{911, 5, 3, 81}));
+}
+
+// Per-node clique sampler digests: one FNV-1a fold of the node-state array
+// and the counts after each of 10 rounds, for every rule family at k = 3
+// (byte-mirror path) and k = 300 (u32 path). Recorded from the per-node
+// clique sampler; any change to its streams, sampling order or rules shows.
+struct CliqueDigestCase {
+  const char* dynamics;
+  state_t k;
+  std::uint64_t digest;
+};
+
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Colors weighted k, k-1, ..., 1 over n nodes (remainder to color 0), and
+// auxiliary states (undecided) empty.
+Configuration graded_start(const Dynamics& dyn, state_t k, count_t n) {
+  std::vector<count_t> counts(dyn.num_states(k), 0);
+  const count_t weight_sum = static_cast<count_t>(k) * (k + 1) / 2;
+  count_t placed = 0;
+  for (state_t j = 0; j < k; ++j) {
+    counts[j] = n * (k - j) / weight_sum;
+    placed += counts[j];
+  }
+  counts[0] += n - placed;
+  return Configuration(std::move(counts));
+}
+
+TEST(GoldenTrajectories, CliqueSamplerDigests) {
+  const CliqueDigestCase cases[] = {
+      {"3-majority", 3, 17725176247682898086ULL},
+      {"3-majority", 300, 17875364873088364195ULL},
+      {"voter", 3, 2333765033266312165ULL},
+      {"voter", 300, 16085049829527386644ULL},
+      {"2-choices", 3, 2430938240495809081ULL},
+      {"2-choices", 300, 9465827551908295399ULL},
+      {"3-median", 3, 1126657314494264600ULL},
+      {"3-median", 300, 2247545137847261442ULL},
+      {"median-own2", 3, 10507996373616064261ULL},
+      {"median-own2", 300, 9830893035830288219ULL},
+      {"undecided", 3, 15617732017628269757ULL},
+      {"undecided", 300, 2938181430325591659ULL},
+      {"5-plurality", 3, 7204498589609765241ULL},
+      {"5-plurality", 300, 14368627381998888249ULL},
+      {"9-plurality", 3, 16052157858778547753ULL},
+      {"9-plurality", 300, 15351903790642994911ULL},
+      {"17-plurality", 3, 10585436439634826620ULL},
+      {"17-plurality", 300, 8812557935241010493ULL},
+      {"rule:first", 3, 1963770488053959939ULL},
+      {"rule:first", 300, 6777706428368296139ULL},
+      {"rule:majority-tie-cond", 3, 11134629958152286038ULL},
+      {"rule:majority-tie-cond", 300, 6476684134718693335ULL},
+      {"rule:majority-tie-last", 3, 12783280821161275073ULL},
+      {"rule:majority-tie-last", 300, 2124644048327645564ULL},
+  };
+  const count_t n = 4097;  // not a multiple of the 64 chunks
+  std::uint64_t seed = 9001;
+  for (const CliqueDigestCase& c : cases) {
+    const auto dyn = make_dynamics(c.dynamics);
+    AgentSimulation sim(*dyn, graded_start(*dyn, c.k, n), seed++);
+    std::uint64_t h = 1469598103934665603ULL;
+    for (int r = 0; r < 10; ++r) {
+      sim.step();
+      for (const state_t s : sim.states()) h = fnv_fold(h, s);
+      for (const count_t x : sim.configuration().counts()) h = fnv_fold(h, x);
+    }
+    EXPECT_EQ(h, c.digest) << c.dynamics << " k=" << c.k;
+  }
 }
 
 TEST(GoldenTrajectories, TrialSummaries) {
