@@ -1,9 +1,10 @@
-// E11 — ablation: count-based vs agent-level stepping (google-benchmark).
+// E11 — ablation: count-based vs per-node stepping (google-benchmark).
 //
 // The count-based backend samples the exact one-round transition in Theta(k)
-// work (a handful of binomial draws); the agent backend pays Theta(n*h). The
-// crossover justifies DESIGN.md's choice of count-based as the default and
-// quantifies what the exact-law trick buys (10^4-10^6x at large n).
+// work (a handful of binomial draws); the per-node sampler (the graph
+// engine's implicit clique) pays Theta(n*h). The crossover justifies
+// DESIGN.md's choice of count-based as the default and quantifies what the
+// exact-law trick buys (10^4-10^6x at large n).
 #include <benchmark/benchmark.h>
 
 #include "core/backend.hpp"
@@ -11,6 +12,7 @@
 #include "core/trials.hpp"
 #include "core/undecided.hpp"
 #include "core/workloads.hpp"
+#include "graph/agent_graph.hpp"
 #include "scenario/scenario.hpp"
 
 namespace plurality {
@@ -35,11 +37,13 @@ BENCHMARK(BM_CountBasedStep)
     ->ArgsProduct({{1000, 1000000, 1000000000}, {2, 8, 64}})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_AgentStep(benchmark::State& state) {
+void BM_GraphCliqueStep(benchmark::State& state) {
   const auto n = static_cast<count_t>(state.range(0));
   const auto k = static_cast<state_t>(state.range(1));
   ThreeMajority dynamics;
-  AgentSimulation sim(dynamics, workloads::additive_bias(n, k, n / 10), 1);
+  graph::GraphSimulation sim(dynamics, graph::Topology::complete(n),
+                             workloads::additive_bias(n, k, n / 10), 1,
+                             /*shuffle_layout=*/false);
   for (auto _ : state) {
     sim.step();
     benchmark::DoNotOptimize(sim.configuration().n());
@@ -47,7 +51,7 @@ void BM_AgentStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_AgentStep)
+BENCHMARK(BM_GraphCliqueStep)
     ->ArgsProduct({{1000, 100000, 1000000}, {2, 8, 64}})
     ->Unit(benchmark::kMicrosecond);
 

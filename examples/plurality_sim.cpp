@@ -58,7 +58,7 @@ void print_catalog() {
   print_grammar("topologies", graph::topology_names());
   print_grammar("adversaries", adversary_names());
   std::cout << "stops: consensus | m-plurality:<M> | any-reaches:<T>\n"
-            << "backends: auto | count | agent | graph    engines: strict | batched\n";
+            << "backends: auto | count | graph    engines: strict | batched | push\n";
 }
 
 /// Runs the --trajectory mode: one run, round-by-round table (count path;
@@ -72,7 +72,6 @@ int run_trajectory(const scenario::Scenario& compiled, const std::string& csv_pa
   RunOptions options;
   options.max_rounds = spec.max_rounds;
   options.record_trajectory = true;
-  options.backend = spec.backend == "agent" ? Backend::Agent : Backend::CountBased;
   options.engine = compiled.options().mode;
   options.adversary = compiled.adversary();
   options.stop_predicate = compiled.options().stop_predicate;
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
   cli.add_string("workload", "bias:2c", "initial configuration spec (see --list)");
   cli.add_string("topology", "clique", "topology spec (see --list)");
   cli.add_string("adversary", "none", "adversary spec (see --list)");
-  cli.add_string("backend", "auto", "auto | count | agent | graph");
+  cli.add_string("backend", "auto", "auto | count | graph");
   cli.add_string("engine", "strict", "strict | batched");
   cli.add_string("stop", "consensus", "consensus | m-plurality:<M> | any-reaches:<T>");
   cli.add_uint("n", 1'000'000, "number of nodes");
@@ -123,7 +122,6 @@ int main(int argc, char** argv) {
   cli.add_uint("trials", 20, "independent trials");
   cli.add_uint("seed", 1, "master seed");
   cli.add_uint("max-rounds", 10'000'000, "round cap per trial");
-  cli.add_flag("agent", "force the agent-level backend (same as --backend agent)");
   cli.add_flag("trajectory", "print one trial's round-by-round trajectory");
   cli.add_string("csv", "", "write the trajectory to this CSV path");
   cli.add_string("out", "", "write the ScenarioResult JSON to this path");
@@ -161,7 +159,6 @@ int main(int argc, char** argv) {
   if (!from_file || cli.provided("trials")) spec.trials = cli.get_uint("trials");
   if (!from_file || cli.provided("seed")) spec.seed = cli.get_uint("seed");
   if (!from_file || cli.provided("max-rounds")) spec.max_rounds = cli.get_uint("max-rounds");
-  if (cli.flag("agent")) spec.backend = "agent";
 
   const scenario::Scenario compiled = scenario::Scenario::compile(spec);
   const auto& resolved = compiled.spec();

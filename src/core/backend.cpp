@@ -3,13 +3,8 @@
 #include <algorithm>
 
 #include "rng/binomial.hpp"
-#include "rng/distributions.hpp"
 #include "rng/multinomial.hpp"
 #include "support/check.hpp"
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace plurality {
 
@@ -136,62 +131,6 @@ void step_count_based_reference(const Dynamics& dynamics, Configuration& config,
   }
 
   config = Configuration(std::move(next));
-}
-
-AgentSimulation::AgentSimulation(const Dynamics& dynamics, const Configuration& start,
-                                 std::uint64_t seed)
-    : dynamics_(dynamics), config_(start), streams_(seed) {
-  PLURALITY_REQUIRE(start.n() > 0, "AgentSimulation: empty configuration");
-  nodes_.reserve(start.n());
-  for (state_t j = 0; j < start.k(); ++j) {
-    nodes_.insert(nodes_.end(), start.at(j), j);
-  }
-  // No shuffle needed: sampling is uniform over the whole array, so the
-  // layout order carries no information.
-  scratch_.resize(nodes_.size());
-  partials_.resize(static_cast<std::size_t>(kChunks) * start.k());
-  counts_scratch_.resize(start.k());
-}
-
-void AgentSimulation::step() {
-  const std::size_t n = nodes_.size();
-  const state_t k = config_.k();
-  const unsigned arity = dynamics_.sample_arity();
-  PLURALITY_CHECK_MSG(arity <= 64, "agent backend supports sample arity <= 64");
-
-  const std::size_t chunk_size = (n + kChunks - 1) / kChunks;
-  std::fill(partials_.begin(), partials_.end(), count_t{0});
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (unsigned chunk = 0; chunk < kChunks; ++chunk) {
-    const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
-    const std::size_t hi = std::min(n, lo + chunk_size);
-    if (lo < hi) {
-      count_t* local = partials_.data() + static_cast<std::size_t>(chunk) * k;
-      rng::Xoshiro256pp gen = streams_.stream(round_ * kChunks + chunk);
-      state_t sample[64];
-      for (std::size_t i = lo; i < hi; ++i) {
-        for (unsigned s = 0; s < arity; ++s) {
-          sample[s] = nodes_[rng::uniform_below(gen, n)];
-        }
-        const state_t next = dynamics_.apply_rule(
-            nodes_[i], std::span<const state_t>(sample, arity), k, gen);
-        scratch_[i] = next;
-        ++local[next];
-      }
-    }
-  }
-
-  nodes_.swap(scratch_);
-  std::fill(counts_scratch_.begin(), counts_scratch_.end(), count_t{0});
-  for (unsigned chunk = 0; chunk < kChunks; ++chunk) {
-    const count_t* local = partials_.data() + static_cast<std::size_t>(chunk) * k;
-    for (state_t j = 0; j < k; ++j) counts_scratch_[j] += local[j];
-  }
-  config_.assign_counts(counts_scratch_);
-  ++round_;
 }
 
 }  // namespace plurality

@@ -105,7 +105,7 @@ void HPlurality::adoption_law(std::span<const double> counts, std::span<double> 
                     "h-plurality exact law too expensive for k="
                         << counts.size() << ", h=" << h_ << " ("
                         << exact_law_cost(static_cast<state_t>(counts.size()))
-                        << " terms); use the agent backend");
+                        << " terms); use the graph backend");
   double n = 0.0;
   for (double c : counts) {
     PLURALITY_REQUIRE(c >= 0.0, "h-plurality law: negative count");
@@ -126,7 +126,7 @@ state_t HPlurality::apply_rule(state_t own, std::span<const state_t> sampled,
   // h is small, so this beats a hash map and never allocates beyond h slots.
   state_t distinct[64];
   unsigned counts[64];
-  PLURALITY_CHECK_MSG(h_ <= 64, "agent rule supports h <= 64");
+  PLURALITY_CHECK_MSG(h_ <= 64, "node rule supports h <= 64");
   unsigned num_distinct = 0;
   for (state_t s : sampled) {
     bool found = false;

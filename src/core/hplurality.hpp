@@ -10,9 +10,10 @@
 // Exact adoption law: enumerate all sample multisets (compositions of h
 // over k colors) — C(h+k-1, h) terms. That is cheap for small h*k and
 // hopeless beyond (k=32, h=17 is ~10^13 terms), so the law is gated by an
-// evaluation budget; past it, callers must use the agent backend, which is
-// exact at O(n*h) per round. exact_law_cost()/has_exact_law() expose the
-// gate, and the choice is ablated in E5.
+// evaluation budget; past it, callers must step per node on the graph
+// engine's implicit clique, which is exact at O(n*h) per round.
+// exact_law_cost()/has_exact_law() expose the gate, and the choice is
+// ablated in E5.
 //
 // For h = 3 the law coincides with 3-majority's Lemma 1 closed form (the
 // tie rule is distributionally irrelevant) — a cross-validation test.

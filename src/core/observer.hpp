@@ -4,8 +4,8 @@
 // bias decay round by round, the monochromatic-distance trajectory of [4],
 // Corollary 4's time-to-m-plurality. Before this layer the only per-round
 // window was RunOptions::record_trajectory — count-path only, allocating,
-// and invisible to run_trials. A RoundObserver threads through all three
-// drivers (count / agent via run_dynamics, graph via run_graph_trials) and
+// and invisible to run_trials. A RoundObserver threads through both
+// drivers (count via run_dynamics, graph via run_graph_trials) and
 // sees every materialized round of every trial.
 //
 // The contract that keeps observation free of side effects:

@@ -33,25 +33,13 @@ RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
                         << " states but dynamics expects "
                         << dynamics.num_states(num_colors));
   PLURALITY_REQUIRE(start.n() > 0, "run_dynamics: empty configuration");
-  PLURALITY_REQUIRE(options.adversary == nullptr || options.backend == Backend::CountBased,
-                    "run_dynamics: adversaries are supported on the count-based backend");
-  PLURALITY_REQUIRE(options.engine == EngineMode::Strict ||
-                        options.backend == Backend::CountBased,
-                    "run_dynamics: the batched engine is count-based only here "
-                    "(graph scenarios batch via run_graph_trials)");
 
   RunResult result;
   result.initial_plurality = start.plurality(num_colors);
 
   Configuration config = start;
-  std::unique_ptr<AgentSimulation> agents;
-  if (options.backend == Backend::Agent) {
-    // Derive the agent seed from the caller's generator so independent
-    // trials get independent agent streams.
-    agents = std::make_unique<AgentSimulation>(dynamics, start, gen());
-  }
   std::unique_ptr<rng::PhiloxStream> philox;
-  if (options.backend == Backend::CountBased && options.engine == EngineMode::Batched) {
+  if (options.engine == EngineMode::Batched) {
     // One draw keys the counter-based stepping stream; `gen` stays the
     // source for everything else (adversary moves, factory randomness), so
     // switching engines never perturbs those streams.
@@ -93,18 +81,13 @@ RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
       // every caller that sees Cancelled.
       return finish(round - 1, StopReason::Cancelled);
     }
-    if (options.backend == Backend::CountBased) {
-      if (philox != nullptr) {
-        step_count_based(dynamics, config, *philox, ws);
-      } else {
-        step_count_based(dynamics, config, gen, ws);
-      }
-      if (options.adversary != nullptr) {
-        options.adversary->corrupt(config, num_colors, round, gen);
-      }
+    if (philox != nullptr) {
+      step_count_based(dynamics, config, *philox, ws);
     } else {
-      agents->step();
-      config = agents->configuration();
+      step_count_based(dynamics, config, gen, ws);
+    }
+    if (options.adversary != nullptr) {
+      options.adversary->corrupt(config, num_colors, round, gen);
     }
 
     if (options.record_trajectory) {

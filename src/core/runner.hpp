@@ -59,17 +59,15 @@ struct RunResult {
 struct RunOptions {
   round_t max_rounds = 1'000'000;
   bool record_trajectory = false;
-  Backend backend = Backend::CountBased;
-  /// Stepping pipeline (count-based backend only). Strict is the bitwise-
-  /// pinned xoshiro default; Batched steps with block-generated PhiloxStream
-  /// uniforms through the same exact conditional-binomial kernels (the
-  /// count-side face of the graph engine's mode axis — distributionally
-  /// equivalent, not bitwise). The Philox stream is keyed off one draw from
+  /// Stepping pipeline. Strict is the bitwise-pinned xoshiro default;
+  /// Batched steps with block-generated PhiloxStream uniforms through the
+  /// same exact conditional-binomial kernels (the count-side face of the
+  /// graph engine's mode axis — distributionally equivalent, not bitwise). The Philox stream is keyed off one draw from
   /// the caller's generator, so trials stay independent and thread-
   /// invariant; adversary and factory randomness keep using the caller's
   /// generator either way.
   EngineMode engine = EngineMode::Strict;
-  /// Applied after every protocol step (count-based backend only).
+  /// Applied after every protocol step.
   const Adversary* adversary = nullptr;
   /// Optional extra stop condition, checked after each round:
   /// (configuration, round) -> stop?

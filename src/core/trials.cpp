@@ -96,7 +96,6 @@ TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
   RunOptions run_options;
   run_options.max_rounds = options.max_rounds;
   run_options.record_trajectory = false;  // trajectories cost memory x trials
-  run_options.backend = options.backend;
   run_options.engine = options.mode;
   run_options.adversary = options.adversary;
   run_options.stop_predicate = options.stop_predicate;

@@ -72,11 +72,8 @@ struct CommonTrialOptions {
   /// measured strict/batched prefetch sweet spot (0 disables prefetch).
   std::uint32_t tile_nodes = 0;
   std::uint32_t prefetch_distance = 16;
-  /// Count path only: count-based exact-law stepping vs the literal
-  /// agent-level clique simulation.
-  Backend backend = Backend::CountBased;
-  /// Count path only: optional extra stop condition, checked after each
-  /// round. (Graph trials stop on consensus/absorption/round limit.)
+  /// Optional extra stop condition, checked after each round (after the
+  /// consensus and absorption checks); a hit records PredicateMet.
   std::function<bool(const Configuration&, round_t)> stop_predicate;
   /// Per-round probe pipeline (core/observer.hpp), threaded through every
   /// driver. Observers read materialized configurations only and draw no

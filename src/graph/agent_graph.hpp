@@ -22,7 +22,7 @@
 // round by round — see tests/graph/test_graph_determinism.cpp.
 // GraphSimulation keeps the original convenience API on top of the engine;
 // on Topology::complete it reproduces the clique model exactly and is
-// property-tested against the core backends.
+// property-tested against the count-based stepper.
 #pragma once
 
 #include <cstdint>

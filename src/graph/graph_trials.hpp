@@ -20,10 +20,10 @@ namespace plurality::graph {
 /// Runs `options.trials` independent runs of `dynamics` on `graph` from
 /// factory-generated starts (the factory contract matches core's
 /// ConfigFactory: thread-safe / pure, configurations sized to the graph).
-/// Count-path-only fields of CommonTrialOptions (backend, stop_predicate)
-/// must be left at their defaults. options.observer (when set) sees every
-/// materialized round, adversary move included, without perturbing any
-/// stream (tests/core/test_observer.cpp).
+/// options.stop_predicate is checked after each round's consensus and
+/// absorption checks, as in run_dynamics. options.observer (when set) sees
+/// every materialized round, adversary move included, without perturbing
+/// any stream (tests/core/test_observer.cpp).
 TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
                               const ConfigFactory& factory,
                               const CommonTrialOptions& options);

@@ -27,9 +27,9 @@
 
 namespace plurality::graph {
 
-/// Fixed chunk fan-out of the graph stepper (same determinism contract as
-/// AgentSimulation::kChunks: one hash-derived RNG stream per (round, chunk),
-/// so results depend on the seed but never on the thread count).
+/// Fixed chunk fan-out of the graph stepper: one hash-derived RNG stream
+/// per (round, chunk), so results depend on the seed but never on the
+/// thread count.
 inline constexpr unsigned kGraphChunks = 64;
 
 /// Which stepping pipeline step_graph runs. The enum itself now lives in

@@ -29,12 +29,12 @@ namespace plurality::rng {
 /// Uniform integer in [0, bound) via Lemire's multiply-shift with rejection
 /// (Lemire 2019, "Fast Random Integer Generation in an Interval"): the
 /// biased fringe of the multiply-shift map is rejected, so every value is
-/// EXACTLY equally likely — no modulo bias. This matters because the agent
-/// backend draws billions of node samples through this function; even a
-/// 2^-11 per-draw bias would be statistically visible at paper scale. The
-/// rejection behavior is pinned by tests (worst-case-bound chi-square and
-/// an output-for-output replay of the published algorithm in
-/// tests/rng/test_distributions.cpp). bound must be nonzero.
+/// EXACTLY equally likely — no modulo bias. This matters because the graph
+/// engine's clique draws billions of node samples through this algorithm;
+/// even a 2^-11 per-draw bias would be statistically visible at paper
+/// scale. The rejection behavior is pinned by tests (worst-case-bound
+/// chi-square and an output-for-output replay of the published algorithm
+/// in tests/rng/test_distributions.cpp). bound must be nonzero.
 template <class Gen>
 std::uint64_t uniform_below(Gen& gen, std::uint64_t bound);
 

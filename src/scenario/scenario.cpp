@@ -67,7 +67,6 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   options.shuffle_layout = spec.shuffle_layout;
   options.tile_nodes = spec.tile_nodes;
   options.prefetch_distance = spec.prefetch_distance;
-  options.backend = backend == "agent" ? Backend::Agent : Backend::CountBased;
 
   const StopCondition stop = parse_stop_condition(spec.stop);
   const state_t num_colors = compiled.dynamics_->num_colors(compiled.start_.k());

@@ -115,14 +115,10 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
 std::string resolve_backend_impl(const ScenarioSpec& spec, const Dynamics& dyn) {
   if (spec.backend != "auto") return spec.backend;
   // Push is a graph-engine pipeline (the implicit clique included), so
-  // "auto" never routes it to the count/agent drivers.
-  if (spec.engine == "push") return "graph";
-  if (!graph::topology_is_clique(spec.topology)) return "graph";
-  if (dyn.has_exact_law(dyn.num_states(spec.k))) return "count";
-  // No exact law on the clique: a per-agent backend. The core agent
-  // backend has no batched pipeline; the graph engine's implicit clique
-  // does.
-  return spec.engine == "batched" ? "graph" : "agent";
+  // "auto" never routes it to the count driver.
+  const bool count = spec.engine != "push" && graph::topology_is_clique(spec.topology) &&
+                     dyn.has_exact_law(dyn.num_states(spec.k));
+  return count ? "count" : "graph";
 }
 
 /// The topology backend "auto" denotes (shared by validate() and
@@ -271,10 +267,11 @@ void ScenarioSpec::validate() const {
   PLURALITY_REQUIRE(engine == "strict" || engine == "batched" || engine == "push",
                     "scenario: engine must be 'strict', 'batched', or 'push', got '"
                         << engine << "'");
-  PLURALITY_REQUIRE(backend == "auto" || backend == "count" || backend == "agent" ||
-                        backend == "graph",
-                    "scenario: backend must be auto/count/agent/graph, got '" << backend
-                                                                              << "'");
+  PLURALITY_REQUIRE(backend == "auto" || backend == "count" || backend == "graph",
+                    "scenario: backend must be auto/count/graph, got '"
+                        << backend
+                        << "' (backend 'agent' was removed; backend 'graph' (or "
+                           "'auto') runs the same per-node clique process)");
   PLURALITY_REQUIRE(topology_backend == "auto" || topology_backend == "arena" ||
                         topology_backend == "implicit",
                     "scenario: topology_backend must be auto/arena/implicit, got '"
@@ -314,11 +311,7 @@ void ScenarioSpec::validate() const {
                               "'auto')");
     PLURALITY_REQUIRE(dyn->has_exact_law(states),
                       "scenario: dynamics '" << dynamics << "' has no exact adoption law "
-                      "at k = " << k << "; use backend 'agent' or 'graph' (or 'auto')");
-  }
-  if (backend == "agent") {
-    PLURALITY_REQUIRE(clique, "scenario: backend 'agent' is the clique sampler; topology '"
-                                  << topology << "' needs backend 'graph' (or 'auto')");
+                      "at k = " << k << "; use backend 'graph' (or 'auto')");
   }
   // Constraints that depend on WHICH backend runs apply to the resolved
   // backend, so backend=auto specs can never compile into a driver that
@@ -339,27 +332,11 @@ void ScenarioSpec::validate() const {
                       "64 bits, capping n at 4294967295 (got " << n << "); use engine "
                       "'batched'");
   }
-  if (resolved == "agent") {
-    PLURALITY_REQUIRE(engine == "strict",
-                      "scenario: the agent backend has no batched pipeline; use backend "
-                      "'graph' (the implicit clique batches) or engine 'strict'");
-    PLURALITY_REQUIRE(adversary == "none",
-                      "scenario: adversaries need count-level or node-level state, which "
-                      "the agent backend does not expose; use backend 'count' (clique) "
-                      "or 'graph'");
-  }
 
   const StopCondition stop_spec = parse_stop_condition(stop);
-  if (stop_spec.kind != StopCondition::Kind::Consensus) {
-    // The graph driver stops on consensus/absorption only; predicates are
-    // a count-path feature (where the configuration is the full state).
-    PLURALITY_REQUIRE(resolved != "graph", "scenario: stop '" << stop
-                                      << "' is count-path only; graph trials stop on "
-                                         "consensus (use stop 'consensus')");
-    PLURALITY_REQUIRE(stop_spec.kind != StopCondition::Kind::AnyReaches || stop_spec.value <= n,
-                      "scenario: any-reaches threshold " << stop_spec.value
-                                                         << " exceeds n = " << n);
-  }
+  PLURALITY_REQUIRE(stop_spec.kind != StopCondition::Kind::AnyReaches || stop_spec.value <= n,
+                    "scenario: any-reaches threshold " << stop_spec.value
+                                                       << " exceeds n = " << n);
 }
 
 }  // namespace plurality::scenario

@@ -11,7 +11,7 @@
 //   workload   initial-configuration spec (core/workloads.hpp grammar)
 //   topology   topology spec            (graph/topology_registry.hpp grammar)
 //   adversary  adversary spec           (core/adversary.hpp grammar)
-//   backend    auto | count | agent | graph
+//   backend    auto | count | graph
 //   engine     strict | batched | push  (core/engine_mode.hpp)
 //   stop       consensus | m-plurality:<M> | any-reaches:<T>
 //   n, k, trials, seed, max_rounds, parallel, shuffle_layout,
@@ -36,11 +36,10 @@ struct ScenarioSpec {
   std::string topology = "clique";
   std::string adversary = "none";
   /// Trial driver. "auto" resolves at validate()/compile() time: clique
-  /// topology + exact adoption law -> "count" (the Θ(k)-per-round exact
-  /// backend); any sparse topology -> "graph"; clique without an exact law
-  /// -> "agent" under the strict engine, "graph" under batched (the agent
-  /// backend has no batched pipeline, the graph engine's implicit clique
-  /// does).
+  /// topology + exact adoption law + not engine push -> "count" (the
+  /// Θ(k)-per-round exact backend); everything else -> "graph" (a clique
+  /// without an exact law steps per node on the graph engine's implicit
+  /// clique).
   std::string backend = "auto";
   std::string engine = "strict";
   /// Stop condition, checked after each round on top of the always-on
@@ -49,7 +48,6 @@ struct ScenarioSpec {
   ///   "m-plurality:<M>"   all but at most M nodes on color 0 (Corollary 4
   ///                       runs; every workload puts the plurality there)
   ///   "any-reaches:<T>"   some color holds >= T nodes (Theorem 2 runs)
-  /// Predicates are count-path only (the graph driver stops on consensus).
   std::string stop = "consensus";
   /// How the graph backend materializes the topology:
   ///   "auto"      implicit whenever the topology has an implicit form and
@@ -64,7 +62,7 @@ struct ScenarioSpec {
   ///               batched sample bound)
   /// Implicit ring/torus/lattice are bitwise-identical to their arena
   /// builds, so this knob never changes results — only memory and the
-  /// reachable n. Ignored by the count/agent backends.
+  /// reachable n. Ignored by the count backend.
   std::string topology_backend = "auto";
   count_t n = 10'000;
   state_t k = 3;

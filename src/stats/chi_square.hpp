@@ -2,8 +2,8 @@
 //
 // These back the statistical assertions the test suite makes about the RNG
 // substrate and about the equivalence of the two simulation backends: the
-// agent-level and count-based steppers must be draws from the same
-// distribution, which we test by binning outcomes and comparing.
+// per-node (graph clique) and count-based steppers must be draws from the
+// same distribution, which we test by binning outcomes and comparing.
 #pragma once
 
 #include <cstdint>

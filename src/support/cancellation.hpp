@@ -3,7 +3,7 @@
 // A sweep cell that hangs (pathological spec, injected fault, adversary
 // that forbids consensus under a huge round cap) must not stall the whole
 // grid forever. The contract is cooperative: every trial driver
-// (run_dynamics on the count/agent paths, graph::run_graph_trials) loads
+// (run_dynamics on the count path, graph::run_graph_trials) loads
 // one relaxed atomic between rounds — the cheapest possible check, no
 // clock reads on the hot path — and an external watchdog (sweep/watchdog.hpp)
 // owns the clock, firing tokens whose wall-clock deadline passed and

@@ -1,5 +1,6 @@
 #include "sweep/preflight.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -9,6 +10,10 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
+#endif
+
+#if defined(PLURALITY_HAVE_OPENMP)
+#include <omp.h>
 #endif
 
 namespace plurality::sweep {
@@ -118,6 +123,18 @@ std::uint64_t graph_state_bytes_per_node(const scenario::ScenarioSpec& spec) {
   return spec.k <= 256 ? 2 * 4 + 2 : 2 * 4;
 }
 
+/// Graph step workspaces alive at once: run_graph_trials builds one per
+/// thread of its trial team, and only threads that run a trial fill theirs.
+std::uint64_t concurrent_workspaces(const scenario::ScenarioSpec& spec) {
+#if defined(PLURALITY_HAVE_OPENMP)
+  if (spec.parallel) {
+    return std::min<std::uint64_t>(spec.trials,
+                                   static_cast<std::uint64_t>(omp_get_max_threads()));
+  }
+#endif
+  return 1;
+}
+
 }  // namespace
 
 std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
@@ -135,17 +152,12 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
     // Θ(k) counters per engine state; trials reuse one workspace.
     return kFixed + 64 * k * 8;
   }
-  if (backend == "agent") {
-    // Two state arrays (u32), two byte mirrors, per-thread count partials.
-    const std::uint64_t per_trial =
-        sat_add(sat_mul(2 * 4 + 2, n), 64 * k * 8);
-    return sat_add(kFixed, sat_mul(per_trial, 3) / 2);
-  }
 
   // graph backend. Implicit topologies (gossip/clique, and ring/torus/
   // lattice once the auto rule kicks in) build no arena: total state is the
-  // step workspace — at n = 1e9 in bytes-only mode that is ~2 GB, which is
-  // exactly why preflight must NOT bill such cells for a clique-sized CSR.
+  // step workspaces — at n = 1e9 in bytes-only mode that is ~2 GB per
+  // trial thread, which is exactly why preflight must NOT bill such cells
+  // for a clique-sized CSR.
   std::string topo_backend;
   try {
     topo_backend = spec.resolved_topology_backend();
@@ -153,7 +165,8 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
     topo_backend = spec.topology_backend;  // "auto" falls to the arena model
   }
   const std::uint64_t workspace =
-      sat_add(sat_mul(graph_state_bytes_per_node(spec), n), 64 * k * 8);
+      sat_mul(sat_add(sat_mul(graph_state_bytes_per_node(spec), n), 64 * k * 8),
+              concurrent_workspaces(spec));
   if (topo_backend == "implicit") {
     return sat_add(kFixed, workspace);
   }

@@ -26,7 +26,9 @@ namespace plurality::sweep {
 
 /// Upper-bound estimate of one cell's peak heap use in bytes, derived from
 /// the resolved backend, n, k, and — for arena-backed graph cells — the
-/// topology's edge count. Cells whose topology resolves to the implicit
+/// topology's edge count. Graph cells are billed one step workspace per
+/// thread of their trial team (min(trials, OpenMP threads) when
+/// spec.parallel, else one). Cells whose topology resolves to the implicit
 /// backend are billed for the state arrays only (no CSR arena; the whole
 /// point of gossip/implicit cells at n = 1e9). All arithmetic saturates
 /// instead of wrapping, so a clique at n = 7e9 estimates "cannot fit"

@@ -3,7 +3,7 @@
 // Replaces global operator new/delete with counting wrappers (which is why
 // this suite is its own binary — the hook is binary-global) and asserts
 // that once workspaces are warm, neither the count-based stepper (sparse
-// and dense kernels alike) nor the agent backend's step touches the heap.
+// and dense kernels alike) nor the graph engine's step touches the heap.
 // This is the property that keeps stepping hardware-bound instead of
 // allocator-bound at paper scale.
 //
@@ -102,10 +102,12 @@ TEST(ZeroAllocation, CountBasedDenseStatefulSteps) {
   EXPECT_EQ(allocs, 0u);
 }
 
-TEST(ZeroAllocation, AgentBackendSteps) {
+TEST(ZeroAllocation, GraphCliqueSteps) {
   UndecidedState dyn;
-  AgentSimulation sim(
-      dyn, UndecidedState::extend_with_undecided(Configuration({6000, 3000, 1000})), 4);
+  graph::GraphSimulation sim(
+      dyn, graph::Topology::complete(10000),
+      UndecidedState::extend_with_undecided(Configuration({6000, 3000, 1000})), 4,
+      /*shuffle_layout=*/false);
   sim.step();  // warm-up
   const std::uint64_t allocs = allocations_during([&] {
     for (int r = 0; r < 50; ++r) sim.step();

@@ -80,7 +80,7 @@ inline void expect_rule_matches_law(const Dynamics& dynamics, const Configuratio
     dynamics.adoption_law(config.counts_real(), law);
   }
 
-  // Node-id sampling identical to the agent backend's.
+  // Node-id sampling identical to the graph engine's implicit clique.
   std::vector<state_t> population;
   population.reserve(n);
   for (state_t j = 0; j < k; ++j) population.insert(population.end(), config.at(j), j);

@@ -1,5 +1,7 @@
-// Count-based and agent backends: invariants, determinism, and agreement
-// in distribution (the central correctness property of the whole system).
+// Count-based stepper: invariants, determinism, and agreement in
+// distribution with the per-node clique sampler (the graph engine on the
+// implicit complete graph) — the central correctness property of the whole
+// system.
 #include "core/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "core/median.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
+#include "graph/agent_graph.hpp"
 #include "rng/philox.hpp"
 #include "stats/chi_square.hpp"
 #include "support/check.hpp"
@@ -84,59 +87,8 @@ TEST(CountBackend, StepMeanMatchesLemma1) {
   }
 }
 
-TEST(AgentBackend, LaysOutStartConfiguration) {
-  ThreeMajority dynamics;
-  AgentSimulation sim(dynamics, Configuration({3, 2, 5}), 1);
-  EXPECT_EQ(sim.configuration(), Configuration({3, 2, 5}));
-  EXPECT_EQ(sim.states().size(), 10u);
-  EXPECT_EQ(sim.round(), 0u);
-}
-
-TEST(AgentBackend, PreservesPopulationAndTracksCounts) {
-  ThreeMajority dynamics;
-  AgentSimulation sim(dynamics, Configuration({40, 30, 30}), 2);
-  for (int round = 0; round < 20; ++round) {
-    sim.step();
-    EXPECT_EQ(sim.configuration().n(), 100u);
-    // Cross-check cached counts against the raw node array.
-    std::vector<count_t> manual(3, 0);
-    for (state_t s : sim.states()) ++manual[s];
-    for (state_t j = 0; j < 3; ++j) EXPECT_EQ(sim.configuration().at(j), manual[j]);
-  }
-  EXPECT_EQ(sim.round(), 20u);
-}
-
-TEST(AgentBackend, DeterministicForSeed) {
-  ThreeMajority dynamics;
-  AgentSimulation a(dynamics, Configuration({50, 50}), 99);
-  AgentSimulation b(dynamics, Configuration({50, 50}), 99);
-  for (int round = 0; round < 10; ++round) {
-    a.step();
-    b.step();
-    EXPECT_EQ(a.configuration(), b.configuration());
-  }
-}
-
-TEST(AgentBackend, MonochromaticIsFixedPoint) {
-  Voter dynamics;
-  AgentSimulation sim(dynamics, Configuration({0, 100}), 3);
-  sim.step();
-  EXPECT_EQ(sim.configuration().at(1), 100u);
-}
-
-TEST(AgentBackend, UndecidedProtocolRuns) {
-  UndecidedState dynamics;
-  const Configuration start =
-      UndecidedState::extend_with_undecided(Configuration({60, 40}));
-  AgentSimulation sim(dynamics, start, 4);
-  for (int round = 0; round < 30; ++round) {
-    sim.step();
-    EXPECT_EQ(sim.configuration().n(), 100u);
-  }
-}
-
-// The central cross-validation: the two backends sample the same one-round
-// transition distribution. We compare the plurality count after one round
+// The central cross-validation: the count-based stepper and the per-node
+// clique sampler draw the same one-round transition distribution. We compare the plurality count after one round
 // over many independent one-round runs via a two-sample chi-square.
 class BackendEquivalence : public ::testing::TestWithParam<const Dynamics*> {};
 
@@ -153,19 +105,21 @@ TEST_P(BackendEquivalence, OneRoundDistributionsAgree) {
 
   const int kTrials = 4000;
   const count_t n = start.n();
-  std::vector<std::uint64_t> count_hist(n + 1, 0), agent_hist(n + 1, 0);
+  std::vector<std::uint64_t> count_hist(n + 1, 0), clique_hist(n + 1, 0);
   rng::Xoshiro256pp gen(11);
   for (int t = 0; t < kTrials; ++t) {
     Configuration c = start;
     step_count_based(dynamics, c, gen);
     ++count_hist[c.at(0)];
   }
+  const graph::AgentGraph clique = graph::AgentGraph::complete(n);
   for (int t = 0; t < kTrials; ++t) {
-    AgentSimulation sim(dynamics, start, 1'000'000 + t);
+    graph::GraphSimulation sim(dynamics, clique, start, 1'000'000 + t,
+                               /*shuffle_layout=*/false);
     sim.step();
-    ++agent_hist[sim.configuration().at(0)];
+    ++clique_hist[sim.configuration().at(0)];
   }
-  const auto result = stats::chi_square_two_sample(count_hist, agent_hist);
+  const auto result = stats::chi_square_two_sample(count_hist, clique_hist);
   EXPECT_GT(result.p_value, 1e-6)
       << dynamics.name() << ": backends disagree, stat=" << result.statistic
       << " dof=" << result.dof;

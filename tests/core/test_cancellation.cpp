@@ -18,14 +18,11 @@ using scenario::ScenarioSpec;
 
 ScenarioSpec slow_spec(const std::string& backend) {
   // boost-runner-up with a budget that forbids consensus: the run can ONLY
-  // end via the round cap — or a cancellation, long before it. The agent
-  // backend rejects adversaries, so it runs plain (still far longer than
-  // the rounds any test fires at).
+  // end via the round cap — or a cancellation, long before it.
   ScenarioSpec spec = ScenarioSpec::parse(
       "dynamics=3-majority workload=bias:2c n=2000 k=3 trials=4 "
-      "max_rounds=200000 seed=11");
+      "max_rounds=200000 seed=11 adversary=boost-runner-up:50");
   spec.backend = backend;
-  if (backend != "agent") spec.adversary = "boost-runner-up:50";
   if (backend == "graph") spec.topology = "regular:8";
   return spec;
 }
@@ -69,7 +66,7 @@ TEST(CancellationToken, FirstReasonWins) {
 }
 
 TEST(Cancellation, PreCancelledTokenStopsEveryBackendImmediately) {
-  for (const char* backend : {"count", "agent", "graph"}) {
+  for (const char* backend : {"count", "graph"}) {
     SCOPED_TRACE(backend);
     CancellationToken token;
     token.cancel(CancellationToken::Reason::kDeadline);
@@ -83,7 +80,7 @@ TEST(Cancellation, PreCancelledTokenStopsEveryBackendImmediately) {
 }
 
 TEST(Cancellation, MidRunCancelThrowsAfterTheRegionJoins) {
-  for (const char* backend : {"count", "agent", "graph"}) {
+  for (const char* backend : {"count", "graph"}) {
     SCOPED_TRACE(backend);
     CancellationToken token;
     CancelAtRound trigger(&token, 2, CancellationToken::Reason::kShutdown);
@@ -99,7 +96,7 @@ TEST(Cancellation, MidRunCancelThrowsAfterTheRegionJoins) {
 TEST(Cancellation, UnfiredTokenIsABitwiseNoOp) {
   // Threading a token that never fires must not change a single sample —
   // the cancellation check is a pure read on the hot path.
-  for (const char* backend : {"count", "agent", "graph"}) {
+  for (const char* backend : {"count", "graph"}) {
     SCOPED_TRACE(backend);
     ScenarioSpec spec = ScenarioSpec::parse(
         "dynamics=3-majority workload=bias:2c n=2000 k=4 trials=6 max_rounds=5000 "

@@ -5,11 +5,11 @@
 //  1. Golden fixed-seed trajectories. The exact count vectors below were
 //     recorded from the PRE-workspace-refactor stepper (the seed tree's
 //     backend.cpp) and must never drift: the workspace/sparse-kernel path,
-//     the frozen dense reference, and the agent backend all have to keep
-//     reproducing them for these seeds.
+//     the frozen dense reference, and the graph engine's unshuffled
+//     implicit clique all have to keep reproducing them for these seeds.
 //  2. Workspace path == dense reference path on the same generator state,
 //     for every dynamics with an exact law (sparse or not), round by round.
-//  3. Thread-count independence: run_trials and AgentSimulation return
+//  3. Thread-count independence: run_trials and the per-node clique return
 //     identical results under 1, 4, and max OpenMP threads.
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "core/trials.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
+#include "graph/agent_graph.hpp"
 #include "support/check.hpp"
 
 #if defined(PLURALITY_HAVE_OPENMP)
@@ -35,6 +36,14 @@ namespace {
 
 std::vector<count_t> counts_of(const Configuration& c) {
   return {c.counts().begin(), c.counts().end()};
+}
+
+// The per-node clique sampler: the graph engine on the implicit complete
+// graph with the layout unshuffled (states laid out in color order).
+graph::GraphSimulation clique_sim(const Dynamics& dyn, const Configuration& start,
+                                  std::uint64_t seed) {
+  return graph::GraphSimulation(dyn, graph::Topology::complete(start.n()), start, seed,
+                                /*shuffle_layout=*/false);
 }
 
 // FNV-1a over the count vector's little-endian bytes (compact golden value
@@ -86,16 +95,19 @@ TEST(GoldenTrajectories, CountBasedUndecidedSparseK301) {
   EXPECT_EQ(fnv_hash(c), 9164166613050701103ULL);
 }
 
+// The two Agent* goldens were recorded from the standalone per-node clique
+// sampler that preceded the graph engine; the unshuffled implicit clique
+// reproduces them bitwise.
 TEST(GoldenTrajectories, AgentMajority) {
   ThreeMajority dyn;
-  AgentSimulation sim(dyn, Configuration({700, 200, 100}), 2024);
+  auto sim = clique_sim(dyn, Configuration({700, 200, 100}), 2024);
   for (int r = 0; r < 2; ++r) sim.step();
   EXPECT_EQ(counts_of(sim.configuration()), (std::vector<count_t>{918, 53, 29}));
 }
 
 TEST(GoldenTrajectories, AgentUndecided) {
   UndecidedState dyn;
-  AgentSimulation sim(
+  auto sim = clique_sim(
       dyn, UndecidedState::extend_with_undecided(Configuration({600, 250, 150})), 31337);
   for (int r = 0; r < 5; ++r) sim.step();
   EXPECT_EQ(counts_of(sim.configuration()), (std::vector<count_t>{911, 5, 3, 81}));
@@ -164,7 +176,7 @@ TEST(GoldenTrajectories, CliqueSamplerDigests) {
   std::uint64_t seed = 9001;
   for (const CliqueDigestCase& c : cases) {
     const auto dyn = make_dynamics(c.dynamics);
-    AgentSimulation sim(*dyn, graded_start(*dyn, c.k, n), seed++);
+    auto sim = clique_sim(*dyn, graded_start(*dyn, c.k, n), seed++);
     std::uint64_t h = 1469598103934665603ULL;
     for (int r = 0; r < 10; ++r) {
       sim.step();
@@ -313,7 +325,7 @@ TEST(ThreadInvariance, AgentTrajectoryIdenticalAcrossThreadCounts) {
   std::vector<std::vector<count_t>> baseline;
   {
     ThreadCountGuard guard(1);
-    AgentSimulation sim(dyn, start, 4096);
+    auto sim = clique_sim(dyn, start, 4096);
     for (int r = 0; r < 10; ++r) {
       sim.step();
       baseline.push_back(counts_of(sim.configuration()));
@@ -321,7 +333,7 @@ TEST(ThreadInvariance, AgentTrajectoryIdenticalAcrossThreadCounts) {
   }
   for (const int threads : {4, omp_get_max_threads()}) {
     ThreadCountGuard guard(threads);
-    AgentSimulation sim(dyn, start, 4096);
+    auto sim = clique_sim(dyn, start, 4096);
     for (int r = 0; r < 10; ++r) {
       sim.step();
       ASSERT_EQ(counts_of(sim.configuration()), baseline[static_cast<std::size_t>(r)])

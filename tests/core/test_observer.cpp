@@ -61,12 +61,10 @@ ProbeObserver make_probe(std::uint64_t trials) {
 }
 
 /// One count-path cell: observer-off vs observer-on must match bitwise.
-void check_count_cell(Backend backend, EngineMode mode, const Adversary* adversary,
-                      const char* label) {
+void check_count_cell(EngineMode mode, const Adversary* adversary, const char* label) {
   ThreeMajority dyn;
   const Configuration start = workloads::additive_bias(4000, 4, 400);
   CommonTrialOptions options = base_options(8, 99);
-  options.backend = backend;
   options.mode = mode;
   options.adversary = adversary;
   if (adversary != nullptr) options.max_rounds = 200;  // some adversaries block consensus
@@ -79,14 +77,13 @@ void check_count_cell(Backend backend, EngineMode mode, const Adversary* adversa
   expect_same_summary(on, off);
 }
 
-TEST(ObserverEquivalence, CountAndAgentGrid) {
+TEST(ObserverEquivalence, CountGrid) {
   const BoostRunnerUp boost(25);
   const FeedWeakest feed(10);
-  check_count_cell(Backend::CountBased, EngineMode::Strict, nullptr, "count/strict");
-  check_count_cell(Backend::CountBased, EngineMode::Batched, nullptr, "count/batched");
-  check_count_cell(Backend::CountBased, EngineMode::Strict, &boost, "count/strict/boost");
-  check_count_cell(Backend::CountBased, EngineMode::Batched, &feed, "count/batched/feed");
-  check_count_cell(Backend::Agent, EngineMode::Strict, nullptr, "agent/strict");
+  check_count_cell(EngineMode::Strict, nullptr, "count/strict");
+  check_count_cell(EngineMode::Batched, nullptr, "count/batched");
+  check_count_cell(EngineMode::Strict, &boost, "count/strict/boost");
+  check_count_cell(EngineMode::Batched, &feed, "count/batched/feed");
 }
 
 TEST(ObserverEquivalence, CountStopPredicate) {
@@ -213,15 +210,6 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
     SequenceObserver seq(5);
     CommonTrialOptions options = base_options(5, 3);
     options.parallel = false;
-    options.observer = &seq;
-    (void)run_trials(dyn, start, options);
-    EXPECT_TRUE(seq.all_complete());
-  }
-  {
-    SequenceObserver seq(5);
-    CommonTrialOptions options = base_options(5, 3);
-    options.parallel = false;
-    options.backend = Backend::Agent;
     options.observer = &seq;
     (void)run_trials(dyn, start, options);
     EXPECT_TRUE(seq.all_complete());

@@ -6,6 +6,7 @@
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
+#include "graph/graph_trials.hpp"
 #include "support/check.hpp"
 
 namespace plurality {
@@ -101,15 +102,17 @@ TEST(Runner, MPluralityPredicate) {
   EXPECT_FALSE(predicate(Configuration({89, 11}), 1));
 }
 
-TEST(Runner, AgentBackendReachesConsensusToo) {
+TEST(Runner, GraphCliqueReachesConsensusToo) {
   ThreeMajority dynamics;
-  rng::Xoshiro256pp gen(8);
   const Configuration start = workloads::additive_bias(2000, 3, 800);
-  RunOptions options;
-  options.backend = Backend::Agent;
-  const RunResult result = run_dynamics(dynamics, start, options, gen);
-  EXPECT_EQ(result.reason, StopReason::ColorConsensus);
-  EXPECT_TRUE(result.plurality_won);
+  CommonTrialOptions options;
+  options.trials = 1;
+  options.seed = 8;
+  options.shuffle_layout = false;
+  const TrialSummary summary = graph::run_graph_trials(
+      dynamics, graph::AgentGraph::complete(start.n()), start, options);
+  EXPECT_EQ(summary.consensus_count, 1u);
+  EXPECT_EQ(summary.plurality_wins, 1u);
 }
 
 TEST(Runner, UndecidedStateSpaceRunsViaExtendedConfig) {
@@ -120,17 +123,6 @@ TEST(Runner, UndecidedStateSpaceRunsViaExtendedConfig) {
   const RunResult result = run_dynamics(dynamics, start, RunOptions{}, gen);
   EXPECT_EQ(result.reason, StopReason::ColorConsensus);
   EXPECT_LT(result.winner, 3u);  // a color, not the undecided state
-}
-
-TEST(Runner, AdversaryRequiresCountBackend) {
-  ThreeMajority dynamics;
-  rng::Xoshiro256pp gen(10);
-  BoostRunnerUp adversary(5);
-  RunOptions options;
-  options.backend = Backend::Agent;
-  options.adversary = &adversary;
-  EXPECT_THROW(run_dynamics(dynamics, Configuration({50, 50}), options, gen),
-               CheckError);
 }
 
 TEST(Runner, EmptyConfigurationRejected) {

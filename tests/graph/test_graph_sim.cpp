@@ -4,6 +4,7 @@
 
 #include "core/backend.hpp"
 #include "core/majority.hpp"
+#include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "graph/builders.hpp"
@@ -100,6 +101,29 @@ TEST(GraphSim, ShuffleLayoutChangesNodePlacementNotCounts) {
   GraphSimulation shuffled(dynamics, topo, start, 13, /*shuffle_layout=*/true);
   EXPECT_EQ(plain.configuration(), shuffled.configuration());
   EXPECT_NE(plain.states(), shuffled.states());
+}
+
+TEST(GraphSim, CliqueCountsTrackNodeArray) {
+  // The cached counts must equal a recount of the node array every round,
+  // for a stateless rule and for one with an auxiliary (undecided) state.
+  ThreeMajority majority;
+  UndecidedState undecided;
+  const Configuration starts[] = {
+      Configuration({40, 30, 30}),
+      UndecidedState::extend_with_undecided(Configuration({60, 40}))};
+  const Dynamics* dynamics[] = {&majority, &undecided};
+  for (int d = 0; d < 2; ++d) {
+    const Configuration& start = starts[d];
+    GraphSimulation sim(*dynamics[d], Topology::complete(start.n()), start, 2 + d,
+                        /*shuffle_layout=*/false);
+    for (int round = 0; round < 30; ++round) {
+      sim.step();
+      std::vector<count_t> manual(start.k(), 0);
+      for (const state_t s : sim.states()) ++manual[s];
+      EXPECT_EQ(sim.configuration(), Configuration(std::move(manual)))
+          << dynamics[d]->name() << " round " << round;
+    }
+  }
 }
 
 TEST(GraphSim, RoundCounterAdvances) {

@@ -57,6 +57,36 @@ TEST(GraphTrials, RoundLimitIsReported) {
   EXPECT_TRUE(s.round_samples.empty());
 }
 
+TEST(GraphTrials, MPluralityPredicateStopsTrials) {
+  // Same streams with and without the predicate, so each stopped trial
+  // ends on the round its unstopped twin first had at most M dissenters —
+  // never later than that twin's consensus.
+  ThreeMajority dyn;
+  rng::Xoshiro256pp topo_gen(5);
+  const AgentGraph graph = AgentGraph::from_topology(random_regular(400, 10, topo_gen));
+  const Configuration start = workloads::additive_bias(400, 3, 150);
+  CommonTrialOptions options;
+  options.trials = 12;
+  options.seed = 21;
+  options.max_rounds = 5000;
+  const TrialSummary full = run_graph_trials(dyn, graph, start, options);
+  options.stop_predicate = stop_at_m_plurality(40, 0);
+  const TrialSummary stopped = run_graph_trials(dyn, graph, start, options);
+  EXPECT_EQ(stopped.predicate_stops, 12u);
+  EXPECT_EQ(stopped.consensus_count, 0u);
+  ASSERT_EQ(full.round_samples.size(), 12u);
+  ASSERT_EQ(stopped.round_samples.size(), 12u);
+  for (std::size_t t = 0; t < 12; ++t) {
+    EXPECT_GE(stopped.round_samples[t], 1.0) << "trial " << t;
+    EXPECT_LT(stopped.round_samples[t], full.round_samples[t]) << "trial " << t;
+  }
+  // A start that already satisfies the predicate stops at round 0.
+  options.stop_predicate = stop_at_m_plurality(400, 0);
+  const TrialSummary immediate = run_graph_trials(dyn, graph, start, options);
+  EXPECT_EQ(immediate.predicate_stops, 12u);
+  EXPECT_EQ(immediate.rounds.max(), 0.0);
+}
+
 TEST(GraphTrials, FactoryReceivesTrialIndex) {
   ThreeMajority dyn;
   const AgentGraph graph = AgentGraph::from_topology(cycle(60));

@@ -1,5 +1,6 @@
 // Cross-validation across independent implementations of the same process:
-// count-based vs agent over full runs, mean-field vs simulation averages,
+// count-based vs the graph engine's per-node clique over full runs,
+// mean-field vs simulation averages,
 // and exact Markov win probabilities vs Monte Carlo for k = 3.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "core/median.hpp"
 #include "core/trials.hpp"
 #include "core/workloads.hpp"
+#include "graph/graph_trials.hpp"
 #include "stats/chi_square.hpp"
 #include "stats/summary.hpp"
 
@@ -31,18 +33,19 @@ TEST(CrossValidation, FullRunWinRatesAgreeAcrossBackends) {
   count_options.max_rounds = 100000;
   const TrialSummary count_summary = run_trials(dynamics, start, count_options);
 
-  CommonTrialOptions agent_options = count_options;
-  agent_options.seed = 2;
-  agent_options.backend = Backend::Agent;
-  const TrialSummary agent_summary = run_trials(dynamics, start, agent_options);
+  CommonTrialOptions clique_options = count_options;
+  clique_options.seed = 2;
+  clique_options.shuffle_layout = false;
+  const TrialSummary clique_summary = graph::run_graph_trials(
+      dynamics, graph::AgentGraph::complete(start.n()), start, clique_options);
 
   // 99.9% Wilson intervals must overlap.
   const auto ci_count =
       stats::wilson_interval(count_summary.plurality_wins, count_summary.trials, 3.29);
-  const auto ci_agent =
-      stats::wilson_interval(agent_summary.plurality_wins, agent_summary.trials, 3.29);
-  EXPECT_LT(ci_count.low, ci_agent.high);
-  EXPECT_LT(ci_agent.low, ci_count.high);
+  const auto ci_clique =
+      stats::wilson_interval(clique_summary.plurality_wins, clique_summary.trials, 3.29);
+  EXPECT_LT(ci_count.low, ci_clique.high);
+  EXPECT_LT(ci_clique.low, ci_count.high);
 }
 
 TEST(CrossValidation, FullRunRoundsAgreeAcrossBackends) {
@@ -53,11 +56,12 @@ TEST(CrossValidation, FullRunRoundsAgreeAcrossBackends) {
   options.seed = 3;
   const TrialSummary count_summary = run_trials(dynamics, start, options);
   options.seed = 4;
-  options.backend = Backend::Agent;
-  const TrialSummary agent_summary = run_trials(dynamics, start, options);
-  const double diff = std::fabs(count_summary.rounds.mean() - agent_summary.rounds.mean());
+  options.shuffle_layout = false;
+  const TrialSummary clique_summary = graph::run_graph_trials(
+      dynamics, graph::AgentGraph::complete(start.n()), start, options);
+  const double diff = std::fabs(count_summary.rounds.mean() - clique_summary.rounds.mean());
   const double joint_sem = std::sqrt(count_summary.rounds.sem() * count_summary.rounds.sem() +
-                                     agent_summary.rounds.sem() * agent_summary.rounds.sem());
+                                     clique_summary.rounds.sem() * clique_summary.rounds.sem());
   EXPECT_LT(diff, 6 * joint_sem);
 }
 
@@ -138,27 +142,29 @@ TEST(CrossValidation, ExactK3MatchesMonteCarloForMedian) {
   EXPECT_LT(color0_rate, 0.5);
 }
 
-TEST(CrossValidation, HPluralityExactLawMatchesAgentBackend) {
+TEST(CrossValidation, HPluralityExactLawMatchesGraphClique) {
   // h = 5 with k = 3 uses the enumeration law in the count backend; the
-  // agent backend samples the rule directly. One-round distributions of
-  // the leading color must agree.
+  // graph engine's clique samples the rule directly. One-round
+  // distributions of the leading color must agree.
   HPlurality dynamics(5);
   const count_t n = 120;
   const Configuration start({60, 35, 25});
   const int kTrials = 3000;
-  std::vector<std::uint64_t> count_hist(n + 1, 0), agent_hist(n + 1, 0);
+  std::vector<std::uint64_t> count_hist(n + 1, 0), clique_hist(n + 1, 0);
   rng::Xoshiro256pp gen(8);
   for (int t = 0; t < kTrials; ++t) {
     Configuration c = start;
     step_count_based(dynamics, c, gen);
     ++count_hist[c.at(0)];
   }
+  const graph::AgentGraph clique = graph::AgentGraph::complete(n);
   for (int t = 0; t < kTrials; ++t) {
-    AgentSimulation sim(dynamics, start, 70000 + t);
+    graph::GraphSimulation sim(dynamics, clique, start, 70000 + t,
+                               /*shuffle_layout=*/false);
     sim.step();
-    ++agent_hist[sim.configuration().at(0)];
+    ++clique_hist[sim.configuration().at(0)];
   }
-  const auto result = stats::chi_square_two_sample(count_hist, agent_hist);
+  const auto result = stats::chi_square_two_sample(count_hist, clique_hist);
   EXPECT_GT(result.p_value, 1e-6) << "stat=" << result.statistic;
 }
 

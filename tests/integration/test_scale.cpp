@@ -12,6 +12,7 @@
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
+#include "graph/agent_graph.hpp"
 #include "support/timer.hpp"
 
 namespace plurality {
@@ -116,9 +117,10 @@ TEST(Edge, MedianWithTwoNodesAndThreeColors) {
   EXPECT_NE(result.winner, 1u);
 }
 
-TEST(Edge, AgentBackendTinyPopulation) {
+TEST(Edge, GraphCliqueTinyPopulation) {
   ThreeMajority dynamics;
-  AgentSimulation sim(dynamics, Configuration({2, 1}), 10);
+  graph::GraphSimulation sim(dynamics, graph::Topology::complete(3), Configuration({2, 1}),
+                             10, /*shuffle_layout=*/false);
   for (int round = 0; round < 50; ++round) {
     sim.step();
     ASSERT_EQ(sim.configuration().n(), 3u);

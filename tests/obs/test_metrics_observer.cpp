@@ -50,11 +50,10 @@ CommonTrialOptions base_options(std::uint64_t trials, std::uint64_t seed) {
 }
 
 /// One grid cell: metrics-off vs metrics-on must match bitwise.
-void check_cell(Backend backend, EngineMode mode, const char* label) {
+void check_cell(EngineMode mode, const char* label) {
   ThreeMajority dyn;
   const Configuration start = workloads::additive_bias(4000, 4, 400);
   CommonTrialOptions options = base_options(8, 99);
-  options.backend = backend;
   options.mode = mode;
   const TrialSummary off = run_trials(dyn, start, options);
 
@@ -67,9 +66,8 @@ void check_cell(Backend backend, EngineMode mode, const char* label) {
 }
 
 TEST(MetricsObserver, BitwiseIdenticalAcrossBackendEngineGrid) {
-  check_cell(Backend::CountBased, EngineMode::Strict, "count/strict");
-  check_cell(Backend::CountBased, EngineMode::Batched, "count/batched");
-  check_cell(Backend::Agent, EngineMode::Strict, "agent/strict");
+  check_cell(EngineMode::Strict, "count/strict");
+  check_cell(EngineMode::Batched, "count/batched");
 }
 
 TEST(MetricsObserver, BitwiseIdenticalOnGraphTrials) {

@@ -45,7 +45,7 @@ void expect_same_summary(const TrialSummary& actual, const TrialSummary& expecte
 /// CommonTrialOptions filled field by field, run_trials — exactly what the
 /// pre-scenario binaries wrote.
 TrialSummary legacy_count_run(const ScenarioSpec& spec, const Adversary* adversary,
-                              Backend backend, EngineMode engine,
+                              EngineMode engine,
                               std::function<bool(const Configuration&, round_t)> stop = {}) {
   const auto dynamics = make_dynamics(spec.dynamics);
   Configuration start = workloads::parse_workload(spec.workload, spec.n, spec.k);
@@ -57,7 +57,6 @@ TrialSummary legacy_count_run(const ScenarioSpec& spec, const Adversary* adversa
   options.seed = spec.seed;
   options.parallel = spec.parallel;
   options.max_rounds = spec.max_rounds;
-  options.backend = backend;
   options.mode = engine;
   options.adversary = adversary;
   options.stop_predicate = std::move(stop);
@@ -68,7 +67,8 @@ TrialSummary legacy_count_run(const ScenarioSpec& spec, const Adversary* adversa
 /// topology stream the scenario layer reserves, CommonTrialOptions filled
 /// field by field, run_graph_trials.
 TrialSummary legacy_graph_run(const ScenarioSpec& spec, const Adversary* adversary,
-                              EngineMode mode) {
+                              EngineMode mode,
+                              std::function<bool(const Configuration&, round_t)> stop = {}) {
   const auto dynamics = make_dynamics(spec.dynamics);
   Configuration start = workloads::parse_workload(spec.workload, spec.n, spec.k);
   if (dynamics->num_states(start.k()) > start.k()) {
@@ -85,6 +85,7 @@ TrialSummary legacy_graph_run(const ScenarioSpec& spec, const Adversary* adversa
   options.max_rounds = spec.max_rounds;
   options.adversary = adversary;
   options.mode = mode;
+  options.stop_predicate = std::move(stop);
   return run_graph_trials(*dynamics, graph, start, options);
 }
 
@@ -103,8 +104,7 @@ ScenarioSpec base_spec() {
 TEST(ScenarioEquivalence, CountStrict) {
   const ScenarioSpec spec = base_spec();
   expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, nullptr, Backend::CountBased,
-                                       EngineMode::Strict));
+                      legacy_count_run(spec, nullptr, EngineMode::Strict));
 }
 
 TEST(ScenarioEquivalence, CountStrictAdversary) {
@@ -113,8 +113,7 @@ TEST(ScenarioEquivalence, CountStrictAdversary) {
   spec.max_rounds = 300;  // boost-runner-up blocks exact consensus
   const BoostRunnerUp adversary(25);
   expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, &adversary, Backend::CountBased,
-                                       EngineMode::Strict));
+                      legacy_count_run(spec, &adversary, EngineMode::Strict));
 }
 
 TEST(ScenarioEquivalence, CountBatched) {
@@ -122,8 +121,7 @@ TEST(ScenarioEquivalence, CountBatched) {
   spec.dynamics = "undecided";
   spec.engine = "batched";
   expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, nullptr, Backend::CountBased,
-                                       EngineMode::Batched));
+                      legacy_count_run(spec, nullptr, EngineMode::Batched));
 }
 
 TEST(ScenarioEquivalence, CountBatchedAdversary) {
@@ -133,8 +131,7 @@ TEST(ScenarioEquivalence, CountBatchedAdversary) {
   spec.max_rounds = 300;
   const FeedWeakest adversary(10);
   expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, &adversary, Backend::CountBased,
-                                       EngineMode::Batched));
+                      legacy_count_run(spec, &adversary, EngineMode::Batched));
 }
 
 TEST(ScenarioEquivalence, CountStopPredicate) {
@@ -142,30 +139,19 @@ TEST(ScenarioEquivalence, CountStopPredicate) {
   spec.stop = "m-plurality:1500";
   expect_same_summary(
       run_scenario(spec).summary,
-      legacy_count_run(spec, nullptr, Backend::CountBased, EngineMode::Strict,
+      legacy_count_run(spec, nullptr, EngineMode::Strict,
                        stop_at_m_plurality(1500, 0)));
 
   spec.stop = "any-reaches:2500";
   expect_same_summary(
       run_scenario(spec).summary,
-      legacy_count_run(spec, nullptr, Backend::CountBased, EngineMode::Strict,
+      legacy_count_run(spec, nullptr, EngineMode::Strict,
                        stop_when_any_color_reaches(2500, spec.k)));
 }
 
-TEST(ScenarioEquivalence, AgentStrict) {
-  ScenarioSpec spec = base_spec();
-  spec.backend = "agent";
-  spec.n = 1500;
-  spec.workload = "bias:200";
-  spec.trials = 5;
-  expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, nullptr, Backend::Agent,
-                                       EngineMode::Strict));
-}
-
-TEST(ScenarioEquivalence, AgentAutoResolution) {
-  // backend=auto must route no-exact-law dynamics to the agent backend and
-  // match the explicit legacy Backend::Agent call.
+TEST(ScenarioEquivalence, NoLawCliqueAutoResolvesToGraph) {
+  // backend=auto must route no-exact-law clique dynamics to the graph
+  // engine's implicit clique and match the explicit graph call.
   ScenarioSpec spec = base_spec();
   spec.dynamics = "20-plurality";
   spec.k = 16;
@@ -173,10 +159,9 @@ TEST(ScenarioEquivalence, AgentAutoResolution) {
   spec.workload = "share:0.3";
   spec.trials = 3;
   spec.max_rounds = 500;
-  EXPECT_EQ(spec.resolved_backend(), "agent");
+  EXPECT_EQ(spec.resolved_backend(), "graph");
   expect_same_summary(run_scenario(spec).summary,
-                      legacy_count_run(spec, nullptr, Backend::Agent,
-                                       EngineMode::Strict));
+                      legacy_graph_run(spec, nullptr, EngineMode::Strict));
 }
 
 TEST(ScenarioEquivalence, GraphStrict) {
@@ -188,6 +173,19 @@ TEST(ScenarioEquivalence, GraphStrict) {
   EXPECT_EQ(spec.resolved_backend(), "graph");
   expect_same_summary(run_scenario(spec).summary,
                       legacy_graph_run(spec, nullptr, EngineMode::Strict));
+}
+
+TEST(ScenarioEquivalence, GraphStopPredicate) {
+  ScenarioSpec spec = base_spec();
+  spec.topology = "regular:8";
+  spec.n = 2500;
+  spec.k = 3;
+  spec.trials = 6;
+  spec.stop = "m-plurality:300";
+  const TrialSummary summary = run_scenario(spec).summary;
+  EXPECT_EQ(summary.predicate_stops, spec.trials);
+  expect_same_summary(summary, legacy_graph_run(spec, nullptr, EngineMode::Strict,
+                                                stop_at_m_plurality(300, 0)));
 }
 
 TEST(ScenarioEquivalence, GraphStrictAdversary) {

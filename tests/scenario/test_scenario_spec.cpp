@@ -169,49 +169,45 @@ TEST(ScenarioSpec, ValidationCatchesEveryAxis) {
                  s.topology = "ring";
                }).validate(),
                CheckError);
-  EXPECT_THROW(invalid([](ScenarioSpec& s) {
-                 s.backend = "agent";
-                 s.engine = "batched";
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(invalid([](ScenarioSpec& s) {
-                 s.backend = "agent";
-                 s.adversary = "random:5";
-               }).validate(),
-               CheckError);
   EXPECT_THROW(invalid([](ScenarioSpec& s) { s.stop = "sometime"; }).validate(), CheckError);
   EXPECT_THROW(invalid([](ScenarioSpec& s) { s.stop = "m-plurality:"; }).validate(),
-               CheckError);
-  EXPECT_THROW(invalid([](ScenarioSpec& s) {
-                 s.backend = "graph";
-                 s.topology = "ring";
-                 s.stop = "m-plurality:50";
-               }).validate(),
                CheckError);
   EXPECT_THROW(invalid([](ScenarioSpec& s) { s.stop = "any-reaches:1000000"; }).validate(),
                CheckError);  // threshold > n
   EXPECT_NO_THROW(invalid([](ScenarioSpec& s) { s.stop = "m-plurality:50"; }).validate());
+  // Graph trials honour stop predicates too.
+  EXPECT_NO_THROW(invalid([](ScenarioSpec& s) {
+                    s.backend = "graph";
+                    s.topology = "ring";
+                    s.stop = "m-plurality:50";
+                  }).validate());
 }
 
-TEST(ScenarioSpec, AutoResolvedAgentConstraintsApply) {
-  // backend=auto routing to the agent backend must enforce the same
-  // constraints as an explicit backend=agent — otherwise the spec passes
-  // validation and the driver's own check fires inside the parallel trial
-  // loop, which aborts the process without a message.
+TEST(ScenarioSpec, AgentBackendWasRemoved) {
+  // The value fails with a message naming the removal and the replacement.
+  for (const char* text : {"backend=agent", "backend=agent dynamics=20-plurality k=16",
+                           "backend=agent topology=ring"}) {
+    expect_rejects(text, "removed");
+    expect_rejects(text, "backend 'graph'");
+  }
+}
+
+TEST(ScenarioSpec, NoLawCliqueRunsOnTheGraphClique) {
+  // A clique without an exact law resolves to the graph engine's implicit
+  // clique under every engine, and that driver hosts adversaries.
   ScenarioSpec spec;
-  spec.dynamics = "20-plurality";  // no exact law at k = 16 -> auto resolves to agent
+  spec.dynamics = "20-plurality";  // no exact law at k = 16
   spec.k = 16;
   spec.n = 2000;
-  spec.adversary = "random:10";
-  EXPECT_THROW(spec.validate(), CheckError);
-  spec.adversary = "none";
-  EXPECT_NO_THROW(spec.validate());
-  // Under the batched engine auto resolves to the graph clique instead,
-  // which does host adversaries.
-  spec.engine = "batched";
+  for (const char* engine : {"strict", "batched"}) {
+    spec.engine = engine;
+    EXPECT_EQ(spec.resolved_backend(), "graph") << engine;
+  }
+  spec.engine = "strict";
   spec.adversary = "random:10";
   EXPECT_NO_THROW(spec.validate());
-  EXPECT_EQ(spec.resolved_backend(), "graph");
+  spec.stop = "m-plurality:100";
+  EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(ScenarioSpec, ResolvedBackend) {
@@ -226,11 +222,8 @@ TEST(ScenarioSpec, ResolvedBackend) {
   spec.topology = "clique";
   spec.dynamics = "20-plurality";  // C(35, 20) law terms at k = 16: no exact law
   spec.k = 16;
-  EXPECT_EQ(spec.resolved_backend(), "agent");
-  spec.engine = "batched";  // the agent backend cannot batch; the graph clique can
-  EXPECT_EQ(spec.resolved_backend(), "graph");
+  EXPECT_EQ(spec.resolved_backend(), "graph");  // the per-node implicit clique
 
-  spec.engine = "strict";
   spec.backend = "graph";  // explicit backends pass through
   EXPECT_EQ(spec.resolved_backend(), "graph");
 }
@@ -299,7 +292,7 @@ TEST(ScenarioSpec, PushEngineGating) {
   ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=regular:8").validate();
   ScenarioSpec::parse("engine=push dynamics=undecided topology=torus n=10000").validate();
   // Push on the clique auto-routes to the graph engine (the implicit
-  // complete graph), never to count/agent.
+  // complete graph), never to count.
   EXPECT_EQ(ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=clique")
                 .resolved_backend(),
             "graph");
@@ -307,8 +300,6 @@ TEST(ScenarioSpec, PushEngineGating) {
   expect_rejects("engine=push dynamics=3-majority topology=regular:8", "arity-1");
   // Explicit non-graph backends cannot run it.
   expect_rejects("engine=push dynamics=voter k=2 topology=clique backend=count",
-                 "backend");
-  expect_rejects("engine=push dynamics=voter k=2 topology=clique backend=agent",
                  "backend");
   // The pair buffer packs two u32 ids per word.
   ScenarioSpec big = ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=gossip");

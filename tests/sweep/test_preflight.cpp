@@ -6,10 +6,15 @@
 // check and OOM-killed the sweep. All estimate arithmetic now saturates;
 // these tests pin the wrap case, the implicit-cell state-array model
 // (gossip at n = 1e9 must fit a laptop budget, not be billed a clique
-// arena), and the coarse ordering the orchestrator relies on.
+// arena), the per-thread workspace bill of parallel graph trials, and the
+// coarse ordering the orchestrator relies on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+
+#if defined(PLURALITY_HAVE_OPENMP)
+#include <omp.h>
+#endif
 
 #include "scenario/spec.hpp"
 #include "sweep/preflight.hpp"
@@ -50,16 +55,16 @@ TEST(Preflight, ArenaEdgeArithmeticSaturates) {
 
 TEST(Preflight, GossipBillionFitsSmallBudget) {
   // The whole point of the implicit path: gossip at n = 1e9, k = 2 is two
-  // byte arrays (~2 GB), NOT a clique arena (~4e18 edges). The estimate
-  // must admit the cell under a 3 GiB budget.
-  const auto spec = spec_of("topology=gossip n=1e9 k=2 engine=batched");
+  // byte arrays (~2 GB) per trial workspace, NOT a clique arena (~4e18
+  // edges). One trial's estimate must admit the cell under a 3 GiB budget.
+  const auto spec = spec_of("topology=gossip n=1e9 k=2 engine=batched trials=1");
   const std::uint64_t estimate = estimate_cell_memory_bytes(spec);
   EXPECT_LT(estimate, std::uint64_t{3} << 30);
   EXPECT_GT(estimate, std::uint64_t{1} << 30);  // ~2n bytes of state is real
 }
 
 TEST(Preflight, ImplicitRingBillionFitsSmallBudget) {
-  const auto spec = spec_of("topology=ring n=1e9 k=3");
+  const auto spec = spec_of("topology=ring n=1e9 k=3 trials=1");
   EXPECT_LT(estimate_cell_memory_bytes(spec), std::uint64_t{3} << 30);
 }
 
@@ -71,15 +76,38 @@ TEST(Preflight, ImplicitIsCheaperThanArenaForSameTopology) {
   EXPECT_LT(estimate_cell_memory_bytes(implicit), estimate_cell_memory_bytes(arena));
 }
 
+#if defined(PLURALITY_HAVE_OPENMP)
+TEST(Preflight, ParallelGraphTrialsBillOneWorkspacePerThread) {
+  // run_graph_trials fills one step workspace per thread of its trial
+  // team, so a parallel gossip cell at n = 1e9 on 4 threads holds four
+  // ~2 GB byte arrays, not one. The team never outnumbers the trials, and
+  // a serial cell holds one.
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+  const std::uint64_t parallel =
+      estimate_cell_memory_bytes(spec_of("topology=gossip n=1e9 k=2 trials=8"));
+  const std::uint64_t two_trials =
+      estimate_cell_memory_bytes(spec_of("topology=gossip n=1e9 k=2 trials=2"));
+  const std::uint64_t serial = estimate_cell_memory_bytes(
+      spec_of("topology=gossip n=1e9 k=2 trials=8 parallel=false"));
+  omp_set_num_threads(saved);
+  EXPECT_GE(parallel, std::uint64_t{8'000'000'000});  // 4 x 2n bytes
+  EXPECT_GE(two_trials, std::uint64_t{4'000'000'000});
+  EXPECT_LT(two_trials, std::uint64_t{6'000'000'000});
+  EXPECT_GE(serial, std::uint64_t{2'000'000'000});
+  EXPECT_LT(serial, std::uint64_t{3'000'000'000});
+}
+#endif
+
 TEST(Preflight, CoarseOrderingAcrossBackends) {
-  // count << agent <= graph at the same n: the ranking the serial-phase
-  // decision depends on.
+  // count << graph at the same n, on the clique and on a sparse topology:
+  // the ranking the serial-phase decision depends on.
   const auto count = spec_of("topology=clique dynamics=3-majority n=1e6 backend=count");
-  const auto agent = spec_of("topology=clique dynamics=3-majority n=1e6 backend=agent");
-  const auto graph = spec_of("topology=regular:8 n=1e6");
+  const auto clique = spec_of("topology=clique dynamics=3-majority n=1e6 backend=graph");
+  const auto sparse = spec_of("topology=regular:8 n=1e6");
   EXPECT_LT(estimate_cell_memory_bytes(count), std::uint64_t{1} << 22);
-  EXPECT_LT(estimate_cell_memory_bytes(count), estimate_cell_memory_bytes(agent));
-  EXPECT_LE(estimate_cell_memory_bytes(agent), estimate_cell_memory_bytes(graph));
+  EXPECT_LT(estimate_cell_memory_bytes(count), estimate_cell_memory_bytes(clique));
+  EXPECT_LE(estimate_cell_memory_bytes(clique), estimate_cell_memory_bytes(sparse));
 }
 
 // The arena bill must cover what the random builders really allocate: a
