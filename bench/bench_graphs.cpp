@@ -41,6 +41,7 @@
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
+#include "graph/batched_simd.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
 #include "graph/reference_sim.hpp"
@@ -342,8 +343,11 @@ int run(int argc, const char* const* argv) {
   // classes, not n nodes). v3 added relabeled-layout cells keyed
   // "<base>/<layout>"; v4 drops them (graph relabeling was removed) and
   // carries the push_* metrics on the voter rows above, plus the
-  // push-vs-strict headline.
+  // push-vs-strict headline. "simd" names the kernel table both engines
+  // stepped with ("scalar" when none); readers ignore keys they don't know.
   io::JsonValue doc = make_bench_doc("graphs", 4, exp);
+  const graph::simd::Ops* simd_ops = graph::simd::active();
+  doc.set("simd", simd_ops != nullptr ? simd_ops->name : "scalar");
   doc.set("n", std::uint64_t{perf_n_grid});
   doc.set("time_budget_seconds", budget);
   doc.set("rearm_period_rounds", kBlock);

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "core/hplurality.hpp"
 #include "core/majority.hpp"
 #include "core/median.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
+#include "graph/batched_simd.hpp"
 #include "graph/kernels.hpp"
+#include "graph/kernels_batched.hpp"
 #include "graph/step_batched.hpp"
 #include "graph/step_push.hpp"
 #include "rng/distributions.hpp"
@@ -201,6 +204,95 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* mirror_out,
   }
 }
 
+/// The strict lane kernel of (Rule, graph) in `ops`, or nullptr: lane
+/// kernels cover the majority, voter and undecided rules on the clique and
+/// degree-uniform CSR graphs, with every sample bound below 2^32.
+template <class Rule>
+auto lane_kernel_for(const simd::Ops* ops, const AgentGraph& graph)
+    -> void (*)(const simd::LaneArgs&) {
+  if (ops == nullptr || graph.is_implicit()) return nullptr;
+  const bool complete = graph.is_complete();
+  if (!complete && graph.min_degree() != graph.max_degree()) return nullptr;
+  if ((complete ? graph.num_nodes() : graph.min_degree()) > 0xffffffffULL) return nullptr;
+  if constexpr (std::is_same_v<Rule, kernels::MajorityRule>) {
+    return complete ? ops->strict_complete_majority : ops->strict_regular_majority;
+  } else if constexpr (std::is_same_v<Rule, kernels::VoterRule>) {
+    return complete ? ops->strict_complete_voter : ops->strict_regular_voter;
+  } else if constexpr (std::is_same_v<Rule, kernels::UndecidedRule>) {
+    return complete ? ops->strict_complete_undecided : ops->strict_regular_undecided;
+  } else {
+    return nullptr;
+  }
+}
+
+/// chunk_sweep on the byte mirror with `ops->strict_lanes` chunk streams
+/// per lane kernel call. Each group of lanes steps in lockstep for its
+/// shortest chunk (whole kLaneBlocks); every lane's ragged tail then
+/// finishes in the scalar chunk driver with that lane's generator. Each
+/// chunk consumes its own stream in exactly chunk_sweep's order, so the
+/// results are bitwise chunk_sweep's.
+template <class Rule>
+void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
+                const simd::Ops& ops, const std::uint8_t* nodes, std::uint8_t* mirror_out,
+                const AgentGraph& graph, state_t k, const rng::StreamFactory& streams,
+                round_t round, GraphStepWorkspace& ws, const StepTuning& tuning) {
+  const std::size_t n = graph.num_nodes();
+  const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
+  const unsigned lanes = ops.strict_lanes;
+  PLURALITY_CHECK(lanes <= simd::kMaxLanes && kGraphChunks % lanes == 0);
+  state_t* out = ws.bytes_only ? nullptr : ws.scratch.data();
+  count_t* partials = ws.partials.data();
+  const bool complete = graph.is_complete();
+  const std::uint32_t* neighbors = complete ? nullptr : graph.neighbors();
+  const std::uint64_t bound = complete ? n : graph.min_degree();
+  const unsigned prefetch = tuning.prefetch_distance;
+
+#if defined(PLURALITY_HAVE_OPENMP)
+#pragma omp parallel for schedule(static)
+#endif
+  for (unsigned group = 0; group < kGraphChunks / lanes; ++group) {
+    const unsigned chunk0 = group * lanes;
+    std::uint64_t state[4 * simd::kMaxLanes] = {};
+    std::size_t steps = chunk_size;
+    for (unsigned l = 0; l < lanes; ++l) {
+      const std::size_t lo = static_cast<std::size_t>(chunk0 + l) * chunk_size;
+      const std::size_t hi = std::min(n, lo + chunk_size);
+      steps = std::min(steps, hi > lo ? hi - lo : 0);
+      if (lo >= hi) continue;
+      const auto words = streams.stream(round * kGraphChunks + chunk0 + l).state();
+      for (unsigned w = 0; w < 4; ++w) state[w * lanes + l] = words[w];
+    }
+    steps -= steps % simd::kLaneBlock;
+    if (steps > 0) {
+      kernel(simd::LaneArgs{state, chunk0 * chunk_size, chunk_size, steps, neighbors,
+                            bound, nodes, mirror_out, out, k});
+    }
+    for (unsigned l = 0; l < lanes; ++l) {
+      const unsigned chunk = chunk0 + l;
+      const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
+      const std::size_t hi = std::min(n, lo + chunk_size);
+      count_t* local = partials + static_cast<std::size_t>(chunk) * k;
+      std::fill(local, local + k, count_t{0});
+      if (lo >= hi) continue;
+      if (ops.count_u8 != nullptr && k <= 16) {
+        ops.count_u8(mirror_out, lo, lo + steps, k, local);
+      } else {
+        kernels_batched::count_tile(mirror_out, lo, steps, k, local);
+      }
+      if (lo + steps == hi) continue;
+      rng::Xoshiro256pp gen({state[l], state[lanes + l], state[2 * lanes + l],
+                             state[3 * lanes + l]});
+      if (complete) {
+        kernels::run_chunk_complete(rule, nodes, out, mirror_out, local, lo + steps, hi, n,
+                                    k, gen, prefetch);
+      } else {
+        kernels::run_chunk_regular(rule, nodes, out, mirror_out, local, lo + steps, hi,
+                                   neighbors, bound, k, gen, prefetch);
+      }
+    }
+  }
+}
+
 template <class Rule>
 void step_all_chunks(const Rule& rule, const AgentGraph& graph, Configuration& config,
                      const rng::StreamFactory& streams, round_t round,
@@ -233,7 +325,13 @@ void step_all_chunks(const Rule& rule, const AgentGraph& graph, Configuration& c
         }
       }
     }
-    chunk_sweep(rule, mirror, ws.scratch8.data(), graph, k, streams, round, ws, tuning);
+    const simd::Ops* ops = simd::active();
+    if (const auto kernel = lane_kernel_for<Rule>(ops, graph)) {
+      lane_sweep(rule, kernel, *ops, mirror, ws.scratch8.data(), graph, k, streams, round,
+                 ws, tuning);
+    } else {
+      chunk_sweep(rule, mirror, ws.scratch8.data(), graph, k, streams, round, ws, tuning);
+    }
     ws.nodes8.swap(ws.scratch8);
     ws.mirror_fresh = true;
   } else {

@@ -1,14 +1,19 @@
-// AVX2 kernel table of the batched pipeline — the half-width port of
-// batched_simd_avx512.cpp (8 nodes per step instead of 16; blends replace
-// mask registers, byte-shuffles replace vpmovdb). Same bitwise contract:
-// identical Philox words, identical bounded-bias conversion, identical rule
-// algebra as the scalar pipeline. Selected by simd::detect() on hosts with
-// AVX2 but not the AVX-512 subset we target.
+// AVX2 kernel table of both graph engines — the half-width port of
+// batched_simd_avx512.cpp (8 nodes per batched step instead of 16, 4 strict
+// lanes instead of 8; blends replace mask registers, byte-shuffles replace
+// vpmovdb). Same bitwise contract: identical Philox words, bounded-bias
+// conversion and rule algebra as the scalar batched pipeline, identical
+// per-chunk xoshiro256++ draws as the scalar strict chunk drivers.
+// Selected by simd::detect() on hosts with AVX2 but not the AVX-512 subset
+// we target; the graph tests run it on AVX-512 hosts too.
 #include "graph/batched_simd.hpp"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <type_traits>
 
 #include "graph/batched_simd_common.hpp"
 #include "graph/kernels_batched.hpp"
@@ -109,8 +114,12 @@ inline __m256i plane_indices(const FusedArgs& args, unsigned s, std::uint64_t no
   return scale8(wlo, whi, _mm256_set1_epi64x(static_cast<long long>(args.bound)));
 }
 
+/// Gathers the sampled states (u32-widened) for the `live` lanes (all-ones
+/// dwords) of 8 indices; dead lanes load nothing.
 template <bool Complete>
-inline __m256i gather8(const FusedArgs& args, const __m256i& idx, std::uint64_t node0) {
+inline __m256i gather8(const FusedArgs& args, const __m256i& idx, std::uint64_t node0,
+                       const __m256i& live) {
+  const __m256i zero = _mm256_setzero_si256();
   __m256i target;
   if constexpr (Complete) {
     target = idx;
@@ -119,15 +128,17 @@ inline __m256i gather8(const FusedArgs& args, const __m256i& idx, std::uint64_t 
     const __m256i node = _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(node0)), lane);
     const __m256i addr = _mm256_add_epi32(
         _mm256_mullo_epi32(node, _mm256_set1_epi32(static_cast<int>(args.bound))), idx);
-    target = _mm256_i32gather_epi32(reinterpret_cast<const int*>(args.neighbors), addr, 4);
+    target = _mm256_mask_i32gather_epi32(zero, reinterpret_cast<const int*>(args.neighbors),
+                                         addr, live, 4);
   }
   return _mm256_and_si256(
-      _mm256_i32gather_epi32(reinterpret_cast<const int*>(args.nodes8), target, 1),
+      _mm256_mask_i32gather_epi32(zero, reinterpret_cast<const int*>(args.nodes8), target,
+                                  live, 1),
       _mm256_set1_epi32(0xff));
 }
 
-/// Packs 8 u32 lane values (< 256) into 8 bytes.
-inline void store_bytes8(std::uint8_t* dst, const __m256i& v) {
+/// Packs 8 u32 lane values (< 256) into 8 bytes (lane order).
+inline std::uint64_t pack_bytes8(const __m256i& v) {
   const __m256i shuf = _mm256_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1,
                                         -1, -1, -1, 0, 4, 8, 12, -1, -1, -1, -1, -1, -1,
                                         -1, -1, -1, -1, -1, -1);
@@ -136,8 +147,7 @@ inline void store_bytes8(std::uint8_t* dst, const __m256i& v) {
       static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm256_castsi256_si128(packed)));
   const std::uint32_t hi =
       static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm256_extracti128_si256(packed, 1)));
-  std::uint64_t out = static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
-  __builtin_memcpy(dst, &out, 8);
+  return static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
 }
 
 /// Branch-free select in ymm lanes: mask ? x : y with full-lane masks.
@@ -145,39 +155,243 @@ inline __m256i blend_mask(const __m256i& mask, const __m256i& x, const __m256i& 
   return _mm256_blendv_epi8(y, x, mask);
 }
 
+/// Passes 1-4 for lanes [lo, hi) of the 8-node block at node0 (8-aligned,
+/// so every plane's words start pair-aligned: n_pad is 64-aligned). The
+/// words are addressed by node index, so a partial block at a chunk edge
+/// computes exactly what the scalar pipeline would for its live nodes.
+template <class Tag, bool Complete>
+inline void fused_block(const FusedArgs& args, std::uint64_t node0, unsigned lo,
+                        unsigned hi) {
+  const bool whole = lo == 0 && hi == 8;
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i live = _mm256_andnot_si256(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lo)), lane),
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(hi)), lane));
+  __m256i next;
+  if constexpr (std::is_same_v<Tag, MajorityTag>) {
+    const __m256i a = gather8<Complete>(args, plane_indices(args, 0, node0), node0, live);
+    const __m256i b = gather8<Complete>(args, plane_indices(args, 1, node0), node0, live);
+    const __m256i c = gather8<Complete>(args, plane_indices(args, 2, node0), node0, live);
+    const __m256i take_b =
+        _mm256_andnot_si256(_mm256_cmpeq_epi32(a, b), _mm256_cmpeq_epi32(b, c));
+    next = blend_mask(take_b, b, a);
+  } else if constexpr (std::is_same_v<Tag, VoterTag>) {
+    next = gather8<Complete>(args, plane_indices(args, 0, node0), node0, live);
+  } else {
+    const __m256i seen = gather8<Complete>(args, plane_indices(args, 0, node0), node0, live);
+    std::uint64_t own_bytes = 0;
+    if (whole) {
+      __builtin_memcpy(&own_bytes, args.nodes8 + node0, 8);
+    } else {
+      for (unsigned l = lo; l < hi; ++l) {
+        own_bytes |= static_cast<std::uint64_t>(args.nodes8[node0 + l]) << (8 * l);
+      }
+    }
+    const __m256i own =
+        _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(static_cast<long long>(own_bytes)));
+    const __m256i undecided = _mm256_set1_epi32(static_cast<int>(args.states - 1));
+    const __m256i keep = _mm256_or_si256(_mm256_cmpeq_epi32(seen, own),
+                                         _mm256_cmpeq_epi32(seen, undecided));
+    const __m256i colored = blend_mask(keep, own, undecided);
+    const __m256i isund = _mm256_cmpeq_epi32(own, undecided);
+    next = blend_mask(isund, seen, colored);
+  }
+  if (args.out32 != nullptr) {  // absent in bytes-only mode
+    _mm256_maskstore_epi32(reinterpret_cast<int*>(args.out32 + node0), live, next);
+  }
+  const std::uint64_t bytes = pack_bytes8(next);
+  if (whole) {
+    __builtin_memcpy(args.out8 + node0, &bytes, 8);
+  } else {
+    for (unsigned l = lo; l < hi; ++l) {
+      args.out8[node0 + l] = static_cast<std::uint8_t>(bytes >> (8 * l));
+    }
+  }
+}
+
 template <class Tag, bool Complete>
 void fused_kernel(const FusedArgs& args) {
-  std::uint64_t i = args.base;
   const std::uint64_t end = args.base + args.count;
-  while (i < end && (i & 7) != 0) fused_scalar_node<Tag>(args, i++);
-  for (; i + 8 <= end; i += 8) {
-    __m256i next;
-    if constexpr (std::is_same_v<Tag, MajorityTag>) {
-      const __m256i a = gather8<Complete>(args, plane_indices(args, 0, i), i);
-      const __m256i b = gather8<Complete>(args, plane_indices(args, 1, i), i);
-      const __m256i c = gather8<Complete>(args, plane_indices(args, 2, i), i);
-      const __m256i take_b = _mm256_andnot_si256(_mm256_cmpeq_epi32(a, b),
-                                                 _mm256_cmpeq_epi32(b, c));
-      next = blend_mask(take_b, b, a);
-    } else if constexpr (std::is_same_v<Tag, VoterTag>) {
-      next = gather8<Complete>(args, plane_indices(args, 0, i), i);
-    } else {
-      const __m256i seen = gather8<Complete>(args, plane_indices(args, 0, i), i);
-      const __m256i own = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(args.nodes8 + i)));
-      const __m256i undecided = _mm256_set1_epi32(static_cast<int>(args.states - 1));
-      const __m256i keep = _mm256_or_si256(_mm256_cmpeq_epi32(seen, own),
-                                           _mm256_cmpeq_epi32(seen, undecided));
-      const __m256i colored = blend_mask(keep, own, undecided);
-      const __m256i isund = _mm256_cmpeq_epi32(own, undecided);
-      next = blend_mask(isund, seen, colored);
-    }
-    if (args.out32 != nullptr) {  // absent in bytes-only mode
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.out32 + i), next);
-    }
-    store_bytes8(args.out8 + i, next);
+  // Whole 8-aligned blocks; the chunk's unaligned edges become partial
+  // blocks whose dead lanes neither load nor store.
+  for (std::uint64_t node0 = args.base & ~std::uint64_t{7}; node0 < end; node0 += 8) {
+    const auto lo = static_cast<unsigned>(std::max(node0, args.base) - node0);
+    const auto hi = static_cast<unsigned>(std::min(node0 + 8, end) - node0);
+    fused_block<Tag, Complete>(args, node0, lo, hi);
   }
-  while (i < end) fused_scalar_node<Tag>(args, i++);
+}
+
+// --- Strict lane kernels: four xoshiro256++ streams in lockstep. ---------
+
+/// Four xoshiro256++ states, word w of lane l in lane l of s[w].
+struct Xoshiro4 {
+  __m256i s[4];
+};
+
+template <int R>
+inline __m256i rotl64(const __m256i& x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, R), _mm256_srli_epi64(x, 64 - R));
+}
+
+inline __m256i next4(Xoshiro4& g) {
+  const __m256i result =
+      _mm256_add_epi64(rotl64<23>(_mm256_add_epi64(g.s[0], g.s[3])), g.s[0]);
+  const __m256i t = _mm256_slli_epi64(g.s[1], 17);
+  g.s[2] = _mm256_xor_si256(g.s[2], g.s[0]);
+  g.s[3] = _mm256_xor_si256(g.s[3], g.s[1]);
+  g.s[1] = _mm256_xor_si256(g.s[1], g.s[2]);
+  g.s[0] = _mm256_xor_si256(g.s[0], g.s[3]);
+  g.s[2] = _mm256_xor_si256(g.s[2], t);
+  g.s[3] = rotl64<45>(g.s[3]);
+  return result;
+}
+
+/// The rejecting lanes of a Lemire draw finish it scalar, each on its own
+/// state (rare: probability bound / 2^64 per draw).
+[[gnu::noinline, gnu::cold]] void redo_rejected(Xoshiro4& g, int rejected,
+                                               const __m256i& low, std::uint64_t bound,
+                                               __m256i& high) {
+  alignas(32) std::uint64_t words[4][4];
+  alignas(32) std::uint64_t lows[4];
+  alignas(32) std::uint64_t highs[4];
+  for (unsigned w = 0; w < 4; ++w) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(words[w]), g.s[w]);
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lows), low);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(highs), high);
+  for (unsigned l = 0; l < 4; ++l) {
+    if (((rejected >> l) & 1) == 0) continue;
+    std::uint64_t s[4] = {words[0][l], words[1][l], words[2][l], words[3][l]};
+    highs[l] = lemire_redo(s, lows[l], highs[l], bound);
+    for (unsigned w = 0; w < 4; ++w) words[w][l] = s[w];
+  }
+  for (unsigned w = 0; w < 4; ++w) {
+    g.s[w] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[w]));
+  }
+  high = _mm256_load_si256(reinterpret_cast<const __m256i*>(highs));
+}
+
+/// kernels::uniform_below in every lane (see the AVX-512 twin: bound <
+/// 2^32 splits the product into two 32x32 multiplies).
+inline __m256i uniform_below4(Xoshiro4& g, const __m256i& bound, std::uint64_t bound64) {
+  const __m256i x = next4(g);
+  const __m256i p_lo = _mm256_mul_epu32(x, bound);
+  const __m256i p_hi = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), bound);
+  __m256i high = _mm256_srli_epi64(_mm256_add_epi64(p_hi, _mm256_srli_epi64(p_lo, 32)), 32);
+  const __m256i low = _mm256_add_epi64(_mm256_slli_epi64(p_hi, 32), p_lo);
+  // Unsigned low < bound via the sign-flipped signed compare.
+  const __m256i flip = _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
+  const int rejected = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(
+      _mm256_xor_si256(bound, flip), _mm256_xor_si256(low, flip))));
+  if (rejected != 0) [[unlikely]] redo_rejected(g, rejected, low, bound64, high);
+  return high;
+}
+
+/// 4x4 byte transpose inside each 128-bit half.
+inline __m256i transpose4x4_halves(const __m256i& x) {
+  return _mm256_shuffle_epi8(
+      x, _mm256_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, 0, 4, 8,
+                          12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
+}
+
+/// Byte (j*4 + l) -> byte (l*8 + j): eight steps of four lanes become one
+/// 8-node run per lane.
+inline __m256i steps_to_runs(const __m256i& x) {
+  return _mm256_permutevar8x32_epi32(transpose4x4_halves(x),
+                                     _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+}
+
+/// The inverse: byte (l*8 + j) -> byte (j*4 + l).
+inline __m256i runs_to_steps(const __m256i& x) {
+  return transpose4x4_halves(
+      _mm256_permutevar8x32_epi32(x, _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7)));
+}
+
+/// The sampled states (u32-widened) at 4 drawn indices.
+template <bool Complete>
+inline __m128i sample4(const LaneArgs& args, const __m256i& idx, const __m256i& row) {
+  __m256i target;
+  if constexpr (Complete) {
+    target = idx;
+  } else {
+    target = _mm256_cvtepu32_epi64(_mm256_i64gather_epi32(
+        reinterpret_cast<const int*>(args.neighbors), _mm256_add_epi64(row, idx), 4));
+  }
+  return _mm_and_si128(
+      _mm256_i64gather_epi32(reinterpret_cast<const int*>(args.nodes8), target, 1),
+      _mm_set1_epi32(0xff));
+}
+
+template <class Tag, bool Complete>
+void lane_kernel(const LaneArgs& args) {
+  Xoshiro4 g;
+  for (unsigned w = 0; w < 4; ++w) {
+    g.s[w] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(args.state + 4 * w));
+  }
+  const __m256i bound = _mm256_set1_epi64x(static_cast<long long>(args.bound));
+  const auto lane_node = [&](unsigned l) {
+    return static_cast<long long>(args.first + l * args.stride);
+  };
+  // Lane l's current node, and (regular graphs) its neighbor-row offset.
+  __m256i node = _mm256_setr_epi64x(lane_node(0), lane_node(1), lane_node(2), lane_node(3));
+  __m256i row = _mm256_setr_epi64x(lane_node(0) * static_cast<long long>(args.bound),
+                                   lane_node(1) * static_cast<long long>(args.bound),
+                                   lane_node(2) * static_cast<long long>(args.bound),
+                                   lane_node(3) * static_cast<long long>(args.bound));
+  alignas(32) std::uint8_t own[32];   // own[j*4 + l]: lane l's state at step j
+  alignas(32) std::uint8_t tile[32];  // tile[j*4 + l]: lane l's next state at step j
+  const __m128i pack = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                                     -1, -1);
+  for (std::size_t j0 = 0; j0 < args.steps; j0 += kLaneBlock) {
+    if constexpr (std::is_same_v<Tag, UndecidedTag>) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(own),
+                         runs_to_steps(_mm256_i64gather_epi64(
+                             reinterpret_cast<const long long*>(args.nodes8), node, 1)));
+    }
+    for (unsigned j = 0; j < kLaneBlock; ++j) {
+      __m128i next;
+      if constexpr (std::is_same_v<Tag, MajorityTag>) {
+        const __m128i a = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
+        const __m128i b = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
+        const __m128i c = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
+        const __m128i take_b = _mm_andnot_si128(_mm_cmpeq_epi32(a, b), _mm_cmpeq_epi32(b, c));
+        next = _mm_blendv_epi8(a, b, take_b);
+      } else if constexpr (std::is_same_v<Tag, VoterTag>) {
+        next = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
+      } else {
+        std::uint32_t own_bytes;
+        __builtin_memcpy(&own_bytes, own + 4 * j, 4);
+        const __m128i mine = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(own_bytes)));
+        const __m128i seen = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
+        const __m128i undecided = _mm_set1_epi32(static_cast<int>(args.states - 1));
+        const __m128i keep =
+            _mm_or_si128(_mm_cmpeq_epi32(seen, mine), _mm_cmpeq_epi32(seen, undecided));
+        const __m128i colored = _mm_blendv_epi8(undecided, mine, keep);
+        const __m128i isund = _mm_cmpeq_epi32(mine, undecided);
+        next = _mm_blendv_epi8(colored, seen, isund);
+      }
+      const int packed = _mm_cvtsi128_si32(_mm_shuffle_epi8(next, pack));
+      __builtin_memcpy(tile + 4 * j, &packed, 4);
+      if constexpr (!Complete) row = _mm256_add_epi64(row, bound);
+    }
+    // Publish: lane l's kLaneBlock next states are one contiguous run.
+    alignas(32) std::uint64_t runs[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(runs),
+                       steps_to_runs(_mm256_load_si256(reinterpret_cast<const __m256i*>(tile))));
+    for (unsigned l = 0; l < 4; ++l) {
+      const std::uint64_t at = args.first + l * args.stride + j0;
+      __builtin_memcpy(args.out8 + at, &runs[l], 8);
+      if (args.out32 != nullptr) {  // absent in bytes-only mode
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.out32 + at),
+                            _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+                                static_cast<long long>(runs[l]))));
+      }
+    }
+    node = _mm256_add_epi64(node, _mm256_set1_epi64x(static_cast<long long>(kLaneBlock)));
+  }
+  for (unsigned w = 0; w < 4; ++w) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.state + 4 * w), g.s[w]);
+  }
 }
 
 void count_u8_avx2(const std::uint8_t* data, std::size_t lo, std::size_t hi, state_t k,
@@ -206,6 +420,13 @@ const Ops kAvx2Ops = {
     &fused_kernel<VoterTag, true>,
     &fused_kernel<UndecidedTag, true>,
     &count_u8_avx2,
+    4,
+    &lane_kernel<MajorityTag, false>,
+    &lane_kernel<VoterTag, false>,
+    &lane_kernel<UndecidedTag, false>,
+    &lane_kernel<MajorityTag, true>,
+    &lane_kernel<VoterTag, true>,
+    &lane_kernel<UndecidedTag, true>,
 };
 
 }  // namespace

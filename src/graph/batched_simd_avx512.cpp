@@ -1,14 +1,17 @@
-// AVX-512 kernel table of the batched pipeline. Compiled with
+// AVX-512 kernel table of both graph engines. Compiled with
 // -mavx512f/dq/bw/vl (CMake adds the flags only when the compiler supports
 // them; the whole file additionally self-guards on the macros so a build
 // without the flags produces an empty TU). Never entered unless
 // simd::detect() saw the ISA at runtime.
 //
-// BITWISE CONTRACT: every function here must reproduce the scalar pipeline
-// exactly — the same Philox words (Philox4x32::fill_words<kSamplerRounds>
-// order), the same bounded-bias conversion (kernels_batched::scale_word),
-// the same rule algebra. tests/graph/test_graph_batched.cpp pins the engine
-// with SIMD on vs off; any lane-order slip fails loudly.
+// BITWISE CONTRACT: every function here must reproduce its scalar path
+// exactly. Batched entries: the same Philox words
+// (Philox4x32::fill_words<kSamplerRounds> order), the same bounded-bias
+// conversion (kernels_batched::scale_word), the same rule algebra. Strict
+// lane entries: each lane draws its chunk's xoshiro256++ stream exactly as
+// kernels::run_chunk_complete / run_chunk_regular would. The graph tests
+// pin both engines with every supported table against the scalar paths;
+// any lane-order slip fails loudly.
 //
 // Philox layout in registers: one "pair" is two zmm of eight 64-bit lanes —
 // A holds (c1:c0) and B holds (c3:c2) of blocks b..b+7, so after R rounds A
@@ -22,6 +25,9 @@
     defined(__AVX512VL__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <type_traits>
 
 #include "graph/batched_simd_common.hpp"
 #include "graph/kernels_batched.hpp"
@@ -131,13 +137,15 @@ inline __m512i plane_indices(const FusedArgs& args, unsigned s, std::uint64_t no
   return scale16(wlo, whi, bound64);
 }
 
-/// Gathers the sampled states (u32-widened) for 16 indices: through the
-/// neighbor row on regular graphs, directly on the complete graph. The
-/// byte mirror is padded (GraphStepWorkspace::prepare) so the u32 loads at
-/// nodes8 + id stay in bounds.
+/// Gathers the sampled states (u32-widened) for the `live` lanes of 16
+/// indices: through the neighbor row on regular graphs, directly on the
+/// complete graph. The byte mirror is padded (GraphStepWorkspace::prepare)
+/// so the u32 loads at nodes8 + id stay in bounds; dead lanes load nothing.
 template <bool Complete>
-inline __m512i gather16(const FusedArgs& args, const __m512i& idx, std::uint64_t node0) {
+inline __m512i gather16(const FusedArgs& args, const __m512i& idx, std::uint64_t node0,
+                        __mmask16 live) {
   const __m512i ff = _mm512_set1_epi32(0xff);
+  const __m512i zero = _mm512_setzero_si512();
   __m512i target;
   if constexpr (Complete) {
     target = idx;
@@ -147,48 +155,197 @@ inline __m512i gather16(const FusedArgs& args, const __m512i& idx, std::uint64_t
         _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(node0)), lane);
     const __m512i addr = _mm512_add_epi32(
         _mm512_mullo_epi32(node, _mm512_set1_epi32(static_cast<int>(args.bound))), idx);
-    target = _mm512_i32gather_epi32(addr, reinterpret_cast<const int*>(args.neighbors), 4);
+    target = _mm512_mask_i32gather_epi32(zero, live, addr,
+                                         reinterpret_cast<const int*>(args.neighbors), 4);
   }
   return _mm512_and_si512(
-      _mm512_i32gather_epi32(target, reinterpret_cast<const int*>(args.nodes8), 1), ff);
+      _mm512_mask_i32gather_epi32(zero, live, target,
+                                  reinterpret_cast<const int*>(args.nodes8), 1),
+      ff);
+}
+
+/// Passes 1-4 for the `live` lanes of the 16-node block at node0 (16-aligned,
+/// so every plane's words start pair-aligned: n_pad is 64-aligned). The
+/// words are addressed by node index, so a partial block at a chunk edge
+/// computes exactly what the scalar pipeline would for its live nodes.
+template <class Tag, bool Complete>
+inline void fused_block(const FusedArgs& args, std::uint64_t node0, __mmask16 live) {
+  __m512i next;
+  if constexpr (std::is_same_v<Tag, MajorityTag>) {
+    const __m512i a = gather16<Complete>(args, plane_indices(args, 0, node0), node0, live);
+    const __m512i b = gather16<Complete>(args, plane_indices(args, 1, node0), node0, live);
+    const __m512i c = gather16<Complete>(args, plane_indices(args, 2, node0), node0, live);
+    // select((b == c) & (a != b), b, a)
+    const __mmask16 take_b = _mm512_cmpeq_epi32_mask(b, c) & _mm512_cmpneq_epi32_mask(a, b);
+    next = _mm512_mask_blend_epi32(take_b, a, b);
+  } else if constexpr (std::is_same_v<Tag, VoterTag>) {
+    next = gather16<Complete>(args, plane_indices(args, 0, node0), node0, live);
+  } else {
+    const __m512i seen = gather16<Complete>(args, plane_indices(args, 0, node0), node0, live);
+    const __m512i own = _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(live, args.nodes8 + node0));
+    const __m512i undecided = _mm512_set1_epi32(static_cast<int>(args.states - 1));
+    const __mmask16 keep =
+        _mm512_cmpeq_epi32_mask(seen, own) | _mm512_cmpeq_epi32_mask(seen, undecided);
+    const __m512i colored = _mm512_mask_blend_epi32(keep, undecided, own);
+    const __mmask16 isund = _mm512_cmpeq_epi32_mask(own, undecided);
+    next = _mm512_mask_blend_epi32(isund, colored, seen);
+  }
+  if (args.out32 != nullptr) {  // absent in bytes-only mode
+    _mm512_mask_storeu_epi32(args.out32 + node0, live, next);
+  }
+  _mm_mask_storeu_epi8(args.out8 + node0, live, _mm512_cvtepi32_epi8(next));
 }
 
 template <class Tag, bool Complete>
 void fused_kernel(const FusedArgs& args) {
-  std::uint64_t i = args.base;
   const std::uint64_t end = args.base + args.count;
-  // Scalar head until the word index (== node index in plane 0) is 16-aligned;
-  // n_pad is 64-aligned so every plane is then pair-aligned simultaneously.
-  while (i < end && (i & 15) != 0) fused_scalar_node<Tag>(args, i++);
-  for (; i + 16 <= end; i += 16) {
-    __m512i next;
-    if constexpr (std::is_same_v<Tag, MajorityTag>) {
-      const __m512i a = gather16<Complete>(args, plane_indices(args, 0, i), i);
-      const __m512i b = gather16<Complete>(args, plane_indices(args, 1, i), i);
-      const __m512i c = gather16<Complete>(args, plane_indices(args, 2, i), i);
-      // select((b == c) & (a != b), b, a)
-      const __mmask16 take_b =
-          _mm512_cmpeq_epi32_mask(b, c) & _mm512_cmpneq_epi32_mask(a, b);
-      next = _mm512_mask_blend_epi32(take_b, a, b);
-    } else if constexpr (std::is_same_v<Tag, VoterTag>) {
-      next = gather16<Complete>(args, plane_indices(args, 0, i), i);
-    } else {
-      const __m512i seen = gather16<Complete>(args, plane_indices(args, 0, i), i);
-      const __m512i own = _mm512_cvtepu8_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(args.nodes8 + i)));
-      const __m512i undecided = _mm512_set1_epi32(static_cast<int>(args.states - 1));
-      const __mmask16 keep = _mm512_cmpeq_epi32_mask(seen, own) |
-                             _mm512_cmpeq_epi32_mask(seen, undecided);
-      const __m512i colored = _mm512_mask_blend_epi32(keep, undecided, own);
-      const __mmask16 isund = _mm512_cmpeq_epi32_mask(own, undecided);
-      next = _mm512_mask_blend_epi32(isund, colored, seen);
-    }
-    if (args.out32 != nullptr) {  // absent in bytes-only mode
-      _mm512_storeu_si512(reinterpret_cast<__m512i*>(args.out32 + i), next);
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(args.out8 + i), _mm512_cvtepi32_epi8(next));
+  // Whole 16-aligned blocks; the chunk's unaligned edges become masked
+  // blocks whose dead lanes neither load nor store.
+  for (std::uint64_t node0 = args.base & ~std::uint64_t{15}; node0 < end; node0 += 16) {
+    const unsigned lo = static_cast<unsigned>(std::max(node0, args.base) - node0);
+    const unsigned hi = static_cast<unsigned>(std::min(node0 + 16, end) - node0);
+    const auto live = static_cast<__mmask16>(((1u << hi) - 1) & ~((1u << lo) - 1));
+    fused_block<Tag, Complete>(args, node0, live);
   }
-  while (i < end) fused_scalar_node<Tag>(args, i++);
+}
+
+// --- Strict lane kernels: eight xoshiro256++ streams in lockstep. --------
+
+/// Eight xoshiro256++ states, word w of lane l in lane l of s[w].
+struct Xoshiro8 {
+  __m512i s[4];
+};
+
+inline __m512i next8(Xoshiro8& g) {
+  const __m512i result =
+      _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(g.s[0], g.s[3]), 23), g.s[0]);
+  const __m512i t = _mm512_slli_epi64(g.s[1], 17);
+  g.s[2] = _mm512_xor_si512(g.s[2], g.s[0]);
+  g.s[3] = _mm512_xor_si512(g.s[3], g.s[1]);
+  g.s[1] = _mm512_xor_si512(g.s[1], g.s[2]);
+  g.s[0] = _mm512_xor_si512(g.s[0], g.s[3]);
+  g.s[2] = _mm512_xor_si512(g.s[2], t);
+  g.s[3] = _mm512_rol_epi64(g.s[3], 45);
+  return result;
+}
+
+/// The rejecting lanes of a Lemire draw finish it scalar, each on its own
+/// state (rare: probability bound / 2^64 per draw).
+[[gnu::noinline, gnu::cold]] void redo_rejected(Xoshiro8& g, __mmask8 rejected,
+                                               const __m512i& low, std::uint64_t bound,
+                                               __m512i& high) {
+  alignas(64) std::uint64_t words[4][8];
+  alignas(64) std::uint64_t lows[8];
+  alignas(64) std::uint64_t highs[8];
+  for (unsigned w = 0; w < 4; ++w) _mm512_store_si512(words[w], g.s[w]);
+  _mm512_store_si512(lows, low);
+  _mm512_store_si512(highs, high);
+  for (unsigned l = 0; l < 8; ++l) {
+    if (((rejected >> l) & 1u) == 0) continue;
+    std::uint64_t s[4] = {words[0][l], words[1][l], words[2][l], words[3][l]};
+    highs[l] = lemire_redo(s, lows[l], highs[l], bound);
+    for (unsigned w = 0; w < 4; ++w) words[w][l] = s[w];
+  }
+  for (unsigned w = 0; w < 4; ++w) g.s[w] = _mm512_load_si512(words[w]);
+  high = _mm512_load_si512(highs);
+}
+
+/// kernels::uniform_below in every lane: the high word of x * bound, with
+/// exact rejection (bound < 2^32, so the 64x32 product splits into two
+/// 32x32 multiplies without carry loss).
+inline __m512i uniform_below8(Xoshiro8& g, const __m512i& bound, std::uint64_t bound64) {
+  const __m512i x = next8(g);
+  const __m512i p_lo = _mm512_mul_epu32(x, bound);
+  const __m512i p_hi = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), bound);
+  __m512i high = _mm512_srli_epi64(_mm512_add_epi64(p_hi, _mm512_srli_epi64(p_lo, 32)), 32);
+  const __m512i low = _mm512_add_epi64(_mm512_slli_epi64(p_hi, 32), p_lo);
+  const __mmask8 rejected = _mm512_cmplt_epu64_mask(low, bound);
+  if (rejected != 0) [[unlikely]] redo_rejected(g, rejected, low, bound64, high);
+  return high;
+}
+
+/// Byte (j*8 + l) -> byte (l*8 + j) of an 8x8 byte matrix: lane-per-step
+/// rows become node-run-per-lane rows and back (an involution).
+inline __m512i transpose8x8(const __m512i& x) {
+  const __m512i pairs = _mm512_broadcast_i32x4(
+      _mm_setr_epi8(0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15));
+  alignas(64) static constexpr std::uint16_t kWords[32] = {
+      0, 8, 16, 24, 1, 9, 17, 25, 2, 10, 18, 26, 3, 11, 19, 27,
+      4, 12, 20, 28, 5, 13, 21, 29, 6, 14, 22, 30, 7, 15, 23, 31};
+  return _mm512_permutexvar_epi16(_mm512_load_si512(kWords), _mm512_shuffle_epi8(x, pairs));
+}
+
+/// The sampled states (u32-widened) at 8 drawn indices.
+template <bool Complete>
+inline __m256i sample8(const LaneArgs& args, const __m512i& idx, const __m512i& row) {
+  __m512i target;
+  if constexpr (Complete) {
+    target = idx;
+  } else {
+    target = _mm512_cvtepu32_epi64(_mm512_i64gather_epi32(
+        _mm512_add_epi64(row, idx), reinterpret_cast<const int*>(args.neighbors), 4));
+  }
+  return _mm256_and_si256(
+      _mm512_i64gather_epi32(target, reinterpret_cast<const int*>(args.nodes8), 1),
+      _mm256_set1_epi32(0xff));
+}
+
+template <class Tag, bool Complete>
+void lane_kernel(const LaneArgs& args) {
+  Xoshiro8 g;
+  for (unsigned w = 0; w < 4; ++w) g.s[w] = _mm512_loadu_si512(args.state + 8 * w);
+  const __m512i bound = _mm512_set1_epi64(static_cast<long long>(args.bound));
+  // Lane l's current node, and (regular graphs) its neighbor-row offset.
+  __m512i node = _mm512_add_epi64(
+      _mm512_set1_epi64(static_cast<long long>(args.first)),
+      _mm512_mullo_epi64(_mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm512_set1_epi64(static_cast<long long>(args.stride))));
+  __m512i row = _mm512_mullo_epi64(node, bound);
+  alignas(64) std::uint8_t own[64];   // own[j*8 + l]: lane l's state at step j
+  alignas(64) std::uint8_t tile[64];  // tile[j*8 + l]: lane l's next state at step j
+  for (std::size_t j0 = 0; j0 < args.steps; j0 += kLaneBlock) {
+    if constexpr (std::is_same_v<Tag, UndecidedTag>) {
+      _mm512_store_si512(own, transpose8x8(_mm512_i64gather_epi64(node, args.nodes8, 1)));
+    }
+    for (unsigned j = 0; j < kLaneBlock; ++j) {
+      __m256i next;
+      if constexpr (std::is_same_v<Tag, MajorityTag>) {
+        const __m256i a = sample8<Complete>(args, uniform_below8(g, bound, args.bound), row);
+        const __m256i b = sample8<Complete>(args, uniform_below8(g, bound, args.bound), row);
+        const __m256i c = sample8<Complete>(args, uniform_below8(g, bound, args.bound), row);
+        const __mmask8 take_b = _mm256_cmpeq_epi32_mask(b, c) & _mm256_cmpneq_epi32_mask(a, b);
+        next = _mm256_mask_blend_epi32(take_b, a, b);
+      } else if constexpr (std::is_same_v<Tag, VoterTag>) {
+        next = sample8<Complete>(args, uniform_below8(g, bound, args.bound), row);
+      } else {
+        const __m256i mine = _mm256_cvtepu8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(own + 8 * j)));
+        const __m256i seen = sample8<Complete>(args, uniform_below8(g, bound, args.bound), row);
+        const __m256i undecided = _mm256_set1_epi32(static_cast<int>(args.states - 1));
+        const __mmask8 keep =
+            _mm256_cmpeq_epi32_mask(seen, mine) | _mm256_cmpeq_epi32_mask(seen, undecided);
+        const __m256i colored = _mm256_mask_blend_epi32(keep, undecided, mine);
+        const __mmask8 isund = _mm256_cmpeq_epi32_mask(mine, undecided);
+        next = _mm256_mask_blend_epi32(isund, colored, seen);
+      }
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(tile + 8 * j), _mm256_cvtepi32_epi8(next));
+      if constexpr (!Complete) row = _mm512_add_epi64(row, bound);
+    }
+    // Publish: lane l's kLaneBlock next states are one contiguous run.
+    alignas(64) std::uint64_t runs[8];
+    _mm512_store_si512(runs, transpose8x8(_mm512_load_si512(tile)));
+    for (unsigned l = 0; l < 8; ++l) {
+      const std::uint64_t at = args.first + l * args.stride + j0;
+      __builtin_memcpy(args.out8 + at, &runs[l], 8);
+      if (args.out32 != nullptr) {  // absent in bytes-only mode
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.out32 + at),
+                            _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+                                static_cast<long long>(runs[l]))));
+      }
+    }
+    node = _mm512_add_epi64(node, _mm512_set1_epi64(static_cast<long long>(kLaneBlock)));
+  }
+  for (unsigned w = 0; w < 4; ++w) _mm512_storeu_si512(args.state + 8 * w, g.s[w]);
 }
 
 void count_u8_avx512(const std::uint8_t* data, std::size_t lo, std::size_t hi, state_t k,
@@ -217,6 +374,13 @@ const Ops kAvx512Ops = {
     &fused_kernel<VoterTag, true>,
     &fused_kernel<UndecidedTag, true>,
     &count_u8_avx512,
+    8,
+    &lane_kernel<MajorityTag, false>,
+    &lane_kernel<VoterTag, false>,
+    &lane_kernel<UndecidedTag, false>,
+    &lane_kernel<MajorityTag, true>,
+    &lane_kernel<VoterTag, true>,
+    &lane_kernel<UndecidedTag, true>,
 };
 
 }  // namespace

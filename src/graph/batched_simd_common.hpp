@@ -1,15 +1,16 @@
-// Scalar pieces shared by the ISA-specific batched-SIMD translation units
-// (batched_simd_avx512.cpp / batched_simd_avx2.cpp): the fused kernels'
-// rule tags and the one-node scalar head/tail fallback. No intrinsics live
-// here — a single copy keeps the two ISA TUs from drifting apart on the
-// parts the SIMD-vs-scalar bitwise test can only exercise on the host's
-// selected table.
+// Scalar pieces shared by the ISA-specific SIMD translation units
+// (batched_simd_avx512.cpp / batched_simd_avx2.cpp): the kernels' rule tags
+// and the strict lane kernels' scalar Lemire redo. No intrinsics live here.
+//
+// Everything with a body sits in an unnamed namespace. An ISA TU must not
+// emit a weak (inline or template) definition: the linker may keep that
+// copy for callers in portable TUs, which then execute ISA instructions on
+// hosts without the ISA. CI checks the ISA objects with nm for exactly this.
 #pragma once
 
-#include <type_traits>
+#include <cstdint>
 
 #include "graph/batched_simd.hpp"
-#include "graph/kernels_batched.hpp"
 
 namespace plurality::graph::simd {
 
@@ -17,37 +18,38 @@ struct MajorityTag {};
 struct VoterTag {};
 struct UndecidedTag {};
 
-/// One node of a fused kernel, scalar — the byte path of the scalar
-/// pipeline evaluated via the raw Philox word function (bitwise identical
-/// to both the tile pipeline and the vector lanes by construction). Used
-/// for the unaligned heads/tails of every SIMD fused kernel.
-template <class Tag>
-inline void fused_scalar_node(const FusedArgs& args, std::uint64_t i) {
-  namespace kb = kernels_batched;
-  const auto sample = [&](unsigned s) -> state_t {
-    const std::uint64_t w = static_cast<std::uint64_t>(s) * args.n_pad + i;
-    const std::uint64_t x =
-        rng::Philox4x32::word<kb::kSamplerRounds>(args.key, args.round, w);
-    const std::uint32_t idx = kb::scale_word(x, args.bound);
-    return args.neighbors == nullptr ? args.nodes8[idx]
-                                     : args.nodes8[args.neighbors[i * args.bound + idx]];
-  };
-  state_t next;
-  if constexpr (std::is_same_v<Tag, MajorityTag>) {
-    const state_t a = sample(0), b = sample(1), c = sample(2);
-    next = kernels::select((b == c) & (a != b), b, a);
-  } else if constexpr (std::is_same_v<Tag, VoterTag>) {
-    next = sample(0);
-  } else {
-    const state_t undecided = args.states - 1;
-    const state_t own = args.nodes8[i];
-    const state_t seen = sample(0);
-    const state_t colored =
-        kernels::select((seen == own) | (seen == undecided), own, undecided);
-    next = kernels::select(own == undecided, seen, colored);
-  }
-  args.out8[i] = static_cast<std::uint8_t>(next);
-  if (args.out32 != nullptr) args.out32[i] = next;  // absent in bytes-only mode
+namespace {
+
+/// One xoshiro256++ step on raw state words — rng::Xoshiro256pp's
+/// operator(), restated here so no shared inline copy is instantiated in an
+/// ISA TU.
+std::uint64_t xoshiro_next(std::uint64_t* s) {
+  const auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
 }
+
+/// Finishes a Lemire draw whose first product had low < bound: exactly the
+/// rejection loop of kernels::uniform_below, continued on one lane's state
+/// `s` (already advanced past the first draw). Returns the drawn index.
+std::uint64_t lemire_redo(std::uint64_t* s, std::uint64_t low, std::uint64_t high,
+                          std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  while (low < threshold) {
+    const __uint128_t m = static_cast<__uint128_t>(xoshiro_next(s)) * bound;
+    low = static_cast<std::uint64_t>(m);
+    high = static_cast<std::uint64_t>(m >> 64);
+  }
+  return high;
+}
+
+}  // namespace
 
 }  // namespace plurality::graph::simd

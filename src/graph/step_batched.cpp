@@ -25,13 +25,7 @@ namespace kb = kernels_batched;
 
 namespace {
 
-std::atomic<bool> g_simd_enabled{true};
 std::atomic<std::size_t> g_tile_override{0};
-
-const simd::Ops* active_ops() {
-  if (!g_simd_enabled.load(std::memory_order_relaxed)) return nullptr;
-  return simd::detect();
-}
 
 /// Stack-resident tile arenas of the stage-split pipeline: bounded by
 /// kBatchedWordBudget, so they are cache-warm, per-thread by construction
@@ -177,7 +171,7 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
   const bool regular =
       !complete && !implicit && graph.min_degree() == graph.max_degree();
   const std::uint64_t uniform_degree = regular ? graph.min_degree() : 0;
-  const simd::Ops* ops = active_ops();
+  const simd::Ops* ops = simd::active();
   count_t* partials = ws.partials.data();
   // Bytes-only mode: no u32 scratch exists; apply_tile and the fused SIMD
   // kernels skip the wide write on a null out pointer.
@@ -345,14 +339,6 @@ void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
                                    << dynamics.name()
                                    << "' has no batched kernel (see batched_has_kernel)");
   }
-}
-
-void set_batched_simd_enabled(bool enabled) {
-  g_simd_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool batched_simd_active() {
-  return active_ops() != nullptr;
 }
 
 void set_batched_tile_nodes_override(std::size_t tile_nodes) {

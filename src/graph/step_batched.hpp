@@ -37,13 +37,6 @@ void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
 
 // --- Test hooks (single-threaded setup only). ---------------------------
 
-/// Forces the scalar pipeline even when SIMD kernels are available, so the
-/// SIMD paths can be pinned bitwise against the scalar reference.
-void set_batched_simd_enabled(bool enabled);
-
-/// True when a SIMD fast path exists on this host (and is enabled).
-[[nodiscard]] bool batched_simd_active();
-
 /// Overrides the pipeline tile size (0 = derive from kBatchedWordBudget).
 /// Exists to pin tile-size invariance by test.
 void set_batched_tile_nodes_override(std::size_t tile_nodes);

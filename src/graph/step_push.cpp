@@ -77,7 +77,7 @@ void push_sweep(const TNode* nodes, state_t* out, TNode* mirror_out, std::size_t
   // by source bucket. Words are block-generated like the batched engine's
   // pass 1 (SIMD fill when the host supports it, bitwise-pinned to the
   // scalar fill).
-  const simd::Ops* ops = simd::detect();
+  const simd::Ops* ops = simd::active();
   const auto fill = (ops != nullptr && ops->fill_words != nullptr)
                         ? ops->fill_words
                         : &rng::Philox4x32::fill_words<kb::kSamplerRounds>;

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/backend.hpp"
 #include "core/hplurality.hpp"
@@ -25,6 +26,7 @@
 #include "core/undecided.hpp"
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
+#include "graph/batched_simd.hpp"
 #include "graph/builders.hpp"
 #include "graph/step_batched.hpp"
 #include "obs/metrics_observer.hpp"
@@ -58,6 +60,17 @@ std::uint64_t allocations_during(Fn&& fn) {
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   fn();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// The scalar paths (nullptr) plus every SIMD kernel table the host runs.
+std::vector<const graph::simd::Ops*> simd_choices() {
+  std::vector<const graph::simd::Ops*> out{nullptr};
+  for (const graph::simd::Ops* ops : graph::simd::supported()) out.push_back(ops);
+  return out;
+}
+
+const char* simd_name(const graph::simd::Ops* ops) {
+  return ops != nullptr ? ops->name : "scalar";
 }
 
 TEST(ZeroAllocation, CountBasedStatelessSteps) {
@@ -103,16 +116,20 @@ TEST(ZeroAllocation, CountBasedDenseStatefulSteps) {
 }
 
 TEST(ZeroAllocation, GraphCliqueSteps) {
+  // Strict rounds on the strict lane kernels and on the scalar chunk path.
   UndecidedState dyn;
-  graph::GraphSimulation sim(
-      dyn, graph::Topology::complete(10000),
-      UndecidedState::extend_with_undecided(Configuration({6000, 3000, 1000})), 4,
-      /*shuffle_layout=*/false);
-  sim.step();  // warm-up
-  const std::uint64_t allocs = allocations_during([&] {
-    for (int r = 0; r < 50; ++r) sim.step();
-  });
-  EXPECT_EQ(allocs, 0u);
+  for (const graph::simd::Ops* ops : simd_choices()) {
+    const graph::simd::ScopedSelection select(ops);
+    graph::GraphSimulation sim(
+        dyn, graph::Topology::complete(10000),
+        UndecidedState::extend_with_undecided(Configuration({6000, 3000, 1000})), 4,
+        /*shuffle_layout=*/false);
+    sim.step();  // warm-up
+    const std::uint64_t allocs = allocations_during([&] {
+      for (int r = 0; r < 50; ++r) sim.step();
+    });
+    EXPECT_EQ(allocs, 0u) << simd_name(ops);
+  }
 }
 
 TEST(ZeroAllocation, WorkspaceWarmsOnceAcrossConfigurations) {
@@ -143,12 +160,15 @@ TEST(ZeroAllocation, GraphEngineStepsOnSparseTopology) {
   rng::Xoshiro256pp topo_gen(6);
   const graph::Topology topo = graph::random_regular(2000, 8, topo_gen);
   const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
-  graph::GraphSimulation sim(dyn, csr, workloads::additive_bias(2000, 3, 500), 7);
-  sim.step();  // warm-up
-  const std::uint64_t allocs = allocations_during([&] {
-    for (int r = 0; r < 50; ++r) sim.step();
-  });
-  EXPECT_EQ(allocs, 0u);
+  for (const graph::simd::Ops* ops : simd_choices()) {
+    const graph::simd::ScopedSelection select(ops);
+    graph::GraphSimulation sim(dyn, csr, workloads::additive_bias(2000, 3, 500), 7);
+    sim.step();  // warm-up
+    const std::uint64_t allocs = allocations_during([&] {
+      for (int r = 0; r < 50; ++r) sim.step();
+    });
+    EXPECT_EQ(allocs, 0u) << simd_name(ops);
+  }
 }
 
 TEST(ZeroAllocation, GraphEngineStepsOnCliqueAndIrregularTopology) {
@@ -234,17 +254,16 @@ TEST(ZeroAllocation, GraphBatchedModeSteps) {
   rng::Xoshiro256pp topo_gen(12);
   const graph::Topology topo = graph::random_regular(2000, 8, topo_gen);
   const graph::AgentGraph csr = graph::AgentGraph::from_topology(topo);
-  for (const bool simd : {true, false}) {
-    graph::set_batched_simd_enabled(simd);
+  for (const graph::simd::Ops* ops : simd_choices()) {
+    const graph::simd::ScopedSelection select(ops);
     graph::GraphSimulation sim(dyn, csr, workloads::additive_bias(2000, 3, 500), 13,
                                /*shuffle_layout=*/true, graph::EngineMode::Batched);
     sim.step();  // warm-up
     const std::uint64_t allocs = allocations_during([&] {
       for (int r = 0; r < 50; ++r) sim.step();
     });
-    EXPECT_EQ(allocs, 0u) << (simd ? "simd" : "scalar");
+    EXPECT_EQ(allocs, 0u) << simd_name(ops);
   }
-  graph::set_batched_simd_enabled(true);
 }
 
 TEST(ZeroAllocation, GraphBatchedIrregularAndHPlurality) {

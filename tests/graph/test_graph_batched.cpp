@@ -32,6 +32,7 @@
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
+#include "graph/batched_simd.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
 #include "graph/step_batched.hpp"
@@ -94,7 +95,7 @@ std::vector<Scenario> scenarios() {
 }
 
 TEST(GraphBatched, SimdMatchesScalarBitwise) {
-  if (!batched_simd_active()) {
+  if (simd::supported().empty()) {
     GTEST_SKIP() << "no SIMD kernels on this host; scalar path is the only path";
   }
   ThreeMajority majority;
@@ -113,14 +114,18 @@ TEST(GraphBatched, SimdMatchesScalarBitwise) {
           static_cast<const Dynamics*>(&undecided),
           static_cast<const Dynamics*>(&median), static_cast<const Dynamics*>(&hplur)}) {
       const Configuration& s0 = dynamics == &undecided ? start_undecided : start;
-      set_batched_simd_enabled(true);
-      const auto simd =
-          trajectory(*dynamics, scenario.graph, s0, 77, EngineMode::Batched, 4);
-      set_batched_simd_enabled(false);
-      const auto scalar =
-          trajectory(*dynamics, scenario.graph, s0, 77, EngineMode::Batched, 4);
-      set_batched_simd_enabled(true);
-      ASSERT_EQ(simd, scalar) << scenario.name << " / " << dynamics->name();
+      std::vector<std::vector<state_t>> scalar;
+      {
+        const simd::ScopedSelection none(nullptr);
+        scalar = trajectory(*dynamics, scenario.graph, s0, 77, EngineMode::Batched, 4);
+      }
+      // Every table the host can run, not only detect()'s pick.
+      for (const simd::Ops* ops : simd::supported()) {
+        const simd::ScopedSelection select(ops);
+        ASSERT_EQ(trajectory(*dynamics, scenario.graph, s0, 77, EngineMode::Batched, 4),
+                  scalar)
+            << ops->name << " / " << scenario.name << " / " << dynamics->name();
+      }
     }
   }
 }
@@ -135,26 +140,29 @@ TEST(GraphBatched, TileSizeNeverChangesResults) {
 
   // Force the scalar pipeline so the tile loop actually runs, then sweep
   // tile sizes including awkward ones.
-  set_batched_simd_enabled(false);
-  const auto baseline = trajectory(majority, graph, start, 9, EngineMode::Batched, 4);
-  const auto baseline_u =
-      trajectory(undecided, graph, start_undecided, 9, EngineMode::Batched, 4);
-  for (const std::size_t tile : {1UL, 7UL, 64UL, 129UL, 4096UL}) {
-    set_batched_tile_nodes_override(tile);
-    EXPECT_EQ(trajectory(majority, graph, start, 9, EngineMode::Batched, 4), baseline)
-        << "tile=" << tile;
-    EXPECT_EQ(trajectory(undecided, graph, start_undecided, 9, EngineMode::Batched, 4),
-              baseline_u)
-        << "tile=" << tile;
+  std::vector<std::vector<state_t>> baseline;
+  {
+    const simd::ScopedSelection none(nullptr);
+    baseline = trajectory(majority, graph, start, 9, EngineMode::Batched, 4);
+    const auto baseline_u =
+        trajectory(undecided, graph, start_undecided, 9, EngineMode::Batched, 4);
+    for (const std::size_t tile : {1UL, 7UL, 64UL, 129UL, 4096UL}) {
+      set_batched_tile_nodes_override(tile);
+      EXPECT_EQ(trajectory(majority, graph, start, 9, EngineMode::Batched, 4), baseline)
+          << "tile=" << tile;
+      EXPECT_EQ(trajectory(undecided, graph, start_undecided, 9, EngineMode::Batched, 4),
+                baseline_u)
+          << "tile=" << tile;
+    }
+    set_batched_tile_nodes_override(0);
   }
-  set_batched_tile_nodes_override(0);
-  // And the SIMD path (fused kernels ignore tiling) must agree with every
+  // And the SIMD paths (fused kernels ignore tiling) must agree with every
   // scalar tiling.
-  if (batched_simd_active()) {
-    set_batched_simd_enabled(true);
-    EXPECT_EQ(trajectory(majority, graph, start, 9, EngineMode::Batched, 4), baseline);
+  for (const simd::Ops* ops : simd::supported()) {
+    const simd::ScopedSelection select(ops);
+    EXPECT_EQ(trajectory(majority, graph, start, 9, EngineMode::Batched, 4), baseline)
+        << ops->name;
   }
-  set_batched_simd_enabled(true);
 }
 
 #if defined(PLURALITY_HAVE_OPENMP)

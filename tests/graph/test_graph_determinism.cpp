@@ -15,6 +15,7 @@
 #include <cctype>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hplurality.hpp"
@@ -268,26 +269,30 @@ struct ThreadCountGuard {
 
 TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
   UndecidedState dyn;
-  const Topology topo = torus(12, 12);
-  const Configuration start =
-      UndecidedState::extend_with_undecided(workloads::additive_bias(144, 3, 40));
+  // 128x128 gives chunks long enough for the strict lane kernels (on hosts
+  // that have them); 12x12 chunks are too short and stay scalar.
+  for (const auto& [side, bias] : {std::pair<count_t, count_t>{12, 40}, {128, 4096}}) {
+    const Topology topo = torus(side, side);
+    const Configuration start =
+        UndecidedState::extend_with_undecided(workloads::additive_bias(side * side, 3, bias));
 
-  std::vector<std::vector<count_t>> baseline;
-  {
-    ThreadCountGuard guard(1);
-    GraphSimulation sim(dyn, topo, start, 4096);
-    for (int r = 0; r < 10; ++r) {
-      sim.step();
-      baseline.push_back(counts_of(sim.configuration()));
+    std::vector<std::vector<count_t>> baseline;
+    {
+      ThreadCountGuard guard(1);
+      GraphSimulation sim(dyn, topo, start, 4096);
+      for (int r = 0; r < 10; ++r) {
+        sim.step();
+        baseline.push_back(counts_of(sim.configuration()));
+      }
     }
-  }
-  for (const int threads : {4, omp_get_max_threads()}) {
-    ThreadCountGuard guard(threads);
-    GraphSimulation sim(dyn, topo, start, 4096);
-    for (int r = 0; r < 10; ++r) {
-      sim.step();
-      ASSERT_EQ(counts_of(sim.configuration()), baseline[static_cast<std::size_t>(r)])
-          << threads << " threads diverged at round " << r;
+    for (const int threads : {4, omp_get_max_threads()}) {
+      ThreadCountGuard guard(threads);
+      GraphSimulation sim(dyn, topo, start, 4096);
+      for (int r = 0; r < 10; ++r) {
+        sim.step();
+        ASSERT_EQ(counts_of(sim.configuration()), baseline[static_cast<std::size_t>(r)])
+            << threads << " threads diverged at round " << r << " on torus " << side;
+      }
     }
   }
 }
