@@ -204,13 +204,27 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* mirror_out,
   }
 }
 
+/// Threads a parallel loop opened here runs with (1 inside a trial-level
+/// team unless nested parallelism is enabled).
+unsigned sweep_team_size() {
+#if defined(PLURALITY_HAVE_OPENMP)
+  if (omp_get_active_level() >= omp_get_max_active_levels()) return 1;
+  return static_cast<unsigned>(omp_get_max_threads());
+#else
+  return 1;
+#endif
+}
+
 /// The strict lane kernel of (Rule, graph) in `ops`, or nullptr: lane
 /// kernels cover the majority, voter and undecided rules on the clique and
-/// degree-uniform CSR graphs, with every sample bound below 2^32.
+/// degree-uniform CSR graphs, with every sample bound below 2^32. The lane
+/// path has only kGraphChunks / kStrictLanes work items per round, so a
+/// larger sweep team keeps chunk_sweep's kGraphChunks.
 template <class Rule>
 auto lane_kernel_for(const simd::Ops* ops, const AgentGraph& graph)
     -> void (*)(const simd::LaneArgs&) {
   if (ops == nullptr || graph.is_implicit()) return nullptr;
+  if (sweep_team_size() > kGraphChunks / simd::kStrictLanes) return nullptr;
   const bool complete = graph.is_complete();
   if (!complete && graph.min_degree() != graph.max_degree()) return nullptr;
   if ((complete ? graph.num_nodes() : graph.min_degree()) > 0xffffffffULL) return nullptr;
@@ -225,7 +239,7 @@ auto lane_kernel_for(const simd::Ops* ops, const AgentGraph& graph)
   }
 }
 
-/// chunk_sweep on the byte mirror with `ops->strict_lanes` chunk streams
+/// chunk_sweep on the byte mirror with simd::kStrictLanes chunk streams
 /// per lane kernel call. Each group of lanes steps in lockstep for its
 /// shortest chunk (whole kLaneBlocks); every lane's ragged tail then
 /// finishes in the scalar chunk driver with that lane's generator. Each
@@ -238,8 +252,8 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
                 round_t round, GraphStepWorkspace& ws, const StepTuning& tuning) {
   const std::size_t n = graph.num_nodes();
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
-  const unsigned lanes = ops.strict_lanes;
-  PLURALITY_CHECK(lanes <= simd::kMaxLanes && kGraphChunks % lanes == 0);
+  constexpr unsigned lanes = simd::kStrictLanes;
+  static_assert(kGraphChunks % lanes == 0);
   state_t* out = ws.bytes_only ? nullptr : ws.scratch.data();
   count_t* partials = ws.partials.data();
   const bool complete = graph.is_complete();
@@ -252,7 +266,7 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
 #endif
   for (unsigned group = 0; group < kGraphChunks / lanes; ++group) {
     const unsigned chunk0 = group * lanes;
-    std::uint64_t state[4 * simd::kMaxLanes] = {};
+    std::uint64_t state[4 * lanes] = {};
     std::size_t steps = chunk_size;
     for (unsigned l = 0; l < lanes; ++l) {
       const std::size_t lo = static_cast<std::size_t>(chunk0 + l) * chunk_size;

@@ -43,17 +43,18 @@ struct FusedArgs {
 /// it (the kernels transpose one block of lane results per store).
 inline constexpr std::size_t kLaneBlock = 8;
 
-/// Most streams any table steps in one lane kernel call.
-inline constexpr unsigned kMaxLanes = 8;
+/// Streams per strict lane kernel call: one per 64-bit AVX-512 lane.
+inline constexpr unsigned kStrictLanes = 8;
 
-/// Arguments of a strict lane kernel: `lanes` (Ops::strict_lanes)
-/// consecutive (round, chunk) xoshiro256++ streams stepped in lockstep.
+/// Arguments of a strict lane kernel: kStrictLanes consecutive
+/// (round, chunk) xoshiro256++ streams stepped in lockstep.
 /// Lane l owns nodes [first + l*stride, first + l*stride + steps) and draws
 /// them exactly as kernels::run_chunk_complete / run_chunk_regular would
 /// from the same generator state.
 struct LaneArgs {
-  std::uint64_t* state;            // 4 x lanes state words, word-major: word w of
-                                   // lane l at state[w*lanes + l]; advanced in place
+  std::uint64_t* state;            // 4 x kStrictLanes state words, word-major: word w
+                                   // of lane l at state[w*kStrictLanes + l]; advanced
+                                   // in place
   std::uint64_t first;             // lane 0's first node
   std::uint64_t stride;            // node distance between consecutive lanes
   std::size_t steps;               // nodes per lane, a multiple of kLaneBlock
@@ -84,10 +85,8 @@ struct Ops {
   /// Per-class byte count (k <= 16): local[j] += |{i in [lo,hi): data[i]==j}|.
   void (*count_u8)(const std::uint8_t* data, std::size_t lo, std::size_t hi,
                    state_t k, count_t* local);
-  /// Streams per strict lane kernel call (8 on AVX-512, 4 on AVX2); always
-  /// divides kGraphChunks.
-  unsigned strict_lanes;
-  // Strict-engine lane kernels (byte mirror), degree-uniform CSR topology.
+  // Strict-engine lane kernels (byte mirror), degree-uniform CSR topology;
+  // AVX-512 only (the AVX2 table leaves them null).
   void (*strict_regular_majority)(const LaneArgs& args);
   void (*strict_regular_voter)(const LaneArgs& args);
   void (*strict_regular_undecided)(const LaneArgs& args);

@@ -1,11 +1,13 @@
-// AVX2 kernel table of both graph engines — the half-width port of
-// batched_simd_avx512.cpp (8 nodes per batched step instead of 16, 4 strict
-// lanes instead of 8; blends replace mask registers, byte-shuffles replace
-// vpmovdb). Same bitwise contract: identical Philox words, bounded-bias
-// conversion and rule algebra as the scalar batched pipeline, identical
-// per-chunk xoshiro256++ draws as the scalar strict chunk drivers.
-// Selected by simd::detect() on hosts with AVX2 but not the AVX-512 subset
-// we target; the graph tests run it on AVX-512 hosts too.
+// AVX2 kernel table of the batched pipeline — the half-width port of
+// batched_simd_avx512.cpp (8 nodes per step instead of 16; blends replace
+// mask registers, byte-shuffles replace vpmovdb). Same bitwise contract:
+// identical Philox words, identical bounded-bias conversion, identical rule
+// algebra as the scalar pipeline. It has no strict lane kernels: four
+// 64-bit lanes lost to the scalar chunk path's prefetch windows once the
+// byte mirror left L2 (docs/performance.md), so the strict engine steps
+// scalar on AVX2 hosts. Selected by simd::detect() on hosts with AVX2 but
+// not the AVX-512 subset we target; the graph tests run it on AVX-512
+// hosts too.
 #include "graph/batched_simd.hpp"
 
 #if defined(__AVX2__)
@@ -221,179 +223,6 @@ void fused_kernel(const FusedArgs& args) {
   }
 }
 
-// --- Strict lane kernels: four xoshiro256++ streams in lockstep. ---------
-
-/// Four xoshiro256++ states, word w of lane l in lane l of s[w].
-struct Xoshiro4 {
-  __m256i s[4];
-};
-
-template <int R>
-inline __m256i rotl64(const __m256i& x) {
-  return _mm256_or_si256(_mm256_slli_epi64(x, R), _mm256_srli_epi64(x, 64 - R));
-}
-
-inline __m256i next4(Xoshiro4& g) {
-  const __m256i result =
-      _mm256_add_epi64(rotl64<23>(_mm256_add_epi64(g.s[0], g.s[3])), g.s[0]);
-  const __m256i t = _mm256_slli_epi64(g.s[1], 17);
-  g.s[2] = _mm256_xor_si256(g.s[2], g.s[0]);
-  g.s[3] = _mm256_xor_si256(g.s[3], g.s[1]);
-  g.s[1] = _mm256_xor_si256(g.s[1], g.s[2]);
-  g.s[0] = _mm256_xor_si256(g.s[0], g.s[3]);
-  g.s[2] = _mm256_xor_si256(g.s[2], t);
-  g.s[3] = rotl64<45>(g.s[3]);
-  return result;
-}
-
-/// The rejecting lanes of a Lemire draw finish it scalar, each on its own
-/// state (rare: probability bound / 2^64 per draw).
-[[gnu::noinline, gnu::cold]] void redo_rejected(Xoshiro4& g, int rejected,
-                                               const __m256i& low, std::uint64_t bound,
-                                               __m256i& high) {
-  alignas(32) std::uint64_t words[4][4];
-  alignas(32) std::uint64_t lows[4];
-  alignas(32) std::uint64_t highs[4];
-  for (unsigned w = 0; w < 4; ++w) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[w]), g.s[w]);
-  }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lows), low);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(highs), high);
-  for (unsigned l = 0; l < 4; ++l) {
-    if (((rejected >> l) & 1) == 0) continue;
-    std::uint64_t s[4] = {words[0][l], words[1][l], words[2][l], words[3][l]};
-    highs[l] = lemire_redo(s, lows[l], highs[l], bound);
-    for (unsigned w = 0; w < 4; ++w) words[w][l] = s[w];
-  }
-  for (unsigned w = 0; w < 4; ++w) {
-    g.s[w] = _mm256_load_si256(reinterpret_cast<const __m256i*>(words[w]));
-  }
-  high = _mm256_load_si256(reinterpret_cast<const __m256i*>(highs));
-}
-
-/// kernels::uniform_below in every lane (see the AVX-512 twin: bound <
-/// 2^32 splits the product into two 32x32 multiplies).
-inline __m256i uniform_below4(Xoshiro4& g, const __m256i& bound, std::uint64_t bound64) {
-  const __m256i x = next4(g);
-  const __m256i p_lo = _mm256_mul_epu32(x, bound);
-  const __m256i p_hi = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), bound);
-  __m256i high = _mm256_srli_epi64(_mm256_add_epi64(p_hi, _mm256_srli_epi64(p_lo, 32)), 32);
-  const __m256i low = _mm256_add_epi64(_mm256_slli_epi64(p_hi, 32), p_lo);
-  // Unsigned low < bound via the sign-flipped signed compare.
-  const __m256i flip = _mm256_set1_epi64x(static_cast<long long>(1ULL << 63));
-  const int rejected = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(
-      _mm256_xor_si256(bound, flip), _mm256_xor_si256(low, flip))));
-  if (rejected != 0) [[unlikely]] redo_rejected(g, rejected, low, bound64, high);
-  return high;
-}
-
-/// 4x4 byte transpose inside each 128-bit half.
-inline __m256i transpose4x4_halves(const __m256i& x) {
-  return _mm256_shuffle_epi8(
-      x, _mm256_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, 0, 4, 8,
-                          12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
-}
-
-/// Byte (j*4 + l) -> byte (l*8 + j): eight steps of four lanes become one
-/// 8-node run per lane.
-inline __m256i steps_to_runs(const __m256i& x) {
-  return _mm256_permutevar8x32_epi32(transpose4x4_halves(x),
-                                     _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-}
-
-/// The inverse: byte (l*8 + j) -> byte (j*4 + l).
-inline __m256i runs_to_steps(const __m256i& x) {
-  return transpose4x4_halves(
-      _mm256_permutevar8x32_epi32(x, _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7)));
-}
-
-/// The sampled states (u32-widened) at 4 drawn indices.
-template <bool Complete>
-inline __m128i sample4(const LaneArgs& args, const __m256i& idx, const __m256i& row) {
-  __m256i target;
-  if constexpr (Complete) {
-    target = idx;
-  } else {
-    target = _mm256_cvtepu32_epi64(_mm256_i64gather_epi32(
-        reinterpret_cast<const int*>(args.neighbors), _mm256_add_epi64(row, idx), 4));
-  }
-  return _mm_and_si128(
-      _mm256_i64gather_epi32(reinterpret_cast<const int*>(args.nodes8), target, 1),
-      _mm_set1_epi32(0xff));
-}
-
-template <class Tag, bool Complete>
-void lane_kernel(const LaneArgs& args) {
-  Xoshiro4 g;
-  for (unsigned w = 0; w < 4; ++w) {
-    g.s[w] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(args.state + 4 * w));
-  }
-  const __m256i bound = _mm256_set1_epi64x(static_cast<long long>(args.bound));
-  const auto lane_node = [&](unsigned l) {
-    return static_cast<long long>(args.first + l * args.stride);
-  };
-  // Lane l's current node, and (regular graphs) its neighbor-row offset.
-  __m256i node = _mm256_setr_epi64x(lane_node(0), lane_node(1), lane_node(2), lane_node(3));
-  __m256i row = _mm256_setr_epi64x(lane_node(0) * static_cast<long long>(args.bound),
-                                   lane_node(1) * static_cast<long long>(args.bound),
-                                   lane_node(2) * static_cast<long long>(args.bound),
-                                   lane_node(3) * static_cast<long long>(args.bound));
-  alignas(32) std::uint8_t own[32];   // own[j*4 + l]: lane l's state at step j
-  alignas(32) std::uint8_t tile[32];  // tile[j*4 + l]: lane l's next state at step j
-  const __m128i pack = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-                                     -1, -1);
-  for (std::size_t j0 = 0; j0 < args.steps; j0 += kLaneBlock) {
-    if constexpr (std::is_same_v<Tag, UndecidedTag>) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(own),
-                         runs_to_steps(_mm256_i64gather_epi64(
-                             reinterpret_cast<const long long*>(args.nodes8), node, 1)));
-    }
-    for (unsigned j = 0; j < kLaneBlock; ++j) {
-      __m128i next;
-      if constexpr (std::is_same_v<Tag, MajorityTag>) {
-        const __m128i a = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
-        const __m128i b = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
-        const __m128i c = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
-        const __m128i take_b = _mm_andnot_si128(_mm_cmpeq_epi32(a, b), _mm_cmpeq_epi32(b, c));
-        next = _mm_blendv_epi8(a, b, take_b);
-      } else if constexpr (std::is_same_v<Tag, VoterTag>) {
-        next = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
-      } else {
-        std::uint32_t own_bytes;
-        __builtin_memcpy(&own_bytes, own + 4 * j, 4);
-        const __m128i mine = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(own_bytes)));
-        const __m128i seen = sample4<Complete>(args, uniform_below4(g, bound, args.bound), row);
-        const __m128i undecided = _mm_set1_epi32(static_cast<int>(args.states - 1));
-        const __m128i keep =
-            _mm_or_si128(_mm_cmpeq_epi32(seen, mine), _mm_cmpeq_epi32(seen, undecided));
-        const __m128i colored = _mm_blendv_epi8(undecided, mine, keep);
-        const __m128i isund = _mm_cmpeq_epi32(mine, undecided);
-        next = _mm_blendv_epi8(colored, seen, isund);
-      }
-      const int packed = _mm_cvtsi128_si32(_mm_shuffle_epi8(next, pack));
-      __builtin_memcpy(tile + 4 * j, &packed, 4);
-      if constexpr (!Complete) row = _mm256_add_epi64(row, bound);
-    }
-    // Publish: lane l's kLaneBlock next states are one contiguous run.
-    alignas(32) std::uint64_t runs[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(runs),
-                       steps_to_runs(_mm256_load_si256(reinterpret_cast<const __m256i*>(tile))));
-    for (unsigned l = 0; l < 4; ++l) {
-      const std::uint64_t at = args.first + l * args.stride + j0;
-      __builtin_memcpy(args.out8 + at, &runs[l], 8);
-      if (args.out32 != nullptr) {  // absent in bytes-only mode
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.out32 + at),
-                            _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
-                                static_cast<long long>(runs[l]))));
-      }
-    }
-    node = _mm256_add_epi64(node, _mm256_set1_epi64x(static_cast<long long>(kLaneBlock)));
-  }
-  for (unsigned w = 0; w < 4; ++w) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.state + 4 * w), g.s[w]);
-  }
-}
-
 void count_u8_avx2(const std::uint8_t* data, std::size_t lo, std::size_t hi, state_t k,
                    count_t* local) {
   for (state_t j = 0; j < k; ++j) {
@@ -420,13 +249,13 @@ const Ops kAvx2Ops = {
     &fused_kernel<VoterTag, true>,
     &fused_kernel<UndecidedTag, true>,
     &count_u8_avx2,
-    4,
-    &lane_kernel<MajorityTag, false>,
-    &lane_kernel<VoterTag, false>,
-    &lane_kernel<UndecidedTag, false>,
-    &lane_kernel<MajorityTag, true>,
-    &lane_kernel<VoterTag, true>,
-    &lane_kernel<UndecidedTag, true>,
+    // No strict lane kernels (see the file comment): the scalar chunk path.
+    nullptr,
+    nullptr,
+    nullptr,
+    nullptr,
+    nullptr,
+    nullptr,
 };
 
 }  // namespace

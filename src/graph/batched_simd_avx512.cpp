@@ -211,6 +211,36 @@ void fused_kernel(const FusedArgs& args) {
 
 // --- Strict lane kernels: eight xoshiro256++ streams in lockstep. --------
 
+/// One xoshiro256++ step on raw state words — rng::Xoshiro256pp's
+/// operator(), restated here so no shared inline copy is instantiated in
+/// this TU (see batched_simd_common.hpp).
+std::uint64_t xoshiro_next(std::uint64_t* s) {
+  const auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// Finishes a Lemire draw whose first product had low < bound: exactly the
+/// rejection loop of kernels::uniform_below, continued on one lane's state
+/// `s` (already advanced past the first draw). Returns the drawn index.
+std::uint64_t lemire_redo(std::uint64_t* s, std::uint64_t low, std::uint64_t high,
+                          std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  while (low < threshold) {
+    const __uint128_t m = static_cast<__uint128_t>(xoshiro_next(s)) * bound;
+    low = static_cast<std::uint64_t>(m);
+    high = static_cast<std::uint64_t>(m >> 64);
+  }
+  return high;
+}
+
 /// Eight xoshiro256++ states, word w of lane l in lane l of s[w].
 struct Xoshiro8 {
   __m512i s[4];
@@ -293,7 +323,7 @@ inline __m256i sample8(const LaneArgs& args, const __m512i& idx, const __m512i& 
 template <class Tag, bool Complete>
 void lane_kernel(const LaneArgs& args) {
   Xoshiro8 g;
-  for (unsigned w = 0; w < 4; ++w) g.s[w] = _mm512_loadu_si512(args.state + 8 * w);
+  for (unsigned w = 0; w < 4; ++w) g.s[w] = _mm512_loadu_si512(args.state + kStrictLanes * w);
   const __m512i bound = _mm512_set1_epi64(static_cast<long long>(args.bound));
   // Lane l's current node, and (regular graphs) its neighbor-row offset.
   __m512i node = _mm512_add_epi64(
@@ -345,7 +375,7 @@ void lane_kernel(const LaneArgs& args) {
     }
     node = _mm512_add_epi64(node, _mm512_set1_epi64(static_cast<long long>(kLaneBlock)));
   }
-  for (unsigned w = 0; w < 4; ++w) _mm512_storeu_si512(args.state + 8 * w, g.s[w]);
+  for (unsigned w = 0; w < 4; ++w) _mm512_storeu_si512(args.state + kStrictLanes * w, g.s[w]);
 }
 
 void count_u8_avx512(const std::uint8_t* data, std::size_t lo, std::size_t hi, state_t k,
@@ -374,7 +404,6 @@ const Ops kAvx512Ops = {
     &fused_kernel<VoterTag, true>,
     &fused_kernel<UndecidedTag, true>,
     &count_u8_avx512,
-    8,
     &lane_kernel<MajorityTag, false>,
     &lane_kernel<VoterTag, false>,
     &lane_kernel<UndecidedTag, false>,

@@ -1,14 +1,11 @@
-// Scalar pieces shared by the ISA-specific SIMD translation units
-// (batched_simd_avx512.cpp / batched_simd_avx2.cpp): the kernels' rule tags
-// and the strict lane kernels' scalar Lemire redo. No intrinsics live here.
+// The rule tags shared by the ISA-specific SIMD translation units
+// (batched_simd_avx512.cpp / batched_simd_avx2.cpp). No intrinsics live here.
 //
-// Everything with a body sits in an unnamed namespace. An ISA TU must not
-// emit a weak (inline or template) definition: the linker may keep that
-// copy for callers in portable TUs, which then execute ISA instructions on
-// hosts without the ISA. CI checks the ISA objects with nm for exactly this.
+// Nothing here has a body. An ISA TU must not emit a weak (inline or
+// template) definition: the linker may keep that copy for callers in
+// portable TUs, which then execute ISA instructions on hosts without the
+// ISA. CI checks the ISA objects with nm for exactly this.
 #pragma once
-
-#include <cstdint>
 
 #include "graph/batched_simd.hpp"
 
@@ -17,39 +14,5 @@ namespace plurality::graph::simd {
 struct MajorityTag {};
 struct VoterTag {};
 struct UndecidedTag {};
-
-namespace {
-
-/// One xoshiro256++ step on raw state words — rng::Xoshiro256pp's
-/// operator(), restated here so no shared inline copy is instantiated in an
-/// ISA TU.
-std::uint64_t xoshiro_next(std::uint64_t* s) {
-  const auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
-  const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
-  const std::uint64_t t = s[1] << 17;
-  s[2] ^= s[0];
-  s[3] ^= s[1];
-  s[1] ^= s[2];
-  s[0] ^= s[3];
-  s[2] ^= t;
-  s[3] = rotl(s[3], 45);
-  return result;
-}
-
-/// Finishes a Lemire draw whose first product had low < bound: exactly the
-/// rejection loop of kernels::uniform_below, continued on one lane's state
-/// `s` (already advanced past the first draw). Returns the drawn index.
-std::uint64_t lemire_redo(std::uint64_t* s, std::uint64_t low, std::uint64_t high,
-                          std::uint64_t bound) {
-  const std::uint64_t threshold = (0 - bound) % bound;
-  while (low < threshold) {
-    const __uint128_t m = static_cast<__uint128_t>(xoshiro_next(s)) * bound;
-    low = static_cast<std::uint64_t>(m);
-    high = static_cast<std::uint64_t>(m >> 64);
-  }
-  return high;
-}
-
-}  // namespace
 
 }  // namespace plurality::graph::simd

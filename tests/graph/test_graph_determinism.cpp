@@ -270,7 +270,8 @@ struct ThreadCountGuard {
 TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
   UndecidedState dyn;
   // 128x128 gives chunks long enough for the strict lane kernels (on hosts
-  // that have them); 12x12 chunks are too short and stay scalar.
+  // that have them); 12x12 chunks are too short and stay scalar. A team of
+  // 16 exceeds the lane path's 8 work items per round and steps scalar.
   for (const auto& [side, bias] : {std::pair<count_t, count_t>{12, 40}, {128, 4096}}) {
     const Topology topo = torus(side, side);
     const Configuration start =
@@ -285,7 +286,7 @@ TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
         baseline.push_back(counts_of(sim.configuration()));
       }
     }
-    for (const int threads : {4, omp_get_max_threads()}) {
+    for (const int threads : {4, 16, omp_get_max_threads()}) {
       ThreadCountGuard guard(threads);
       GraphSimulation sim(dyn, topo, start, 4096);
       for (int r = 0; r < 10; ++r) {

@@ -156,7 +156,7 @@ void expect_lanes_match_scalar(const simd::Ops& ops, void (*entry)(const simd::L
                                const Rule& rule, const AgentGraph& graph,
                                const std::vector<std::uint8_t>& nodes8, state_t k,
                                const char* what) {
-  const unsigned lanes = ops.strict_lanes;
+  const unsigned lanes = simd::kStrictLanes;
   const std::size_t stride = 24;
   const std::size_t steps = 2 * simd::kLaneBlock;
   const std::uint64_t first = 5;
@@ -207,8 +207,11 @@ void expect_lanes_match_scalar(const simd::Ops& ops, void (*entry)(const simd::L
 }
 
 TEST(GraphStrict, LaneKernelsRedoRejectedDraws) {
-  if (simd::supported().empty()) {
-    GTEST_SKIP() << "no SIMD kernels on this host; scalar path is the only path";
+  const auto has_lanes = [](const simd::Ops* ops) {
+    return ops->strict_complete_majority != nullptr;
+  };
+  if (std::none_of(simd::supported().begin(), simd::supported().end(), has_lanes)) {
+    GTEST_SKIP() << "no strict lane kernels on this host; scalar path is the only path";
   }
   const count_t n = 1000;  // clique bound 1000: rejection threshold 616
   rng::Xoshiro256pp topo_gen(3);
@@ -223,6 +226,7 @@ TEST(GraphStrict, LaneKernelsRedoRejectedDraws) {
   for (count_t i = 0; i < n; ++i) nodes8[i] = static_cast<std::uint8_t>(fill() % k);
 
   for (const simd::Ops* ops : simd::supported()) {
+    if (!has_lanes(ops)) continue;
     expect_lanes_match_scalar(*ops, ops->strict_complete_majority, kernels::MajorityRule{},
                               clique, nodes8, k, "complete majority");
     expect_lanes_match_scalar(*ops, ops->strict_complete_voter, kernels::VoterRule{},
