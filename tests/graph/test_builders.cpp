@@ -176,6 +176,12 @@ TEST(BuilderPins, RandomRegularDense) {
              3119056742446289853ULL);
 }
 
+TEST(BuilderPins, RandomRegularOddDegree) {
+  // Odd d at the regular-default scale: n*d is even only because n is.
+  expect_pin(pin_regular(200'000, 3, 14), 3702876983031906025ULL,
+             15851325062790656691ULL);
+}
+
 TEST(BuilderPins, RandomRegularRestartsWhenStuck) {
   // Seed 19 gets stuck four times at (8, 3) before a simple graph
   // completes, so this pins the restart loop's draws too.
@@ -197,6 +203,12 @@ TEST(BuilderPins, ErdosRenyiSparsePatched) {
 TEST(BuilderPins, ErdosRenyiLarge) {
   expect_pin(pin_erdos_renyi(20'000, 100'000, true, 22), 8238471515287592346ULL,
              8944420565364156854ULL);
+}
+
+TEST(BuilderPins, ErdosRenyiDefaultScale) {
+  // G(n, 4n) at the regular-default node count, as the er/gnm specs build it.
+  expect_pin(pin_erdos_renyi(200'000, 800'000, true, 23),
+             9728093804325540466ULL, 14388295468665542791ULL);
 }
 
 TEST(BuilderPins, ErdosRenyiCompleteK10) {
