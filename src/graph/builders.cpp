@@ -1,6 +1,7 @@
 #include "graph/builders.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -28,9 +29,7 @@ class EdgeKeySet {
 
   /// Adds `key`; false if it was already present.
   bool insert(std::uint64_t key) {
-    // Fibonacci hashing: the top bits of key * 2^64/phi spread the
-    // arithmetic-progression keys of one endpoint across the table.
-    std::size_t slot = (key * 0x9E3779B97F4A7C15ULL) >> shift_;
+    std::size_t slot = home(key);
     while (slots_[slot] != 0) {
       if (slots_[slot] == key) return false;
       slot = (slot + 1) & mask_;
@@ -39,13 +38,34 @@ class EdgeKeySet {
     return true;
   }
 
+  /// Starts pulling `key`'s home slot into cache for a later insert.
+  void prefetch(std::uint64_t key) const { __builtin_prefetch(&slots_[home(key)], 1); }
+
   void clear() { std::fill(slots_.begin(), slots_.end(), 0); }
 
  private:
+  // Fibonacci hashing: the top bits of key * 2^64/phi spread the
+  // arithmetic-progression keys of one endpoint across the table.
+  std::size_t home(std::uint64_t key) const {
+    return (key * 0x9E3779B97F4A7C15ULL) >> shift_;
+  }
+
   std::vector<std::uint64_t> slots_;
   int shift_;
   std::size_t mask_;
 };
+
+// Software pipelining of the random builders. Each accepted edge costs a
+// few dependent cache misses (stub reads, an edge-key probe, row and fill
+// writes), and a serial loop keeps only one in flight. A copy of the
+// generator runs ahead of the real one and prefetches what later pairings
+// will touch. The real generator, its draws and every accept/reject
+// decision are untouched, so the graphs and the caller's next draw are
+// bitwise those of the plain loop; a wrong guess costs only a wasted
+// prefetch. Both distances were picked by timing regular:8 builds at
+// n = 2e5 and 1e6 (docs/performance.md, "Pipelined draws").
+constexpr std::size_t kAheadPairs = 16;  // stub reads issued this far ahead
+constexpr std::size_t kNearPairs = 6;    // key, row and fill prefetches
 
 }  // namespace
 
@@ -114,6 +134,24 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
   std::vector<std::uint32_t> fill(n);
   std::vector<count_t> adjacency(arcs);
   EdgeKeySet seen(arcs);
+
+  // Look-ahead (see kAheadPairs): `ahead` replays the draws the real loop
+  // would make if every pairing were accepted on its first try, and `ring`
+  // holds the predicted (i, j) of the next pairings, oldest first. Any
+  // rejection or mismatch re-seeds `ahead` from `gen`. Once more than one
+  // pairing in 16 has missed (past a slack of 16), as in dense graphs where
+  // the ring rarely survives to prefetch distance, the attempt finishes
+  // without look-ahead: the wasted draws would cost more than they save.
+  rng::Xoshiro256pp ahead = gen;
+  std::size_t ahead_free = 0;
+  std::array<std::pair<std::size_t, std::size_t>, kAheadPairs> ring;
+  std::size_t ring_head = 0, ring_size = 0;
+  const auto reseed = [&](std::size_t free_stubs) {
+    ahead = gen;
+    ahead_free = free_stubs;
+    ring_size = 0;
+  };
+
   for (int attempt = 0; attempt < 256; ++attempt) {
     for (count_t v = 0; v < n; ++v) {
       std::fill_n(stubs.begin() + v * d, d, static_cast<std::uint32_t>(v));
@@ -121,8 +159,31 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
     std::fill(fill.begin(), fill.end(), 0);
     if (attempt > 0) seen.clear();
     std::size_t free_stubs = stubs.size();
+    reseed(free_stubs);
+    std::size_t misses = 0;
     bool stuck = false;
     while (free_stubs > 0) {
+      // Top up by up to two predictions, so a re-seeded ring regrows.
+      for (int k = 0; k < 2 && ring_size < kAheadPairs && ahead_free >= 2; ++k) {
+        const std::size_t i = rng::uniform_below(ahead, ahead_free);
+        std::size_t j = rng::uniform_below(ahead, ahead_free - 1);
+        if (j >= i) ++j;
+        ahead_free -= 2;
+        __builtin_prefetch(&stubs[i]);
+        __builtin_prefetch(&stubs[j]);
+        ring[(ring_head + ring_size++) % kAheadPairs] = {i, j};
+      }
+      // kNearPairs out, the stubs are cached: read the predicted endpoints
+      // (possibly stale after swap-pops; only a prefetch depends on them).
+      if (ring_size > kNearPairs) {
+        const auto [i, j] = ring[(ring_head + kNearPairs) % kAheadPairs];
+        const count_t u = stubs[i], v = stubs[j];
+        seen.prefetch(std::min(u, v) * n + std::max(u, v));
+        __builtin_prefetch(&adjacency[u * d], 1);
+        __builtin_prefetch(&adjacency[v * d], 1);
+        __builtin_prefetch(&fill[u], 1);
+        __builtin_prefetch(&fill[v], 1);
+      }
       bool matched = false;
       for (int tries = 0; tries < 200; ++tries) {
         const std::size_t i = rng::uniform_below(gen, free_stubs);
@@ -137,6 +198,16 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
         const std::size_t hi = std::max(i, j), lo = std::min(i, j);
         stubs[hi] = stubs[--free_stubs];
         stubs[lo] = stubs[--free_stubs];
+        const bool predicted = tries == 0 && ring_size > 0 &&
+                               ring[ring_head] == std::pair{i, j};
+        if (predicted) {
+          ring_head = (ring_head + 1) % kAheadPairs;
+          --ring_size;
+        } else if (++misses * 32 <= stubs.size() - free_stubs + 512) {
+          reseed(free_stubs);
+        } else {
+          ring_size = ahead_free = 0;  // mostly rejecting: stop looking ahead
+        }
         matched = true;
         break;
       }
@@ -165,7 +236,18 @@ Topology erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
   edges.reserve(m);
   {
     EdgeKeySet chosen(2 * m);
+    // Every pair is drawn with bound n whatever the previous ones did, so
+    // a copy of the generator kAheadPairs pairs ahead stays in step for
+    // good and can prefetch each pair's key slot before it is probed.
+    rng::Xoshiro256pp ahead = gen;
+    const auto prefetch_next = [&] {
+      const count_t u = rng::uniform_below(ahead, n);
+      const count_t v = rng::uniform_below(ahead, n);
+      chosen.prefetch(std::min(u, v) * n + std::max(u, v));
+    };
+    for (std::size_t k = 0; k < kAheadPairs; ++k) prefetch_next();
     while (edges.size() < m) {
+      prefetch_next();
       const count_t u = rng::uniform_below(gen, n);
       const count_t v = rng::uniform_below(gen, n);
       if (u == v) continue;
