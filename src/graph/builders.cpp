@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/kernels.hpp"
 #include "rng/distributions.hpp"
 #include "support/check.hpp"
 
@@ -62,8 +63,10 @@ class EdgeKeySet {
 // will touch. The real generator, its draws and every accept/reject
 // decision are untouched, so the graphs and the caller's next draw are
 // bitwise those of the plain loop; a wrong guess costs only a wasted
-// prefetch. Both distances were picked by timing regular:8 builds at
-// n = 2e5 and 1e6 (docs/performance.md, "Pipelined draws").
+// prefetch. The copy draws through the inline kernels::uniform_below
+// (the same algorithm, pinned against rng::uniform_below) to keep its cost
+// small. Both distances were picked by timing regular:8 builds at n = 2e5
+// and 1e6 (docs/performance.md, "Pipelined draws").
 constexpr std::size_t kAheadPairs = 16;  // stub reads issued this far ahead
 constexpr std::size_t kNearPairs = 6;    // key, row and fill prefetches
 
@@ -144,7 +147,7 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
   // without look-ahead: the wasted draws would cost more than they save.
   rng::Xoshiro256pp ahead = gen;
   std::size_t ahead_free = 0;
-  std::array<std::pair<std::size_t, std::size_t>, kAheadPairs> ring;
+  std::array<std::pair<std::size_t, std::size_t>, kAheadPairs> ring{};
   std::size_t ring_head = 0, ring_size = 0;
   const auto reseed = [&](std::size_t free_stubs) {
     ahead = gen;
@@ -161,28 +164,31 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
     std::size_t free_stubs = stubs.size();
     reseed(free_stubs);
     std::size_t misses = 0;
+    bool looking_ahead = true;
     bool stuck = false;
     while (free_stubs > 0) {
-      // Top up by up to two predictions, so a re-seeded ring regrows.
-      for (int k = 0; k < 2 && ring_size < kAheadPairs && ahead_free >= 2; ++k) {
-        const std::size_t i = rng::uniform_below(ahead, ahead_free);
-        std::size_t j = rng::uniform_below(ahead, ahead_free - 1);
-        if (j >= i) ++j;
-        ahead_free -= 2;
-        __builtin_prefetch(&stubs[i]);
-        __builtin_prefetch(&stubs[j]);
-        ring[(ring_head + ring_size++) % kAheadPairs] = {i, j};
-      }
-      // kNearPairs out, the stubs are cached: read the predicted endpoints
-      // (possibly stale after swap-pops; only a prefetch depends on them).
-      if (ring_size > kNearPairs) {
-        const auto [i, j] = ring[(ring_head + kNearPairs) % kAheadPairs];
-        const count_t u = stubs[i], v = stubs[j];
-        seen.prefetch(std::min(u, v) * n + std::max(u, v));
-        __builtin_prefetch(&adjacency[u * d], 1);
-        __builtin_prefetch(&adjacency[v * d], 1);
-        __builtin_prefetch(&fill[u], 1);
-        __builtin_prefetch(&fill[v], 1);
+      if (looking_ahead) {
+        // Top up by up to two predictions, so a re-seeded ring regrows.
+        for (int k = 0; k < 2 && ring_size < kAheadPairs && ahead_free >= 2; ++k) {
+          const std::size_t i = kernels::uniform_below(ahead, ahead_free);
+          std::size_t j = kernels::uniform_below(ahead, ahead_free - 1);
+          if (j >= i) ++j;
+          ahead_free -= 2;
+          __builtin_prefetch(&stubs[i]);
+          __builtin_prefetch(&stubs[j]);
+          ring[(ring_head + ring_size++) % kAheadPairs] = {i, j};
+        }
+        // kNearPairs out, the stubs are cached: read the predicted endpoints
+        // (possibly stale after swap-pops; only a prefetch depends on them).
+        if (ring_size > kNearPairs) {
+          const auto [i, j] = ring[(ring_head + kNearPairs) % kAheadPairs];
+          const count_t u = stubs[i], v = stubs[j];
+          seen.prefetch(std::min(u, v) * n + std::max(u, v));
+          __builtin_prefetch(&adjacency[u * d], 1);
+          __builtin_prefetch(&adjacency[v * d], 1);
+          __builtin_prefetch(&fill[u], 1);
+          __builtin_prefetch(&fill[v], 1);
+        }
       }
       bool matched = false;
       for (int tries = 0; tries < 200; ++tries) {
@@ -198,15 +204,15 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
         const std::size_t hi = std::max(i, j), lo = std::min(i, j);
         stubs[hi] = stubs[--free_stubs];
         stubs[lo] = stubs[--free_stubs];
-        const bool predicted = tries == 0 && ring_size > 0 &&
-                               ring[ring_head] == std::pair{i, j};
-        if (predicted) {
-          ring_head = (ring_head + 1) % kAheadPairs;
-          --ring_size;
-        } else if (++misses * 32 <= stubs.size() - free_stubs + 512) {
-          reseed(free_stubs);
-        } else {
-          ring_size = ahead_free = 0;  // mostly rejecting: stop looking ahead
+        if (looking_ahead) {
+          if (tries == 0 && ring_size > 0 && ring[ring_head] == std::pair{i, j}) {
+            ring_head = (ring_head + 1) % kAheadPairs;
+            --ring_size;
+          } else if (++misses * 32 <= stubs.size() - free_stubs + 512) {
+            reseed(free_stubs);
+          } else {
+            looking_ahead = false;
+          }
         }
         matched = true;
         break;
@@ -241,8 +247,8 @@ Topology erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
     // good and can prefetch each pair's key slot before it is probed.
     rng::Xoshiro256pp ahead = gen;
     const auto prefetch_next = [&] {
-      const count_t u = rng::uniform_below(ahead, n);
-      const count_t v = rng::uniform_below(ahead, n);
+      const count_t u = kernels::uniform_below(ahead, n);
+      const count_t v = kernels::uniform_below(ahead, n);
       chosen.prefetch(std::min(u, v) * n + std::max(u, v));
     };
     for (std::size_t k = 0; k < kAheadPairs; ++k) prefetch_next();
