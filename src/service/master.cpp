@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +50,10 @@ struct Conn {
   /// toward the per-worker memory share. A monitor (plurality_sweep_top)
   /// that only polls `status` must not shrink everyone's budget.
   bool compute = false;
+  /// > 0 while a `request` is parked: when it gets its keepalive `wait`.
+  double park_deadline = 0.0;
+
+  [[nodiscard]] bool parked() const { return park_deadline > 0.0; }
 };
 
 /// Latest heartbeat progress block for one leased cell (version-tolerant:
@@ -117,8 +124,11 @@ class Master {
   void write_outputs(bool allow_aggregate);
 
   io::JsonValue welcome_message();
-  io::JsonValue lease_reply(std::size_t conn_key, const std::string& worker);
-  io::JsonValue handle_message(std::size_t conn_key, const io::JsonValue& msg);
+  std::optional<io::JsonValue> lease_reply(std::size_t conn_key, const std::string& worker);
+  std::optional<io::JsonValue> handle_message(std::size_t conn_key, const io::JsonValue& msg);
+  void serve_parked();
+  [[nodiscard]] int poll_timeout_ms() const;
+  void drop_conn(std::size_t key);
   void handle_complete(std::size_t conn_key, const io::JsonValue& msg);
   io::JsonValue status_reply();
   [[nodiscard]] std::size_t compute_conn_count() const;
@@ -136,6 +146,8 @@ class Master {
   fs::path quarantine_dir_;
   fs::path manifest_;
   std::map<std::size_t, Conn> conns_;
+  /// Keys of the connections whose `request` is parked, oldest first.
+  std::deque<std::size_t> parked_;
   std::size_t done_count_ = 0;  // done + resumed + failed (progress display)
   bool draining_ = false;
   /// Master-side registry behind the exposition endpoint (per-master, not
@@ -341,7 +353,11 @@ io::JsonValue Master::welcome_message() {
   return msg;
 }
 
-io::JsonValue Master::lease_reply(std::size_t conn_key, const std::string& worker) {
+/// A `lease` for the first leasable cell, or `drain` once no cell will
+/// ever be leased again; nullopt while every pending cell is leased or
+/// backing off (the caller parks the request).
+std::optional<io::JsonValue> Master::lease_reply(std::size_t conn_key,
+                                                 const std::string& worker) {
   if (draining_) return make_message("drain");
   const double now = now_s();
   const std::uint64_t budget = opt_.memory_budget_bytes > 0
@@ -354,18 +370,13 @@ io::JsonValue Master::lease_reply(std::size_t conn_key, const std::string& worke
   const std::uint64_t share =
       budget / std::max<std::uint64_t>(1, static_cast<std::uint64_t>(compute_conn_count()));
 
-  double soonest = 1.0;
   bool any_pending = false;
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     CellOutcome& cell = cells_[i];
     LeaseState& st = leases_[i];
     if (cell.status != CellStatus::Pending) continue;
     any_pending = true;
-    if (st.leased) continue;
-    if (now < st.next_eligible) {
-      soonest = std::min(soonest, st.next_eligible - now);
-      continue;
-    }
+    if (st.leased || now < st.next_eligible) continue;
     // The shared ledger is the cross-process attempts truth: a cell that
     // burned its budget killing OTHER workers must not run again.
     const std::uint32_t prior =
@@ -392,9 +403,54 @@ io::JsonValue Master::lease_reply(std::size_t conn_key, const std::string& worke
     return msg;
   }
   if (!any_pending) return make_message("drain");  // grid finished
-  io::JsonValue msg = make_message("wait");
-  msg.set("seconds", std::clamp(soonest, 0.05, 1.0));
-  return msg;
+  return std::nullopt;
+}
+
+/// Answers parked requests, oldest first: a `lease` or `drain` as soon as
+/// one is due, else a keepalive `wait {seconds: 0}` once kParkSeconds have
+/// passed.
+void Master::serve_parked() {
+  const double now = now_s();
+  std::vector<std::size_t> dead;
+  for (auto it = parked_.begin(); it != parked_.end();) {
+    Conn& conn = conns_.at(*it);
+    std::optional<io::JsonValue> reply = lease_reply(*it, conn.worker);
+    if (!reply && now < conn.park_deadline) {
+      ++it;
+      continue;
+    }
+    if (!reply) {
+      reply = make_message("wait");
+      reply->set("seconds", 0.0);
+    }
+    conn.park_deadline = 0.0;
+    try {
+      conn.tcp.send_all(encode(*reply), kIoTimeoutSeconds);
+    } catch (const net::NetError& e) {
+      log("worker %s connection failed: %s", conn.worker.c_str(), e.what());
+      dead.push_back(*it);
+    }
+    it = parked_.erase(it);
+  }
+  for (const std::size_t key : dead) drop_conn(key);
+}
+
+/// How long the poll may sleep: at most 100 ms, and while a request is
+/// parked, no later than the moment it could be answered (a backoff gate
+/// opening, a lease expiring, or its keepalive deadline).
+int Master::poll_timeout_ms() const {
+  const double now = now_s();
+  double wake = now + 0.1;
+  if (!parked_.empty()) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      if (cells_[i].status != CellStatus::Pending) continue;
+      wake = std::min(wake, leases_[i].leased ? leases_[i].expiry : leases_[i].next_eligible);
+    }
+    for (const std::size_t key : parked_) {
+      wake = std::min(wake, conns_.at(key).park_deadline);
+    }
+  }
+  return static_cast<int>(std::clamp(std::ceil((wake - now) * 1000.0), 0.0, 100.0));
 }
 
 void Master::handle_complete(std::size_t conn_key, const io::JsonValue& msg) {
@@ -453,7 +509,10 @@ void Master::handle_complete(std::size_t conn_key, const io::JsonValue& msg) {
       error.c_str());
 }
 
-io::JsonValue Master::handle_message(std::size_t conn_key, const io::JsonValue& msg) {
+/// The reply to one message, or nullopt for a `request` (parked until
+/// serve_parked() answers it).
+std::optional<io::JsonValue> Master::handle_message(std::size_t conn_key,
+                                                    const io::JsonValue& msg) {
   const std::string& type = message_type(msg);
   Conn& conn = conns_.at(conn_key);
   if (type == "hello") {
@@ -463,7 +522,11 @@ io::JsonValue Master::handle_message(std::size_t conn_key, const io::JsonValue& 
   }
   if (type == "request") {
     conn.compute = true;  // a lease-taking worker, not a monitor
-    return lease_reply(conn_key, conn.worker);
+    // Every request queues; serve_parked() answers it at the top of the
+    // next loop iteration, after any that were parked before it.
+    conn.park_deadline = now_s() + kParkSeconds;
+    parked_.push_back(conn_key);
+    return std::nullopt;
   }
   if (type == "heartbeat") {
     const std::string& id = msg.at("cell").as_string();
@@ -542,6 +605,7 @@ io::JsonValue Master::status_reply() {
     io::JsonValue w = io::JsonValue::object();
     w.set("worker", conn.worker);
     w.set("leases", held);
+    w.set("parked", conn.parked());
     workers.push(std::move(w));
   }
   msg.set("workers", std::move(workers));
@@ -602,6 +666,8 @@ std::string Master::exposition_text() {
             static_cast<double>(status.at("leased").as_uint()));
   set_gauge("sweepd_workers_connected", "Connected compute workers",
             static_cast<double>(status.at("workers").size()));
+  set_gauge("sweepd_workers_parked", "Compute workers whose lease request is parked",
+            static_cast<double>(parked_.size()));
   set_gauge("sweepd_node_updates_per_sec",
             "Summed node-updates/s over the latest worker heartbeats",
             status.at("node_updates_per_sec").as_double());
@@ -691,6 +757,25 @@ void Master::maybe_print_progress(double now) {
                compute_conn_count(), total_rate);
 }
 
+void Master::drop_conn(std::size_t key) {
+  const std::string worker = conns_.at(key).worker;
+  const bool compute = conns_.at(key).compute;
+  conns_.erase(key);
+  parked_.erase(std::remove(parked_.begin(), parked_.end(), key), parked_.end());
+  // A dead connection kills its leases NOW (worker crash / TCP reset) — no
+  // reason to wait out the heartbeat budget.
+  for (std::size_t i = 0; i < leases_.size(); ++i) {
+    if (leases_[i].leased && leases_[i].conn_key == key) {
+      revoke_lease(i, "connection lost");
+    }
+  }
+  // Monitors (status-only connections) come and go constantly; only
+  // compute peers are worth a log line.
+  if (compute || worker != "?") {
+    log("worker %s disconnected (%zu left)", worker.c_str(), conns_.size());
+  }
+}
+
 int Master::run() {
   // Effective spec: trials_override applies BEFORE expansion, exactly like
   // run_sweep, so resume matching and worker-side expansion see one grid.
@@ -749,6 +834,12 @@ int Master::run() {
           opt_.drain_seconds, leased_count());
     }
 
+    // Re-evaluate parked requests now that the last iteration's messages
+    // are handled and its stale leases expired: a completion, a revoked
+    // lease, an opening backoff gate, the grid's end or a drain answers
+    // them here.
+    serve_parked();
+
     if (draining_) {
       if (leased_count() == 0 || now >= drain_deadline) {
         // One last disk reconcile: a worker that committed during the
@@ -767,10 +858,13 @@ int Master::run() {
     } else if (!finished && pending_count() == 0) {
       write_outputs(/*allow_aggregate=*/true);
       finished = true;
-      linger_deadline = now + 3.0;  // hand "drain" to idle workers, then go
+      // Parked workers already heard "drain"; the rest hear it on their
+      // next request. The linger waits only for compute peers to leave (a
+      // monitor never would), and gives up on one that never asks again.
+      linger_deadline = now + 3.0;
       log("grid finished: %zu done, lingering to release workers", done_count_);
     }
-    if (finished && (conns_.empty() || now >= linger_deadline)) {
+    if (finished && (compute_conn_count() == 0 || now >= linger_deadline)) {
       std::size_t failed = 0;
       for (const CellOutcome& cell : cells_) {
         if (sweep::cell_status_failed(cell.status)) ++failed;
@@ -793,7 +887,7 @@ int Master::run() {
       fds.push_back({conn.tcp.fd(), POLLIN, 0});
       keys.push_back(key);
     }
-    const int rc = ::poll(fds.data(), fds.size(), 100);
+    const int rc = ::poll(fds.data(), fds.size(), poll_timeout_ms());
     if (rc < 0) {
       if (errno == EINTR) continue;  // signal: loop re-checks the flags
       PLURALITY_REQUIRE(false, "sweepd: poll failed: " << std::strerror(errno));
@@ -824,8 +918,11 @@ int Master::run() {
         alive = conn.tcp.fill_from_socket();
         std::string line;
         while (alive && conn.tcp.take_buffered_line(line)) {
-          const io::JsonValue reply = handle_message(key, parse_message(line));
-          conn.tcp.send_all(encode(reply), kIoTimeoutSeconds);
+          if (conn.parked()) {
+            throw ProtocolError("protocol: message sent while a request awaits its reply");
+          }
+          const std::optional<io::JsonValue> reply = handle_message(key, parse_message(line));
+          if (reply) conn.tcp.send_all(encode(*reply), kIoTimeoutSeconds);
         }
       } catch (const ProtocolError& e) {
         log("worker %s dropped: %s", conn.worker.c_str(), e.what());
@@ -836,23 +933,7 @@ int Master::run() {
       }
       if (!alive) dead.push_back(key);
     }
-    for (const std::size_t key : dead) {
-      const std::string worker = conns_.at(key).worker;
-      const bool compute = conns_.at(key).compute;
-      conns_.erase(key);
-      // A dead connection kills its leases NOW (worker crash / TCP reset)
-      // — no reason to wait out the heartbeat budget.
-      for (std::size_t i = 0; i < leases_.size(); ++i) {
-        if (leases_[i].leased && leases_[i].conn_key == key) {
-          revoke_lease(i, "connection lost");
-        }
-      }
-      // Monitors (status-only connections) come and go constantly; only
-      // compute peers are worth a log line.
-      if (compute || worker != "?") {
-        log("worker %s disconnected (%zu left)", worker.c_str(), conns_.size());
-      }
-    }
+    for (const std::size_t key : dead) drop_conn(key);
 
     // Expire stale leases (missed heartbeats / silent worker death) LAST,
     // on a fresh clock: any heartbeat queued while this iteration was busy

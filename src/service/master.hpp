@@ -21,6 +21,11 @@
 // Reassignment applies the same exponential backoff + seeded jitter as the
 // in-process orchestrator — same Philox retry stream, same doubling cap.
 //
+// A `request` that finds every pending cell leased or backing off is
+// PARKED (protocol.hpp), not answered with a polling `wait`: the master
+// re-evaluates parked requests, oldest first, after every loop iteration
+// and answers the moment a cell turns leasable or the grid ends.
+//
 // Robustness behaviors:
 //   - lease expiry (missed heartbeats, worker crash, TCP reset) first
 //     RECONCILES FROM DISK: a worker that died after committing its cell
@@ -32,7 +37,9 @@
 //     in-flight leases, write a resumable manifest (leased cells stay
 //     pending), exit 130
 //   - completed grid: failures.csv + final manifest always; aggregate.csv
-//     only when every cell is done/resumed (exit 0) — failed cells exit 2
+//     only when every cell is done/resumed (exit 0) — failed cells exit 2.
+//     The master exits once no compute peer is connected (monitors do not
+//     hold it), or after a 3 s linger for a worker that never asks again
 #pragma once
 
 #include <cstdint>

@@ -15,8 +15,9 @@
 //                                                 zero_wall_times, fault_plan?}
 //   request  {worker}                    lease   {cell, index, attempt,
 //                                                 memory_budget_bytes}
-//                                        wait    {seconds}     nothing leasable yet
 //                                        drain   {}            no more leases, ever
+//                                        wait    {seconds}     keepalive: still nothing
+//                                                              leasable after kParkSeconds
 //   heartbeat{worker, cell, progress?}   ack     {}            lease still yours
 //                                        expired {}            lease reassigned: abandon
 //   complete {worker, cell, status,      ack     {}
@@ -24,6 +25,14 @@
 //   status   {}                          status  {cells_total, done, failed, pending,
 //                                                 leased, workers[], cells[],
 //                                                 failures{}, cache?, ...}
+//
+// A `request` the master cannot answer yet is PARKED: held, unanswered,
+// until a cell becomes leasable (completion, revoked or expired lease,
+// backoff gate opening: `lease`), the grid finishes or a SIGTERM drain
+// starts (`drain`), or kParkSeconds pass (`wait {seconds: 0}`, after which
+// the worker asks again). Parked requests are served first come, first
+// served. Parking changes only WHEN the one reply comes, never its shape:
+// workers that honour `wait` work against either kind of master.
 //
 // heartbeat.progress (optional, version-tolerant — masters ack heartbeats
 // without it, so old workers keep working) is the live telemetry block:
@@ -58,6 +67,14 @@ inline constexpr double kLeaseExpiryHeartbeats = 3.0;
 /// matching reply). Long enough for a loaded CI box, short enough that a
 /// wedged peer is detected the same minute.
 inline constexpr double kIoTimeoutSeconds = 10.0;
+
+/// Longest the master parks a `request` before it answers `wait
+/// {seconds: 0}` as a keepalive. A worker thus hears from a live master at
+/// least once a second, and a wedged master is still caught by the
+/// worker's kIoTimeoutSeconds deadline.
+inline constexpr double kParkSeconds = 1.0;
+static_assert(kParkSeconds * 4 <= kIoTimeoutSeconds,
+              "a parked request must be answered well inside the I/O deadline");
 
 // Exit codes (documented in docs/sweeps.md; CI asserts them).
 inline constexpr int kExitComplete = 0;     ///< both: all cells done / clean drain

@@ -1,12 +1,14 @@
 #include "service/worker.hpp"
 
+#include <poll.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,10 @@ using sweep::CellOutcome;
 using sweep::CellStatus;
 
 namespace {
+
+/// How often an idle worker whose request the master has parked checks the
+/// shutdown flag.
+constexpr int kShutdownPollMs = 20;
 
 /// Chunked, shutdown-aware sleep.
 void sleep_cooperatively(double seconds) {
@@ -72,6 +78,7 @@ class Worker {
                      sweep::Watchdog& watchdog,
                      const std::vector<scenario::ScenarioSpec>& expanded);
   io::JsonValue exchange(const io::JsonValue& msg);
+  std::optional<io::JsonValue> request_lease();
 
   WorkerOptions opt_;
   net::TcpConnection conn_;
@@ -103,6 +110,39 @@ io::JsonValue Worker::exchange(const io::JsonValue& msg) {
     throw net::NetError("net recv: master closed the connection");
   }
   return parse_message(line);
+}
+
+/// Sends a `request` and awaits its reply, which the master may park for
+/// up to kParkSeconds. Meanwhile the shutdown flag is checked every
+/// kShutdownPollMs; nullopt means it was raised before the reply came. A
+/// reply already on the socket still wins: a lease the master sent must
+/// be run (it cancels at once and is requeued as interrupted), never
+/// dropped, or it would cost the cell an attempt. Throws NetError like
+/// exchange().
+std::optional<io::JsonValue> Worker::request_lease() {
+  io::JsonValue request = make_message("request");
+  request.set("worker", opt_.name);
+  conn_.send_all(encode(request), kIoTimeoutSeconds);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(kIoTimeoutSeconds);
+  std::string line;
+  for (;;) {
+    if (conn_.take_buffered_line(line)) return parse_message(line);
+    if (sweep::shutdown_requested()) {
+      if (conn_.fill_from_socket() && conn_.take_buffered_line(line)) {
+        return parse_message(line);
+      }
+      return std::nullopt;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      throw net::NetError("net recv: timed out waiting for a line");
+    }
+    pollfd pfd{conn_.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, kShutdownPollMs) > 0 && !conn_.fill_from_socket()) {
+      if (conn_.take_buffered_line(line)) return parse_message(line);
+      throw net::NetError("net recv: master closed the connection");
+    }
+  }
 }
 
 void Worker::handshake() {
@@ -204,24 +244,21 @@ LeaseEnd Worker::run_lease(const io::JsonValue& lease, sweep::FaultInjector& inj
   std::uint64_t last_updates = em.node_updates_total.value();
   auto last_rate_time = std::chrono::steady_clock::now();
 
-  std::atomic<bool> compute_done{false};
-  std::thread compute([&] {
-    run_cell_to_verdict(cell, ctx);
-    compute_done.store(true, std::memory_order_release);
-  });
+  std::future<void> compute =
+      std::async(std::launch::async, [&] { run_cell_to_verdict(cell, ctx); });
 
+  // Sleep until the cell completes or the next heartbeat is due, whichever
+  // comes first, so a finished cell is reported at once.
   bool orphaned = false;
   bool lease_lost = false;
   bool heartbeating = !drop_heartbeats;
+  const auto heartbeat_interval =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(welcome_.heartbeat_seconds));
   auto last_heartbeat = std::chrono::steady_clock::now();
-  while (!compute_done.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    if (!heartbeating) continue;
+  while (heartbeating && compute.wait_until(last_heartbeat + heartbeat_interval) !=
+                             std::future_status::ready) {
     const auto now = std::chrono::steady_clock::now();
-    if (std::chrono::duration<double>(now - last_heartbeat).count() <
-        welcome_.heartbeat_seconds) {
-      continue;
-    }
     last_heartbeat = now;
     io::JsonValue hb = make_message("heartbeat");
     hb.set("worker", opt_.name);
@@ -264,7 +301,7 @@ LeaseEnd Worker::run_lease(const io::JsonValue& lease, sweep::FaultInjector& inj
       heartbeating = false;
     }
   }
-  compute.join();
+  compute.get();  // waits out the cell when heartbeats stopped early
 
   if (orphaned) return LeaseEnd::Orphaned;
   if (lease_lost) return LeaseEnd::Abandoned;
@@ -301,17 +338,23 @@ int Worker::run() {
       log("shutdown requested; leaving");
       return kExitDrained;
     }
-    io::JsonValue request = make_message("request");
-    request.set("worker", opt_.name);
-    io::JsonValue reply;
+    std::optional<io::JsonValue> answered;
     try {
       obs::TraceSpan span("lease_roundtrip", "service", opt_.name);
-      reply = exchange(request);
+      answered = request_lease();
     } catch (const net::NetError&) {
       // Master gone while we hold nothing: nothing owed, clean exit.
       log("master unreachable while idle; exiting");
       return kExitComplete;
     }
+    if (!answered) {
+      // Shutdown while the master held our request: we hold no lease, so
+      // closing the connection is the whole goodbye.
+      log("shutdown requested while idle; leaving");
+      conn_.close();
+      return kExitDrained;
+    }
+    const io::JsonValue& reply = *answered;
     const std::string& type = message_type(reply);
     if (type == "drain") {
       log("drained by master");

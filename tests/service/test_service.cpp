@@ -1,8 +1,9 @@
 // End-to-end contracts for the sweep service: master + workers produce
 // BITWISE the orchestrator's artifacts, leases survive worker crashes and
 // silent stalls, attempts continue across holders via the shared ledger,
-// duplicate completions never double-count, and SIGTERM drains to a
-// resumable out_dir (exit 130).
+// duplicate completions never double-count, SIGTERM drains to a
+// resumable out_dir (exit 130), and a lease request the master cannot
+// answer yet is parked until a lease, a drain or a keepalive wait.
 //
 // The master runs in-process on a thread; "crashing" workers are raw TCP
 // clients speaking the wire protocol (a dropped connection IS what a
@@ -554,6 +555,246 @@ TEST_F(ServiceTest, IdleMonitorDoesNotShrinkWorkerShares) {
   holder.conn.close();
   master.join();
   EXPECT_EQ(master_exit, kExitComplete);
+}
+
+// --- parked lease requests ------------------------------------------------
+
+constexpr const char* kOneCell =
+    "dynamics=3-majority workload=bias:2c n=500 trials=2 max_rounds=5000 k=2 seed=13";
+
+/// A master over the one-cell grid whose leases outlive any test (no
+/// expiry races on a loaded host).
+MasterOptions one_cell_master(const fs::path& dir) {
+  MasterOptions options = fast_master(dir, kOneCell);
+  options.heartbeat_seconds = 10.0;
+  return options;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// Polls `status` until `worker`'s lease request shows as parked. False
+/// after about 2 s (a master that never parks answers the request at once).
+bool wait_until_parked(std::uint16_t port, const std::string& worker) {
+  net::TcpConnection monitor = net::connect_tcp("127.0.0.1", port, 5.0);
+  for (int i = 0; i < 200; ++i) {
+    monitor.send_all(encode(make_message("status")), 5.0);
+    std::string line;
+    if (!monitor.recv_line(line, 5.0)) return false;
+    const io::JsonValue status = parse_message(line);
+    const io::JsonValue& rows = status.at("workers");
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const io::JsonValue& row = rows.item(r);
+      const io::JsonValue* parked = row.get("parked");
+      if (row.at("worker").as_string() == worker && parked != nullptr && parked->as_bool()) {
+        return true;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+TEST_F(ServiceTest, IdleRequestIsDrainedWhenGridEnds) {
+  // B asks while A holds the last lease. B's request waits at the master,
+  // and A's completion answers it with "drain" at once — no polling wait.
+  const fs::path dir = fresh_dir("park_drain");
+  const MasterOptions options = one_cell_master(dir);
+  int master_exit = -1;
+  std::thread master([&] { master_exit = run_master(options); });
+  const std::uint16_t port = wait_for_port(dir / "port");
+
+  FakeWorker a(port, "a");
+  const io::JsonValue lease = a.acquire_lease();
+  FakeWorker b(port, "b");
+  b.conn.send_all(encode(make_message("request")), 5.0);
+  EXPECT_TRUE(wait_until_parked(port, "b"));
+
+  compute_and_complete(a, lease, options);
+  const auto acked = std::chrono::steady_clock::now();
+  std::string line;
+  ASSERT_TRUE(b.conn.recv_line(line, 5.0));
+  const double latency = seconds_since(acked);
+  EXPECT_EQ(message_type(parse_message(line)), "drain");
+  EXPECT_LT(latency, 0.2);
+
+  a.conn.close();
+  b.conn.close();
+  master.join();
+  EXPECT_EQ(master_exit, kExitComplete);
+}
+
+TEST_F(ServiceTest, ParkedRequestTakesRevokedLease) {
+  // A parked request is first in line for a lease that dies: when the
+  // holder's connection drops, the parked worker's one reply is that
+  // cell's lease, at the next attempt.
+  const fs::path dir = fresh_dir("park_revoked");
+  const MasterOptions options = one_cell_master(dir);
+  int master_exit = -1;
+  std::thread master([&] { master_exit = run_master(options); });
+  const std::uint16_t port = wait_for_port(dir / "port");
+
+  FakeWorker a(port, "a");
+  const io::JsonValue lease_a = a.acquire_lease();
+  FakeWorker b(port, "b");
+  b.conn.send_all(encode(make_message("request")), 5.0);
+  EXPECT_TRUE(wait_until_parked(port, "b"));
+  a.conn.close();  // the holder crashes
+
+  std::string line;
+  ASSERT_TRUE(b.conn.recv_line(line, 5.0));
+  const io::JsonValue reply = parse_message(line);
+  const bool leased = message_type(reply) == "lease";
+  EXPECT_TRUE(leased) << "first reply was '" << message_type(reply) << "'";
+  if (leased) {
+    EXPECT_EQ(reply.at("cell").as_string(), lease_a.at("cell").as_string());
+    EXPECT_EQ(reply.at("attempt").as_uint(), 2u);
+    compute_and_complete(b, reply, options);
+  }
+  b.conn.close();
+  int w_exit = -1;
+  std::thread finisher;
+  if (!leased) finisher = worker_thread(dir, "finisher", w_exit);
+  master.join();
+  if (finisher.joinable()) finisher.join();
+  EXPECT_EQ(master_exit, kExitComplete);
+}
+
+TEST_F(ServiceTest, ParkedRequestGetsKeepaliveWait) {
+  // Nothing frees up: the parked request is answered "wait {seconds: 0}"
+  // after kParkSeconds — well inside every peer's I/O deadline — and the
+  // exposition counts the parked worker meanwhile.
+  const fs::path dir = fresh_dir("park_keepalive");
+  MasterOptions options = one_cell_master(dir);
+  options.serve_metrics = true;
+  options.metrics_port_file = (dir / "mport").string();
+  int master_exit = -1;
+  std::thread master([&] { master_exit = run_master(options); });
+  const std::uint16_t port = wait_for_port(dir / "port");
+  const std::uint16_t mport = wait_for_port(dir / "mport");
+
+  FakeWorker a(port, "a");
+  const io::JsonValue lease = a.acquire_lease();
+  FakeWorker b(port, "b");
+  const auto asked = std::chrono::steady_clock::now();
+  b.conn.send_all(encode(make_message("request")), 5.0);
+  EXPECT_TRUE(wait_until_parked(port, "b"));
+  const std::string exposition = scrape_metrics(mport);
+  EXPECT_EQ(count_occurrences(exposition, "sweepd_workers_parked 1\n"), 1u) << exposition;
+
+  std::string line;
+  ASSERT_TRUE(b.conn.recv_line(line, 5.0));
+  const double waited = seconds_since(asked);
+  const io::JsonValue reply = parse_message(line);
+  EXPECT_EQ(message_type(reply), "wait");
+  EXPECT_EQ(reply.at("seconds").as_double(), 0.0);
+  EXPECT_GE(waited, 0.9 * kParkSeconds);
+  EXPECT_LT(waited, kParkSeconds + 1.5);
+
+  compute_and_complete(a, lease, options);
+  a.conn.close();
+  b.conn.close();
+  master.join();
+  EXPECT_EQ(master_exit, kExitComplete);
+}
+
+TEST_F(ServiceTest, ParkedConnectionThatSpeaksAgainIsDropped) {
+  // One message, one reply: a second line while a request is parked is a
+  // protocol violation, and the master hangs up.
+  const fs::path dir = fresh_dir("park_violation");
+  const MasterOptions options = one_cell_master(dir);
+  int master_exit = -1;
+  std::thread master([&] { master_exit = run_master(options); });
+  const std::uint16_t port = wait_for_port(dir / "port");
+
+  FakeWorker a(port, "a");
+  const io::JsonValue lease = a.acquire_lease();
+  FakeWorker b(port, "b");
+  b.conn.send_all(encode(make_message("request")), 5.0);
+  EXPECT_TRUE(wait_until_parked(port, "b"));
+  b.conn.send_all(encode(make_message("request")), 5.0);
+  std::string line;
+  bool closed = false;
+  try {
+    closed = !b.conn.recv_line(line, 5.0);
+  } catch (const net::NetError&) {
+    closed = true;  // reset instead of a clean close
+  }
+  EXPECT_TRUE(closed) << "got '" << line << "'";
+
+  compute_and_complete(a, lease, options);
+  a.conn.close();
+  master.join();
+  EXPECT_EQ(master_exit, kExitComplete);
+}
+
+TEST_F(ServiceTest, MonitorDoesNotHoldFinishedMaster) {
+  // An attached status monitor never asks for work, so the finished
+  // master must not linger for it.
+  const fs::path dir = fresh_dir("monitor_linger");
+  const MasterOptions options = one_cell_master(dir);
+  int master_exit = -1;
+  std::thread master([&] { master_exit = run_master(options); });
+  const std::uint16_t port = wait_for_port(dir / "port");
+
+  net::TcpConnection monitor = net::connect_tcp("127.0.0.1", port, 5.0);
+  monitor.send_all(encode(make_message("status")), 5.0);
+  std::string line;
+  ASSERT_TRUE(monitor.recv_line(line, 5.0));
+
+  FakeWorker holder(port, "holder");
+  const io::JsonValue lease = holder.acquire_lease();
+  compute_and_complete(holder, lease, options);
+  const auto acked = std::chrono::steady_clock::now();
+  holder.conn.close();
+  master.join();
+  EXPECT_LT(seconds_since(acked), 0.5);
+  EXPECT_EQ(master_exit, kExitComplete);
+}
+
+TEST_F(ServiceTest, IdleWorkerLeavesOnShutdownWhileParked) {
+  // A fake master that welcomes the worker and never answers its request
+  // (a parked request, from the worker's side). SIGTERM must still get
+  // the worker out promptly, holding no lease: exit 130, connection closed.
+  const fs::path dir = fresh_dir("worker_parked_shutdown");
+  net::TcpListener listener("127.0.0.1", 0);
+  int worker_exit = -1;
+  std::chrono::steady_clock::time_point returned;
+  std::thread worker([&] {
+    WorkerOptions options;
+    options.port = listener.port();
+    options.name = "idle";
+    options.verbose = false;
+    try {
+      worker_exit = run_worker(options);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "worker threw: " << e.what();
+    }
+    returned = std::chrono::steady_clock::now();
+  });
+
+  net::TcpConnection conn = listener.accept(5.0);
+  std::string line;
+  EXPECT_TRUE(conn.recv_line(line, 5.0));
+  EXPECT_EQ(message_type(parse_message(line)), "hello");
+  io::JsonValue welcome = make_message("welcome");
+  welcome.set("sweep", sweep::SweepSpec::parse(kOneCell).to_json());
+  welcome.set("out_dir", dir.string());
+  welcome.set("heartbeat_seconds", 2.0);
+  welcome.set("cell_timeout_seconds", 0.0);
+  welcome.set("max_retries", std::uint64_t{2});
+  welcome.set("zero_wall_times", true);
+  conn.send_all(encode(welcome), 5.0);
+  EXPECT_TRUE(conn.recv_line(line, 5.0));
+  EXPECT_EQ(message_type(parse_message(line)), "request");
+
+  const auto signalled = std::chrono::steady_clock::now();
+  sweep::request_shutdown();
+  worker.join();
+  EXPECT_EQ(worker_exit, kExitDrained);
+  EXPECT_LT(std::chrono::duration<double>(returned - signalled).count(), 0.2);
+  EXPECT_FALSE(conn.recv_line(line, 1.0)) << "worker sent '" << line << "'";
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // plurality_sweep_top — live terminal view of a running plurality_sweepd.
 //
 // Connects to the master, polls the `status` protocol verb, and renders a
-// refreshing table: grid totals, connected workers, and one row per leased
-// cell with the latest heartbeat progress block (trial, round,
-// node-updates/s, worker RSS). A monitor connection never takes leases and
-// never shrinks the per-worker memory share, so it is safe to leave
-// attached to a production sweep.
+// refreshing table: grid totals, one row per connected worker (leases
+// held, whether its lease request is parked), and one row per leased cell
+// with the latest heartbeat progress block (trial, round, node-updates/s,
+// worker RSS). A monitor connection never takes leases and never shrinks
+// the per-worker memory share, so it is safe to leave attached to a
+// production sweep.
 //
 //   $ ./plurality_sweep_top --port-file out/k_grid/port
 //   $ ./plurality_sweep_top --host 127.0.0.1 --port 7421 --once
@@ -81,6 +82,19 @@ void render(const io::JsonValue& status) {
                 static_cast<unsigned long long>(cache->at("evictions").as_uint()));
   }
   if (status.at("draining").as_bool()) std::printf("DRAINING — no new leases\n");
+  if (workers > 0) {
+    // A parked worker is idle: the master holds its lease request until a
+    // cell frees up. Masters that never park send no "parked" field.
+    std::printf("\n%-10s %6s %6s\n", "WORKER", "LEASES", "PARKED");
+    const io::JsonValue& rows = status.at("workers");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const io::JsonValue& row = rows.item(i);
+      const io::JsonValue* parked = row.get("parked");
+      std::printf("%-10s %6llu %6s\n", row.at("worker").as_string().c_str(),
+                  static_cast<unsigned long long>(row.at("leases").as_uint()),
+                  parked != nullptr && parked->as_bool() ? "yes" : "no");
+    }
+  }
 
   const io::JsonValue& cells = status.at("cells");
   if (cells.size() == 0) {
