@@ -19,10 +19,9 @@
 //     based Philox + stage-split SIMD pipeline) — against the FROZEN
 //     pre-refactor stepper (reference_sim.cpp) per topology and dynamics,
 //     plus the count-based clique stepper as the "don't simulate agents on
-//     a clique" yardstick. The push-mode scatter stepper rides on the
-//     voter rows (the arity-1 law its kernel covers).
+//     a clique" yardstick.
 //
-// Writes BENCH_graphs.json, schema_version 4 (override with --json); CI
+// Writes BENCH_graphs.json, schema_version 5 (override with --json); CI
 // re-measures --quick per commit and gates regressions against the
 // committed snapshot (scripts/perf_guard.py).
 #include <cmath>
@@ -249,7 +248,6 @@ int run(int argc, const char* const* argv) {
     double strict_rps = 0.0;
     double batched_rps = 0.0;
     double reference_rps = 0.0;
-    double push_rps = 0.0;  // 0 = engine not run on this row (non-voter)
   };
   std::vector<PerfRow> perf_rows;
 
@@ -258,7 +256,7 @@ int run(int argc, const char* const* argv) {
       UndecidedState::extend_with_undecided(perf_start_colors);
 
   io::Table perf_table({"topology", "dynamics", "strict rounds/s", "batched rounds/s",
-                        "push rounds/s", "reference rounds/s", "strict/ref",
+                        "reference rounds/s", "strict/ref",
                         "batched/strict"});
   for (const auto& entry : perf_entries) {
     struct DynEntry {
@@ -296,14 +294,12 @@ int run(int argc, const char* const* argv) {
       row.strict_rps = strict_rps;
       row.batched_rps = batched_rps;
       row.reference_rps = reference_rps;
-      if (dyn.dynamics == &voter) row.push_rps = engine_rps(graph::EngineMode::Push);
       perf_rows.push_back(row);
       perf_table.row()
           .cell(row.topology)
           .cell(row.dynamics)
           .cell(strict_rps)
           .cell(batched_rps)
-          .cell(row.push_rps > 0.0 ? format_sig(row.push_rps, 4) : std::string("—"))
           .cell(reference_rps)
           .cell(format_sig(strict_rps / reference_rps, 3) + "x")
           .cell(format_sig(batched_rps / strict_rps, 3) + "x");
@@ -328,7 +324,6 @@ int run(int argc, const char* const* argv) {
         .cell("—")
         .cell("—")
         .cell("—")
-        .cell("—")
         .cell("—");
   }
   std::cout << "throughput at n = " << format_count(perf_n_grid)
@@ -336,16 +331,17 @@ int run(int argc, const char* const* argv) {
             << format_sig(budget, 2) << " s/cell)\n";
   exp.emit(perf_table, "throughput");
 
-  // ----------------------------------------- JSON (schema_version 4) ------
+  // ----------------------------------------- JSON (schema_version 5) ------
   // v2: per-row strict/batched/reference engine numbers (the perf guard's
   // cells), and the count-based yardstick reports rounds_per_sec plus a
   // clearly named equivalent_node_updates_per_sec (a count round updates k
   // classes, not n nodes). v3 added relabeled-layout cells keyed
   // "<base>/<layout>"; v4 drops them (graph relabeling was removed) and
-  // carries the push_* metrics on the voter rows above, plus the
-  // push-vs-strict headline. "simd" names the kernel table both engines
-  // stepped with ("scalar" when none); readers ignore keys they don't know.
-  io::JsonValue doc = make_bench_doc("graphs", 4, exp);
+  // carried push_* metrics on the voter rows plus a push-vs-strict
+  // headline; v5 drops those (the push engine was removed). "simd" names
+  // the kernel table both engines stepped with ("scalar" when none);
+  // readers ignore keys they don't know.
+  io::JsonValue doc = make_bench_doc("graphs", 5, exp);
   const graph::simd::Ops* simd_ops = graph::simd::active();
   doc.set("simd", simd_ops != nullptr ? simd_ops->name : "scalar");
   doc.set("n", std::uint64_t{perf_n_grid});
@@ -375,11 +371,6 @@ int run(int argc, const char* const* argv) {
     entry.set("reference_node_updates_per_sec", nups(row.reference_rps));
     entry.set("strict_speedup_vs_reference", row.strict_rps / row.reference_rps);
     entry.set("batched_speedup_vs_strict", row.batched_rps / row.strict_rps);
-    if (row.push_rps > 0.0) {
-      entry.set("push_rounds_per_sec", row.push_rps);
-      entry.set("push_node_updates_per_sec", nups(row.push_rps));
-      entry.set("push_speedup_vs_strict", row.push_rps / row.strict_rps);
-    }
     if (row.topology == "random 8-regular") {
       best_regular_strict_speedup =
           std::max(best_regular_strict_speedup, row.strict_rps / row.reference_rps);
@@ -389,15 +380,6 @@ int run(int argc, const char* const* argv) {
   }
   doc.set("best_random_regular_speedup", best_regular_strict_speedup);
   doc.set("best_random_regular_batched_vs_strict", best_regular_batched_vs_strict);
-
-  // The acceptance headline: the scatter stepper against the pull strict
-  // baseline on the canonical expander cell (voter, random 8-regular).
-  for (const PerfRow& row : perf_rows) {
-    if (row.topology == "random 8-regular" && row.push_rps > 0.0) {
-      doc.set("push_voter_regular_node_updates_per_sec", nups(row.push_rps));
-      doc.set("push_voter_regular_vs_strict", row.push_rps / row.strict_rps);
-    }
-  }
 
   write_bench_json(doc, exp.cli().get_string("json"));
 

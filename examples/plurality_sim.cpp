@@ -58,7 +58,7 @@ void print_catalog() {
   print_grammar("topologies", graph::topology_names());
   print_grammar("adversaries", adversary_names());
   std::cout << "stops: consensus | m-plurality:<M> | any-reaches:<T>\n"
-            << "backends: auto | count | graph    engines: strict | batched | push\n";
+            << "backends: auto | count | graph    engines: strict | batched\n";
 }
 
 /// Runs the --trajectory mode: one run, round-by-round table (count path;

@@ -33,7 +33,6 @@ ENGINE_METRICS = [
     "strict_node_updates_per_sec",
     "batched_node_updates_per_sec",
     "reference_node_updates_per_sec",
-    "push_node_updates_per_sec",
 ]
 
 

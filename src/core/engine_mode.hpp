@@ -16,20 +16,12 @@
 //    conditional-binomial kernels on the count backend. Distributionally
 //    equivalent to Strict, not bitwise (different generator): pinned by
 //    the chi-square law battery and cross-mode consensus-time tests.
-//  * Push    — the scatter formulation of the batched pipeline for arity-1
-//    dynamics on the graph backend (step_push.cpp): node v still draws ITS
-//    OWN sample u with the exact batched Philox addressing, but the engine
-//    executes the round source-major — pairs are binned by the sampled
-//    source's id so the gather phase streams the state array in 64 KiB
-//    windows instead of random-loading it. Bitwise identical to Batched
-//    (same words, same law, same states); dynamics without a push kernel
-//    (arity > 1) fall back to Batched, then Strict.
 #pragma once
 
 #include <cstdint>
 
 namespace plurality {
 
-enum class EngineMode : std::uint8_t { Strict, Batched, Push };
+enum class EngineMode : std::uint8_t { Strict, Batched };
 
 }  // namespace plurality

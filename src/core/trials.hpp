@@ -66,12 +66,6 @@ struct CommonTrialOptions {
   /// matters on sparse graphs). The count backend is exchangeable, so
   /// there is nothing to shuffle.
   bool shuffle_layout = true;
-  /// Graph backend only: cache-behavior knobs forwarded as StepTuning
-  /// (graph/graph_workspace.hpp). Performance-only — results never depend
-  /// on them. 0 = derive the batched tile from the word budget; 16 = the
-  /// measured strict/batched prefetch sweet spot (0 disables prefetch).
-  std::uint32_t tile_nodes = 0;
-  std::uint32_t prefetch_distance = 16;
   /// Optional extra stop condition, checked after each round (after the
   /// consensus and absorption checks); a hit records PredicateMet.
   std::function<bool(const Configuration&, round_t)> stop_predicate;

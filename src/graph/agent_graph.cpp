@@ -13,7 +13,6 @@
 #include "graph/kernels.hpp"
 #include "graph/kernels_batched.hpp"
 #include "graph/step_batched.hpp"
-#include "graph/step_push.hpp"
 #include "rng/distributions.hpp"
 #include "support/check.hpp"
 
@@ -378,22 +377,11 @@ void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
                     "step_graph: isolated vertices cannot sample");
   ws.prepare(n, config.k());
 
-  // Push pipeline (scatter formulation of the batched law) for arity-1
-  // dynamics; bitwise-equal to Batched, so the fallback chain Push ->
-  // Batched -> Strict only ever widens the kernel coverage, never changes
-  // a covered result.
-  if (mode == EngineMode::Push && push_has_kernel(dynamics) &&
-      n <= 0xffffffffULL) {
-    step_graph_push(dynamics, graph, config, streams, round, ws, tuning);
-    return;
-  }
-
   // Batched pipeline for the fused dynamics; rule tables and other
   // unregistered dynamics keep the strict path (their virtual rule may
   // consume generator randomness mid-node, which the stage-split layout
   // cannot address).
-  if ((mode == EngineMode::Batched || mode == EngineMode::Push) &&
-      batched_has_kernel(dynamics)) {
+  if (mode == EngineMode::Batched && batched_has_kernel(dynamics)) {
     step_graph_batched(dynamics, graph, config, streams, round, ws, tuning);
     return;
   }

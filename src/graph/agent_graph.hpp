@@ -144,10 +144,7 @@ void load_nodes(const Configuration& start, bool shuffle_layout,
 /// counter-based Philox keyed by streams.master_seed() with per-(round,
 /// node, draw) addressing — identical results for any thread count, chunk
 /// grid, or batch size; equivalent to Strict in distribution, not bitwise.
-/// Push: the scatter formulation of the batched pipeline for arity-1
-/// dynamics (voter, undecided-state) — bitwise identical to Batched.
-/// Dynamics without a batched kernel (rule tables) silently run Strict;
-/// Push without a push kernel silently runs Batched (then Strict).
+/// Dynamics without a batched kernel (rule tables) silently run Strict.
 /// `tuning` carries the cache-behavior knobs (tile size, prefetch
 /// distance); it never changes results, only speed.
 void step_graph(const Dynamics& dynamics, const AgentGraph& graph,

@@ -98,7 +98,6 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
 
   const rng::StreamFactory streams(options.seed);
   TrialOutcomes outcomes(options.trials, options.exact_round_samples);
-  const StepTuning tuning{options.tile_nodes, options.prefetch_distance};
 
   const auto body = [&](std::uint64_t trial, GraphStepWorkspace& ws) {
     // Trial stream family: `gen` feeds the start factory and the adversary;
@@ -141,8 +140,7 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
           rounds = r - 1;
           break;
         }
-        step_graph(dynamics, graph, config, trial_streams, r - 1, ws, options.mode,
-                   tuning);
+        step_graph(dynamics, graph, config, trial_streams, r - 1, ws, options.mode);
         if (options.adversary != nullptr) {
           corrupt_nodes(*options.adversary, config, num_colors, r, gen, ws);
         }

@@ -40,12 +40,13 @@ inline constexpr unsigned kGraphChunks = 64;
 /// two).
 using plurality::EngineMode;
 
-/// Cache-behavior knobs of the stepping pipelines, threaded from the
-/// scenario spec (`tile_nodes`, `prefetch_distance`) and the bench CLI
-/// down to the kernels. Pure performance tuning: every setting produces
-/// bitwise-identical results per engine mode (tile addressing is
-/// counter-based; the strict window replays the exact draw order), pinned
-/// by the StepTuningKnobs battery in tests/graph/test_graph_batched.cpp.
+/// Cache-behavior knobs of the stepping pipelines. Scenario runs step with
+/// the defaults; the one override is GraphSimulation::set_tuning, which
+/// `bench_graphs --tile-nodes/--prefetch-distance` and the tests use. Pure
+/// performance tuning: every setting produces bitwise-identical results
+/// per engine mode (tile addressing is counter-based; the strict window
+/// replays the exact draw order), pinned by the StepTuningKnobs battery in
+/// tests/graph/test_graph_batched.cpp, so they are not scenario spec fields.
 struct StepTuning {
   /// Batched-pipeline tile size in nodes (0 = derive from
   /// kernels_batched::kBatchedWordBudget; clamped to the word budget).
@@ -56,16 +57,6 @@ struct StepTuning {
   /// strict path then runs the legacy per-node loop).
   std::uint32_t prefetch_distance = 16;
 };
-
-/// Source-id window of the push stepper's scatter bins: 2^20 nodes = one
-/// 1 MiB byte-mirror window, sized to stay L2-resident (2 MiB on the dev
-/// container) with headroom for the streaming pair buffers. Larger windows
-/// amortize the per-bin overhead; the bin only pays off once the full
-/// state array outgrows L2, so the window should be as large as the cache
-/// allows. Results are invariant to this constant (outputs are
-/// dest-indexed; bins only reorder the internal pair layout). Shared with
-/// GraphStepWorkspace::prepare_push.
-inline constexpr std::size_t kPushBucketNodes = std::size_t{1} << 20;
 
 struct GraphStepWorkspace {
   /// Current node states (persistent across rounds within one trial).
@@ -136,26 +127,6 @@ struct GraphStepWorkspace {
   [[nodiscard]] std::size_t state_size() const {
     if (!bytes_only) return nodes.size();
     return nodes8.size() >= 4 ? nodes8.size() - 4 : 0;
-  }
-
-  // --- Push-mode scratch (step_push.cpp; sized only when Push runs). ---
-  /// Per-node sampled source id (phase A output).
-  std::vector<std::uint32_t> push_src;
-  /// (source << 32 | dest) pairs, bucket-major by source window (phase B).
-  std::vector<std::uint64_t> push_pairs;
-  /// kGraphChunks x buckets histogram, reused as the placement cursors.
-  std::vector<std::uint64_t> push_hist;
-
-  /// Sizes the push-mode buffers (12 bytes/node + the bin histogram);
-  /// allocation-free once the workspace has seen this n.
-  void prepare_push(count_t n) {
-    PLURALITY_REQUIRE(n <= 0xffffffffULL,
-                      "push stepper: node ids must fit 32 bits (n=" << n << ")");
-    push_src.resize(n);
-    push_pairs.resize(n);
-    const std::size_t buckets =
-        (static_cast<std::size_t>(n) + kPushBucketNodes - 1) / kPushBucketNodes;
-    push_hist.resize(static_cast<std::size_t>(kGraphChunks) * buckets);
   }
 
   /// Extra buffers used only when an adversary is wired in.

@@ -60,13 +60,9 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   options.seed = spec.seed;
   options.parallel = spec.parallel;
   options.max_rounds = spec.max_rounds;
-  options.mode = spec.engine == "batched"  ? EngineMode::Batched
-                 : spec.engine == "push"   ? EngineMode::Push
-                                           : EngineMode::Strict;
+  options.mode = spec.engine == "batched" ? EngineMode::Batched : EngineMode::Strict;
   options.adversary = compiled.adversary_.get();
   options.shuffle_layout = spec.shuffle_layout;
-  options.tile_nodes = spec.tile_nodes;
-  options.prefetch_distance = spec.prefetch_distance;
 
   const StopCondition stop = parse_stop_condition(spec.stop);
   const state_t num_colors = compiled.dynamics_->num_colors(compiled.start_.k());

@@ -10,7 +10,6 @@
 #include "core/registry.hpp"
 #include "core/workloads.hpp"
 #include "graph/implicit_topology.hpp"
-#include "graph/step_push.hpp"
 #include "graph/topology_registry.hpp"
 #include "support/check.hpp"
 #include "support/specs.hpp"
@@ -73,16 +72,15 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
                       "scenario: field 'graph_layout' was removed; graphs step in "
                       "builder order (only 'identity', which names that, is still "
                       "accepted) — drop the field");
-  } else if (key == "tile_nodes") {
-    const std::uint64_t tile = value.as_uint();
-    PLURALITY_REQUIRE(tile <= 0xFFFFFFFFULL,
-                      "scenario: tile_nodes = " << tile << " exceeds 32 bits");
-    spec.tile_nodes = static_cast<std::uint32_t>(tile);
-  } else if (key == "prefetch_distance") {
-    const std::uint64_t distance = value.as_uint();
-    PLURALITY_REQUIRE(distance <= 0xFFFFFFFFULL,
-                      "scenario: prefetch_distance = " << distance << " exceeds 32 bits");
-    spec.prefetch_distance = static_cast<std::uint32_t>(distance);
+  } else if (key == "tile_nodes" || key == "prefetch_distance") {
+    // Removed fields: results never depended on them, so their defaults
+    // (tile_nodes 0, prefetch_distance 16) are dropped like
+    // graph_layout=identity, and old result echoes still re-parse.
+    const std::uint64_t kept = key == "tile_nodes" ? 0 : 16;
+    PLURALITY_REQUIRE(value.as_uint() == kept,
+                      "scenario: field '" << key << "' was removed; it never changed "
+                      "results (only its default " << kept << " is still accepted) — "
+                      "drop the field");
   } else if (key == "n") {
     spec.n = value.as_uint();
   } else if (key == "k") {
@@ -104,8 +102,7 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
                       "scenario: unknown field '"
                           << key << "'; known: dynamics, workload, topology, adversary, "
                           << "backend, engine, stop, topology_backend, "
-                          << "n, k, trials, seed, max_rounds, parallel, shuffle_layout, "
-                          << "tile_nodes, prefetch_distance");
+                          << "n, k, trials, seed, max_rounds, parallel, shuffle_layout");
   }
 }
 
@@ -114,10 +111,8 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
 /// below always apply to what will actually run).
 std::string resolve_backend_impl(const ScenarioSpec& spec, const Dynamics& dyn) {
   if (spec.backend != "auto") return spec.backend;
-  // Push is a graph-engine pipeline (the implicit clique included), so
-  // "auto" never routes it to the count driver.
-  const bool count = spec.engine != "push" && graph::topology_is_clique(spec.topology) &&
-                     dyn.has_exact_law(dyn.num_states(spec.k));
+  const bool count =
+      graph::topology_is_clique(spec.topology) && dyn.has_exact_law(dyn.num_states(spec.k));
   return count ? "count" : "graph";
 }
 
@@ -215,8 +210,6 @@ io::JsonValue ScenarioSpec::to_json() const {
   doc.set("max_rounds", std::uint64_t{max_rounds});
   doc.set("parallel", parallel);
   doc.set("shuffle_layout", shuffle_layout);
-  doc.set("tile_nodes", std::uint64_t{tile_nodes});
-  doc.set("prefetch_distance", std::uint64_t{prefetch_distance});
   return doc;
 }
 
@@ -228,8 +221,7 @@ std::string ScenarioSpec::to_spec_string() const {
      << " k=" << k << " trials=" << trials
      << " seed=" << seed << " max_rounds=" << max_rounds
      << " parallel=" << (parallel ? "true" : "false")
-     << " shuffle_layout=" << (shuffle_layout ? "true" : "false")
-     << " tile_nodes=" << tile_nodes << " prefetch_distance=" << prefetch_distance;
+     << " shuffle_layout=" << (shuffle_layout ? "true" : "false");
   return os.str();
 }
 
@@ -264,9 +256,11 @@ void ScenarioSpec::validate() const {
                                            << " but the spec says k = " << k
                                            << "; set k accordingly");
 
-  PLURALITY_REQUIRE(engine == "strict" || engine == "batched" || engine == "push",
-                    "scenario: engine must be 'strict', 'batched', or 'push', got '"
-                        << engine << "'");
+  PLURALITY_REQUIRE(engine == "strict" || engine == "batched",
+                    "scenario: engine must be strict/batched, got '"
+                        << engine
+                        << "' (engine 'push' was removed; engine 'batched' gives "
+                           "bitwise-identical results and 'strict' steps fastest)");
   PLURALITY_REQUIRE(backend == "auto" || backend == "count" || backend == "graph",
                     "scenario: backend must be auto/count/graph, got '"
                         << backend
@@ -282,14 +276,6 @@ void ScenarioSpec::validate() const {
                       "implicit-capable: clique, gossip, ring, torus[:<r>x<c>], "
                       "lattice:<d>; use topology_backend 'arena' (or 'auto')");
   }
-  PLURALITY_REQUIRE(tile_nodes <= 8192,
-                    "scenario: tile_nodes caps at 8192 (the batched engine's per-tile "
-                    "word budget), got " << tile_nodes << "; 0 derives the tile "
-                    "automatically");
-  PLURALITY_REQUIRE(prefetch_distance <= 1024,
-                    "scenario: prefetch_distance caps at 1024 (beyond L2's pending-miss "
-                    "capacity it only pollutes), got " << prefetch_distance
-                        << "; 0 disables software prefetch");
   if (topology_backend == "arena") {
     const std::string topo_kind = split_spec(topology).kind;
     PLURALITY_REQUIRE(topo_kind != "clique" && topo_kind != "gossip",
@@ -312,25 +298,6 @@ void ScenarioSpec::validate() const {
     PLURALITY_REQUIRE(dyn->has_exact_law(states),
                       "scenario: dynamics '" << dynamics << "' has no exact adoption law "
                       "at k = " << k << "; use backend 'graph' (or 'auto')");
-  }
-  // Constraints that depend on WHICH backend runs apply to the resolved
-  // backend, so backend=auto specs can never compile into a driver that
-  // rejects them at run time (inside a parallel trial loop, where a throw
-  // is fatal).
-  const std::string resolved = resolve_backend_impl(*this, *dyn);
-  if (engine == "push") {
-    PLURALITY_REQUIRE(resolved == "graph",
-                      "scenario: engine 'push' is a graph-engine pipeline, but this "
-                      "spec resolves to backend '" << resolved << "'; set backend "
-                      "'graph' (or 'auto')");
-    PLURALITY_REQUIRE(graph::push_has_kernel(*dyn),
-                      "scenario: engine 'push' covers the arity-1 dynamics (voter, "
-                      "undecided); dynamics '" << dynamics << "' samples more than one "
-                      "neighbor per round — use engine 'batched' or 'strict'");
-    PLURALITY_REQUIRE(n <= 4294967295ULL,
-                      "scenario: engine 'push' packs (source, dest) node-id pairs into "
-                      "64 bits, capping n at 4294967295 (got " << n << "); use engine "
-                      "'batched'");
   }
 
   const StopCondition stop_spec = parse_stop_condition(stop);

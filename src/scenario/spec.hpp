@@ -12,10 +12,14 @@
 //   topology   topology spec            (graph/topology_registry.hpp grammar)
 //   adversary  adversary spec           (core/adversary.hpp grammar)
 //   backend    auto | count | graph
-//   engine     strict | batched | push  (core/engine_mode.hpp)
+//   engine     strict | batched         (core/engine_mode.hpp)
 //   stop       consensus | m-plurality:<M> | any-reaches:<T>
-//   n, k, trials, seed, max_rounds, parallel, shuffle_layout,
-//   tile_nodes, prefetch_distance
+//   n, k, trials, seed, max_rounds, parallel, shuffle_layout
+//
+// The graph engine's cache knobs (graph::StepTuning) never change
+// results, so they are not spec fields: the removed `tile_nodes` and
+// `prefetch_distance` are still accepted at their defaults (0 and 16) and
+// dropped, so old result echoes re-parse.
 //
 // Specs parse from "key=value" strings or JSON files, validate with
 // actionable errors, compile (scenario.hpp) into the right backend, and
@@ -36,7 +40,7 @@ struct ScenarioSpec {
   std::string topology = "clique";
   std::string adversary = "none";
   /// Trial driver. "auto" resolves at validate()/compile() time: clique
-  /// topology + exact adoption law + not engine push -> "count" (the
+  /// topology + exact adoption law -> "count" (the
   /// Θ(k)-per-round exact backend); everything else -> "graph" (a clique
   /// without an exact law steps per node on the graph engine's implicit
   /// clique).
@@ -72,14 +76,6 @@ struct ScenarioSpec {
   bool parallel = true;
   /// Graph backend only: shuffle the node layout per trial.
   bool shuffle_layout = true;
-  /// Graph backend cache-behavior knobs, forwarded as StepTuning
-  /// (graph/graph_workspace.hpp). Performance-only: results never depend
-  /// on them (pinned by the tuning-invariance tests). tile_nodes 0 =
-  /// derive the batched tile from the word budget (caps at 8192);
-  /// prefetch_distance 16 = the measured sweet spot, 0 disables prefetch
-  /// (caps at 1024).
-  std::uint32_t tile_nodes = 0;
-  std::uint32_t prefetch_distance = 16;
 
   /// Parses the compact string form: whitespace-separated "key=value"
   /// tokens over the JSON field names, e.g.

@@ -11,6 +11,7 @@
 
 #include "scenario/scenario.hpp"
 #include "support/check.hpp"
+#include "sweep/sweep_spec.hpp"
 
 namespace plurality::scenario {
 namespace {
@@ -240,24 +241,28 @@ TEST(ScenarioSpec, StopConditionParses) {
   EXPECT_THROW(parse_stop_condition("any-reaches:soon"), CheckError);
 }
 
-TEST(ScenarioSpec, TuningKnobsRoundTripAndAreBounded) {
-  const ScenarioSpec spec =
-      ScenarioSpec::parse("topology=regular:8 tile_nodes=512 prefetch_distance=32");
-  EXPECT_EQ(spec.tile_nodes, 512u);
-  EXPECT_EQ(spec.prefetch_distance, 32u);
-  const ScenarioSpec reparsed = ScenarioSpec::parse(spec.to_spec_string());
-  EXPECT_EQ(reparsed.tile_nodes, 512u);
-  EXPECT_EQ(reparsed.prefetch_distance, 32u);
-  const ScenarioSpec rejsoned = ScenarioSpec::from_json(spec.to_json());
-  EXPECT_EQ(rejsoned.tile_nodes, 512u);
-  EXPECT_EQ(rejsoned.prefetch_distance, 32u);
-  // Defaults: derived tile, the measured prefetch sweet spot.
-  const ScenarioSpec def;
-  EXPECT_EQ(def.tile_nodes, 0u);
-  EXPECT_EQ(def.prefetch_distance, 16u);
-  ScenarioSpec::parse("tile_nodes=8192 prefetch_distance=1024").validate();
-  expect_rejects("tile_nodes=8193", "tile_nodes");
-  expect_rejects("prefetch_distance=1025", "prefetch_distance");
+TEST(ScenarioSpec, TuningFieldsWereRemoved) {
+  // The cache knobs never changed results, so their defaults are accepted
+  // and dropped (old result echoes still re-parse) in both forms...
+  const ScenarioSpec plain = ScenarioSpec::parse("topology=regular:8");
+  const ScenarioSpec defaults =
+      ScenarioSpec::parse("topology=regular:8 tile_nodes=0 prefetch_distance=16");
+  EXPECT_NO_THROW(defaults.validate());
+  EXPECT_EQ(defaults.to_spec_string(), plain.to_spec_string());
+  EXPECT_EQ(defaults.to_spec_string().find("tile_nodes"), std::string::npos);
+  EXPECT_EQ(defaults.to_spec_string().find("prefetch_distance"), std::string::npos);
+  const ScenarioSpec from_json = ScenarioSpec::from_json(io::parse_json(
+      R"({"topology": "regular:8", "tile_nodes": 0, "prefetch_distance": 16})"));
+  EXPECT_EQ(from_json.to_json().to_string(), plain.to_json().to_string());
+  EXPECT_EQ(from_json.to_json().to_string().find("tile_nodes"), std::string::npos);
+  EXPECT_EQ(from_json.to_json().to_string().find("prefetch_distance"), std::string::npos);
+  // ...and any other value fails, naming the removal.
+  expect_rejects("topology=regular:8 tile_nodes=512", "removed");
+  expect_rejects("topology=regular:8 prefetch_distance=8", "removed");
+  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"tile_nodes": 512})")),
+               CheckError);
+  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"prefetch_distance": 8})")),
+               CheckError);
 }
 
 TEST(ScenarioSpec, GraphLayoutFieldWasRemoved) {
@@ -287,35 +292,31 @@ TEST(ScenarioSpec, GraphLayoutFieldWasRemoved) {
   EXPECT_NO_THROW(ScenarioSpec::parse("topology=regular:8 shuffle_layout=false").validate());
 }
 
-TEST(ScenarioSpec, PushEngineGating) {
-  // The happy path: arity-1 dynamics on the graph backend.
-  ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=regular:8").validate();
-  ScenarioSpec::parse("engine=push dynamics=undecided topology=torus n=10000").validate();
-  // Push on the clique auto-routes to the graph engine (the implicit
-  // complete graph), never to count.
-  EXPECT_EQ(ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=clique")
-                .resolved_backend(),
-            "graph");
-  // Arity >= 2 rules have no scatter formulation.
-  expect_rejects("engine=push dynamics=3-majority topology=regular:8", "arity-1");
-  // Explicit non-graph backends cannot run it.
-  expect_rejects("engine=push dynamics=voter k=2 topology=clique backend=count",
-                 "backend");
-  // The pair buffer packs two u32 ids per word.
-  ScenarioSpec big = ScenarioSpec::parse("engine=push dynamics=voter k=2 topology=gossip");
-  big.n = 8589934592ULL;  // 2^33
-  EXPECT_THROW(big.validate(), CheckError);
+TEST(ScenarioSpec, PushEngineWasRemoved) {
+  // The removal message names the replacements.
+  expect_rejects("engine=push dynamics=voter k=2 topology=regular:8", "removed");
+  expect_rejects("engine=push dynamics=voter k=2 topology=regular:8", "batched");
   // Unknown engine names still say what IS known.
-  expect_rejects("engine=scatter", "push");
+  expect_rejects("engine=scatter", "strict");
+  expect_rejects("engine=scatter", "batched");
 }
 
-TEST(ScenarioSpec, PushWithTuningCompilesAndRuns) {
-  const ScenarioResult result = run_scenario(ScenarioSpec::parse(
-      "dynamics=voter k=2 topology=regular:8 n=2000 trials=3 engine=push "
-      "tile_nodes=256 prefetch_distance=8 max_rounds=40000"));
-  EXPECT_EQ(result.resolved.backend, "graph");
-  EXPECT_EQ(result.resolved.topology_backend, "arena");
-  EXPECT_EQ(result.summary.trials, 3u);
+TEST(ScenarioSpec, SweepsOverRemovedSurfacesFailBeforeAnyCellRuns) {
+  // A non-default tuning value on an axis fails when the sweep is read.
+  EXPECT_THROW(sweep::SweepSpec::parse("topology=regular:8 tile_nodes=0,512"), CheckError);
+  EXPECT_THROW(sweep::SweepSpec::from_json(io::parse_json(
+                   R"({"base": {"topology": "regular:8"}, "axes": {"tile_nodes": [0, 512]}})")),
+               CheckError);
+  // An engine axis naming push fails the up-front per-cell validation.
+  const sweep::SweepSpec push = sweep::SweepSpec::from_json(io::parse_json(
+      R"({"base": {"dynamics": "voter", "k": 2, "topology": "regular:8"},
+          "axes": {"engine": ["push"]}})"));
+  try {
+    (void)push.expand();
+    FAIL() << "an engine=push axis must not expand";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

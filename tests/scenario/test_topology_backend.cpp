@@ -119,6 +119,13 @@ TEST(TopologyBackend, CompileEchoesResolvedBackendAndBuildsImplicit) {
   const Scenario arena = Scenario::compile(ScenarioSpec::parse("topology=ring n=1000 trials=1"));
   EXPECT_EQ(arena.spec().topology_backend, "arena");
   EXPECT_FALSE(arena.graph().is_implicit());
+
+  // A run's result echoes the arena an arena-only family resolved to.
+  const ScenarioResult regular = run_scenario(ScenarioSpec::parse(
+      "dynamics=voter k=2 topology=regular:8 n=2000 trials=3 max_rounds=40000"));
+  EXPECT_EQ(regular.resolved.backend, "graph");
+  EXPECT_EQ(regular.resolved.topology_backend, "arena");
+  EXPECT_EQ(regular.summary.trials, 3u);
 }
 
 TEST(TopologyBackend, ImplicitAndArenaCompileToSameResults) {
