@@ -41,7 +41,7 @@ void BM_GraphCliqueStep(benchmark::State& state) {
   const auto n = static_cast<count_t>(state.range(0));
   const auto k = static_cast<state_t>(state.range(1));
   ThreeMajority dynamics;
-  graph::GraphSimulation sim(dynamics, graph::Topology::complete(n),
+  graph::GraphSimulation sim(dynamics, graph::AgentGraph::complete(n),
                              workloads::additive_bias(n, k, n / 10), 1,
                              /*shuffle_layout=*/false);
   for (auto _ : state) {

@@ -83,7 +83,7 @@ int run(int argc, const char* const* argv) {
     graph::AgentGraph graph;
   };
   std::vector<Cell> cells;
-  cells.push_back({"gossip", graph::AgentGraph::implicit(graph::ImplicitTopology::gossip(n))});
+  cells.push_back({"gossip", graph::AgentGraph::complete(n)});
   cells.push_back({"implicit cycle",
                    graph::AgentGraph::implicit(graph::ImplicitTopology::ring(n))});
   cells.push_back({"implicit torus",
@@ -162,8 +162,7 @@ int run(int argc, const char* const* argv) {
       graph::AgentGraph graph;
     };
     std::vector<HeadlineCell> hl_cells;
-    hl_cells.push_back(
-        {"gossip", graph::AgentGraph::implicit(graph::ImplicitTopology::gossip(headline_n))});
+    hl_cells.push_back({"gossip", graph::AgentGraph::complete(headline_n)});
     hl_cells.push_back(
         {"implicit ring",
          graph::AgentGraph::implicit(graph::ImplicitTopology::ring(headline_n))});

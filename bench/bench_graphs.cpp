@@ -212,34 +212,25 @@ int run(int argc, const char* const* argv) {
   tuning.prefetch_distance =
       static_cast<std::uint32_t>(exp.cli().get_uint("prefetch-distance"));
 
+  // Each graph is built once; the strict, batched and reference steppers
+  // all sample the same packed AgentGraph over the same seeds.
   rng::Xoshiro256pp perf_topo_gen(exp.seed() + 2);
   const auto perf_clique = graph::AgentGraph::complete(perf_n_grid);
-  const auto perf_regular = graph::AgentGraph::from_topology(
-      graph::random_regular(perf_n_grid, 8, perf_topo_gen));
-  const auto perf_gnm = graph::AgentGraph::from_topology(graph::erdos_renyi(
-      perf_n_grid, 4 * perf_n_grid, perf_topo_gen, /*patch_isolated=*/true));
-  const auto perf_torus = graph::AgentGraph::from_topology(graph::torus(perf_side, perf_side));
-  const auto perf_ring = graph::AgentGraph::from_topology(graph::cycle(perf_n_grid));
-  // The reference stepper samples through Topology, the engine through the
-  // packed AgentGraph — same adjacency, measured over the same seeds.
-  const auto ref_clique = graph::Topology::complete(perf_n_grid);
-  rng::Xoshiro256pp ref_topo_gen(exp.seed() + 2);
-  const auto ref_regular = graph::random_regular(perf_n_grid, 8, ref_topo_gen);
-  const auto ref_gnm = graph::erdos_renyi(perf_n_grid, 4 * perf_n_grid, ref_topo_gen,
-                                          /*patch_isolated=*/true);
-  const auto ref_torus = graph::torus(perf_side, perf_side);
-  const auto ref_ring = graph::cycle(perf_n_grid);
+  const auto perf_regular = graph::random_regular(perf_n_grid, 8, perf_topo_gen);
+  const auto perf_gnm = graph::erdos_renyi(perf_n_grid, 4 * perf_n_grid, perf_topo_gen,
+                                           /*patch_isolated=*/true);
+  const auto perf_torus = graph::torus(perf_side, perf_side);
+  const auto perf_ring = graph::cycle(perf_n_grid);
 
   struct PerfEntry {
     const char* name;
     const graph::AgentGraph* graph;
-    const graph::Topology* topology;
   };
-  const PerfEntry perf_entries[] = {{"clique-csr", &perf_clique, &ref_clique},
-                                    {"random 8-regular", &perf_regular, &ref_regular},
-                                    {"G(n, 4n)", &perf_gnm, &ref_gnm},
-                                    {"torus", &perf_torus, &ref_torus},
-                                    {"cycle", &perf_ring, &ref_ring}};
+  const PerfEntry perf_entries[] = {{"clique-csr", &perf_clique},
+                                    {"random 8-regular", &perf_regular},
+                                    {"G(n, 4n)", &perf_gnm},
+                                    {"torus", &perf_torus},
+                                    {"cycle", &perf_ring}};
 
   struct PerfRow {
     std::string topology;
@@ -284,7 +275,7 @@ int run(int argc, const char* const* argv) {
       const double reference_rps = measure_sim_rounds_per_sec(
           [&] {
             return std::make_unique<graph::ReferenceGraphSimulation>(
-                *dyn.dynamics, *entry.topology, *dyn.start, seed);
+                *dyn.dynamics, *entry.graph, *dyn.start, seed);
           },
           budget);
       PerfRow row;

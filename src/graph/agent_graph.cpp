@@ -36,16 +36,8 @@ AgentGraph AgentGraph::complete(count_t n) {
 
 AgentGraph AgentGraph::implicit(const ImplicitTopology& topo) {
   PLURALITY_REQUIRE(topo.implicit(), "AgentGraph::implicit: empty descriptor");
-  if (topo.family == ImplicitTopology::Family::Gossip) {
-    // Gossip IS the implicit complete graph; tag the descriptor so the
-    // scenario layer can report how the graph was built.
-    AgentGraph g = complete(static_cast<count_t>(topo.n));
-    g.implicit_ = topo;
-    return g;
-  }
   AgentGraph g;
   g.n_ = static_cast<count_t>(topo.n);
-  g.complete_ = false;
   g.arcs_ = topo.n * topo.degree;  // same count the arena twin would store
   g.min_degree_ = static_cast<count_t>(topo.degree);
   g.max_degree_ = static_cast<count_t>(topo.degree);
@@ -53,42 +45,62 @@ AgentGraph AgentGraph::implicit(const ImplicitTopology& topo) {
   return g;
 }
 
-AgentGraph AgentGraph::from_topology(const Topology& topology) {
-  if (topology.kind() == Topology::Kind::CompleteImplicit) {
-    return complete(topology.num_nodes());
-  }
-  const count_t n = topology.num_nodes();
+AgentGraph AgentGraph::with_arena(count_t n, std::uint64_t arcs) {
+  PLURALITY_REQUIRE(n >= 1, "AgentGraph: need at least one node");
   PLURALITY_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
                     "AgentGraph: node ids must fit 32 bits (n=" << n << ")");
   AgentGraph g;
   g.n_ = n;
-  g.complete_ = false;
-  g.arcs_ = topology.num_arcs();
+  g.arcs_ = arcs;
   // One arena: n+1 offset words, then the neighbor ids packed two per word.
-  const std::size_t words =
-      static_cast<std::size_t>(n) + 1 + (static_cast<std::size_t>(g.arcs_) + 1) / 2;
+  const std::size_t words = static_cast<std::size_t>(n) + 1 + (arcs + 1) / 2;
   g.arena_.assign(words, 0);
-  std::uint64_t* offsets = g.arena_.data();
-  auto* neighbors = reinterpret_cast<std::uint32_t*>(g.arena_.data() + n + 1);
-  offsets[0] = 0;
-  g.min_degree_ = n > 0 ? topology.degree(0) : 0;
-  g.max_degree_ = g.min_degree_;
-  std::size_t cursor = 0;
-  for (count_t v = 0; v < n; ++v) {
-    const auto neigh = topology.neighbors(v);
-    for (const count_t u : neigh) neighbors[cursor++] = static_cast<std::uint32_t>(u);
-    offsets[v + 1] = cursor;
-    const auto deg = static_cast<count_t>(neigh.size());
-    g.min_degree_ = std::min(g.min_degree_, deg);
-    g.max_degree_ = std::max(g.max_degree_, deg);
-  }
-  PLURALITY_CHECK(cursor == g.arcs_);
   return g;
 }
 
 AgentGraph AgentGraph::from_edges(count_t n,
                                   std::span<const std::pair<count_t, count_t>> edges) {
-  return from_topology(Topology::from_edges(n, edges));
+  std::uint64_t arcs = 0;
+  for (const auto& [u, v] : edges) {
+    PLURALITY_REQUIRE(u < n && v < n, "AgentGraph::from_edges: endpoint out of range");
+    arcs += u == v ? 1 : 2;
+  }
+  AgentGraph g = with_arena(n, arcs);
+  // Count-then-scatter inside the arena: offsets[v + 1] first counts v's
+  // degree, then holds the start of row v and serves as its write cursor,
+  // ending at the row's end — which is offsets[v + 1] proper.
+  std::uint64_t* offsets = g.arena_.data();
+  std::uint32_t* neighbors = g.mutable_neighbors();
+  for (const auto& [u, v] : edges) {
+    ++offsets[u + 1];
+    if (u != v) ++offsets[v + 1];
+  }
+  g.min_degree_ = static_cast<count_t>(offsets[1]);
+  g.max_degree_ = g.min_degree_;
+  std::uint64_t start = 0;
+  for (count_t v = 0; v < n; ++v) {
+    const std::uint64_t deg = offsets[v + 1];
+    g.min_degree_ = std::min<count_t>(g.min_degree_, deg);
+    g.max_degree_ = std::max<count_t>(g.max_degree_, deg);
+    offsets[v + 1] = start;
+    start += deg;
+  }
+  for (const auto& [u, v] : edges) {
+    neighbors[offsets[u + 1]++] = static_cast<std::uint32_t>(v);
+    if (u != v) neighbors[offsets[v + 1]++] = static_cast<std::uint32_t>(u);
+  }
+  return g;
+}
+
+AgentGraph AgentGraph::fixed_degree(
+    count_t n, count_t d, const std::function<void(std::uint32_t* rows)>& write_rows) {
+  AgentGraph g = with_arena(n, n * d);
+  std::uint64_t* offsets = g.arena_.data();
+  for (count_t v = 0; v <= n; ++v) offsets[v] = v * d;
+  g.min_degree_ = d;
+  g.max_degree_ = d;
+  write_rows(g.mutable_neighbors());
+  return g;
 }
 
 count_t AgentGraph::degree(count_t v) const {
@@ -424,22 +436,22 @@ void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
 
 // ------------------------------------------------------- GraphSimulation ---
 
-GraphSimulation::GraphSimulation(const Dynamics& dynamics, const Topology& topology,
-                                 const Configuration& start, std::uint64_t seed,
-                                 bool shuffle_layout, EngineMode mode)
-    : dynamics_(dynamics),
-      owned_graph_(AgentGraph::from_topology(topology)),
-      graph_(&owned_graph_),
-      config_(start),
-      streams_(seed),
-      mode_(mode) {
-  init(start, shuffle_layout);
-}
-
 GraphSimulation::GraphSimulation(const Dynamics& dynamics, const AgentGraph& graph,
                                  const Configuration& start, std::uint64_t seed,
                                  bool shuffle_layout, EngineMode mode)
     : dynamics_(dynamics), graph_(&graph), config_(start), streams_(seed), mode_(mode) {
+  init(start, shuffle_layout);
+}
+
+GraphSimulation::GraphSimulation(const Dynamics& dynamics, AgentGraph&& graph,
+                                 const Configuration& start, std::uint64_t seed,
+                                 bool shuffle_layout, EngineMode mode)
+    : dynamics_(dynamics),
+      owned_graph_(std::move(graph)),
+      graph_(&owned_graph_),
+      config_(start),
+      streams_(seed),
+      mode_(mode) {
   init(start, shuffle_layout);
 }
 

@@ -2,11 +2,14 @@
 //
 // Three pieces, mirroring the count-based engine's discipline (PR 1):
 //
-//  * AgentGraph — an immutable CSR-packed graph: one contiguous arena
-//    holding the n+1 offsets followed by the 32-bit neighbor ids, so a
-//    round's neighbor walks are sequential loads from a single allocation.
-//    The clique is represented implicitly (no adjacency memory; sampling
-//    uniform over [n] including self, matching the paper's model exactly).
+//  * AgentGraph — the one graph type: an immutable CSR-packed graph in one
+//    contiguous arena holding the n+1 offsets followed by the 32-bit
+//    neighbor ids, so a round's neighbor walks are sequential loads from a
+//    single allocation. The builders (builders.hpp) write their rows
+//    straight into it. The clique is represented implicitly (no adjacency
+//    memory; sampling uniform over [n] including self, matching the
+//    paper's model exactly), and so are the ring/torus/lattice descriptors
+//    of implicit_topology.hpp.
 //
 //  * GraphStepWorkspace (graph_workspace.hpp) — all per-round scratch:
 //    double-buffered node-state arrays, per-chunk partial counts. Warm
@@ -21,11 +24,12 @@
 // (reference_sim.hpp): same streams, same sampling order, same states,
 // round by round — see tests/graph/test_graph_determinism.cpp.
 // GraphSimulation keeps the original convenience API on top of the engine;
-// on Topology::complete it reproduces the clique model exactly and is
+// on AgentGraph::complete it reproduces the clique model exactly and is
 // property-tested against the count-based stepper.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -34,7 +38,6 @@
 #include "core/dynamics.hpp"
 #include "graph/graph_workspace.hpp"
 #include "graph/implicit_topology.hpp"
-#include "graph/topology.hpp"
 #include "rng/stream.hpp"
 #include "support/types.hpp"
 
@@ -45,7 +48,7 @@ namespace plurality::graph {
 /// Layout: arena_[0 .. n] are the 64-bit adjacency offsets; the 32-bit
 /// neighbor ids are packed into the remaining words (two per u64). Node
 /// count is capped at 2^32 - 1 so ids fit the packed width; offsets stay
-/// 64-bit, so arc counts are unbounded. For Kind-complete graphs the arena
+/// 64-bit, so arc counts are unbounded. For the complete graph the arena
 /// is empty and sampling is uniform over all n nodes (self included).
 class AgentGraph {
  public:
@@ -58,30 +61,32 @@ class AgentGraph {
   /// Arena-free graph over an ImplicitTopology descriptor: the kernels
   /// compute neighbor ids from the node id instead of gathering from the
   /// CSR arena, so memory is O(1) and node ids are not bound by the
-  /// arena's 32-bit packing. A Gossip descriptor yields the implicit
-  /// complete graph (is_complete() true) — uniform pull over the whole
-  /// population is exactly the clique sampling model.
+  /// arena's 32-bit packing.
   static AgentGraph implicit(const ImplicitTopology& topo);
 
-  /// Packs an explicit (or implicit-complete) Topology.
-  static AgentGraph from_topology(const Topology& topology);
-
-  /// Builds from an undirected edge list (both directions stored), via
-  /// Topology::from_edges' CSR construction.
+  /// Builds from an undirected edge list: both directions stored, a
+  /// self-loop once, parallel edges with their multiplicity (sampling
+  /// semantics). Row v lists v's incident edges in edge-list order — the
+  /// order the implicit ring/torus/lattice descriptors reproduce. Checks
+  /// every endpoint against n and caps n at 2^32 - 1.
   static AgentGraph from_edges(count_t n,
                                std::span<const std::pair<count_t, count_t>> edges);
+
+  /// Degree-d graph on n nodes whose rows `write_rows` fills in place:
+  /// row v is rows[v*d, v*d + d), and every slot must be written. For
+  /// builders that know each degree up front (random_regular), so no edge
+  /// list is held.
+  static AgentGraph fixed_degree(
+      count_t n, count_t d, const std::function<void(std::uint32_t* rows)>& write_rows);
 
   [[nodiscard]] bool is_complete() const { return complete_; }
   [[nodiscard]] count_t num_nodes() const { return n_; }
 
   /// True when neighbors are computed (ring/torus/lattice descriptors),
-  /// false for arena-backed and complete/gossip graphs (which have their
-  /// own dedicated sampling path).
-  [[nodiscard]] bool is_implicit() const {
-    return implicit_.family != ImplicitTopology::Family::None && !complete_;
-  }
-  /// The descriptor (family None on arena-backed graphs; family Gossip on
-  /// gossip-built complete graphs).
+  /// false for arena-backed and complete graphs (the clique has its own
+  /// dedicated sampling path).
+  [[nodiscard]] bool is_implicit() const { return implicit_.implicit(); }
+  /// The descriptor (family None on arena-backed and complete graphs).
   [[nodiscard]] const ImplicitTopology& implicit_topology() const { return implicit_; }
 
   /// Stored directed arcs (2x undirected edge count; 0 for the implicit
@@ -111,6 +116,12 @@ class AgentGraph {
   [[nodiscard]] std::size_t arena_bytes() const { return arena_.size() * sizeof(std::uint64_t); }
 
  private:
+  /// Zeroed arena for n + 1 offsets and `arcs` packed ids.
+  static AgentGraph with_arena(count_t n, std::uint64_t arcs);
+  std::uint32_t* mutable_neighbors() {
+    return reinterpret_cast<std::uint32_t*>(arena_.data() + n_ + 1);
+  }
+
   count_t n_ = 0;
   bool complete_ = false;
   std::uint64_t arcs_ = 0;
@@ -159,15 +170,15 @@ class GraphSimulation {
  public:
   /// `start` assigns states by laying out start.at(j) nodes of state j in
   /// node-id order; pass `shuffle_layout = true` to randomize the
-  /// assignment. Packs `topology` into an owned AgentGraph. `mode` picks
-  /// the stepping pipeline (see step_graph).
-  GraphSimulation(const Dynamics& dynamics, const Topology& topology,
+  /// assignment. Steps over a caller-owned graph, which must outlive the
+  /// simulation. `mode` picks the stepping pipeline (see step_graph).
+  GraphSimulation(const Dynamics& dynamics, const AgentGraph& graph,
                   const Configuration& start, std::uint64_t seed,
                   bool shuffle_layout = true, EngineMode mode = EngineMode::Strict);
 
-  /// Borrowing variant: steps over a caller-owned CSR graph (no packing
-  /// cost; the graph must outlive the simulation).
-  GraphSimulation(const Dynamics& dynamics, const AgentGraph& graph,
+  /// Owning variant: a temporary graph (GraphSimulation(dyn, cycle(60),
+  /// ...)) is moved in, never borrowed.
+  GraphSimulation(const Dynamics& dynamics, AgentGraph&& graph,
                   const Configuration& start, std::uint64_t seed,
                   bool shuffle_layout = true, EngineMode mode = EngineMode::Strict);
 

@@ -72,15 +72,15 @@ constexpr std::size_t kNearPairs = 6;    // key, row and fill prefetches
 
 }  // namespace
 
-Topology cycle(count_t n) {
+AgentGraph cycle(count_t n) {
   PLURALITY_REQUIRE(n >= 3, "cycle: need n >= 3");
   std::vector<std::pair<count_t, count_t>> edges;
   edges.reserve(n);
   for (count_t v = 0; v < n; ++v) edges.emplace_back(v, (v + 1) % n);
-  return Topology::from_edges(n, edges);
+  return AgentGraph::from_edges(n, edges);
 }
 
-Topology torus(count_t rows, count_t cols) {
+AgentGraph torus(count_t rows, count_t cols) {
   PLURALITY_REQUIRE(rows >= 3 && cols >= 3, "torus: need rows, cols >= 3");
   const count_t n = rows * cols;
   std::vector<std::pair<count_t, count_t>> edges;
@@ -92,10 +92,10 @@ Topology torus(count_t rows, count_t cols) {
       edges.emplace_back(id(r, c), id((r + 1) % rows, c));
     }
   }
-  return Topology::from_edges(n, edges);
+  return AgentGraph::from_edges(n, edges);
 }
 
-Topology circulant_lattice(count_t n, count_t d) {
+AgentGraph circulant_lattice(count_t n, count_t d) {
   PLURALITY_REQUIRE(d >= 2 && d % 2 == 0,
                     "circulant_lattice: degree must be even and >= 2, got " << d);
   PLURALITY_REQUIRE(n >= d + 2,
@@ -113,10 +113,10 @@ Topology circulant_lattice(count_t n, count_t d) {
       edges.emplace_back(v, u);
     }
   }
-  return Topology::from_edges(n, edges);
+  return AgentGraph::from_edges(n, edges);
 }
 
-Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
+AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
   PLURALITY_REQUIRE(n >= 2 && d >= 1, "random_regular: need n >= 2, d >= 1");
   PLURALITY_REQUIRE((n * d) % 2 == 0, "random_regular: n*d must be even");
   PLURALITY_REQUIRE(d < n, "random_regular: d must be below n");
@@ -129,13 +129,12 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
   // edge. For d = o(sqrt n) the process gets stuck only with small
   // probability, in which case we restart from scratch.
   //
-  // Each accepted edge goes straight into its final CSR slots (row u at
+  // Each accepted edge goes straight into its final arena slots (row u at
   // u*d + fill[u], in acceptance order) — the same rows from_edges would
   // pack from the accepted edge list, without holding that list.
   const std::uint64_t arcs = n * d;
   std::vector<std::uint32_t> stubs(arcs);
   std::vector<std::uint32_t> fill(n);
-  std::vector<count_t> adjacency(arcs);
   EdgeKeySet seen(arcs);
 
   // Look-ahead (see kAheadPairs): `ahead` replays the draws the real loop
@@ -155,86 +154,83 @@ Topology random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
     ring_size = 0;
   };
 
-  for (int attempt = 0; attempt < 256; ++attempt) {
-    for (count_t v = 0; v < n; ++v) {
-      std::fill_n(stubs.begin() + v * d, d, static_cast<std::uint32_t>(v));
-    }
-    std::fill(fill.begin(), fill.end(), 0);
-    if (attempt > 0) seen.clear();
-    std::size_t free_stubs = stubs.size();
-    reseed(free_stubs);
-    std::size_t misses = 0;
-    bool looking_ahead = true;
-    bool stuck = false;
-    while (free_stubs > 0) {
-      if (looking_ahead) {
-        // Top up by up to two predictions, so a re-seeded ring regrows.
-        for (int k = 0; k < 2 && ring_size < kAheadPairs && ahead_free >= 2; ++k) {
-          const std::size_t i = kernels::uniform_below(ahead, ahead_free);
-          std::size_t j = kernels::uniform_below(ahead, ahead_free - 1);
-          if (j >= i) ++j;
-          ahead_free -= 2;
-          __builtin_prefetch(&stubs[i]);
-          __builtin_prefetch(&stubs[j]);
-          ring[(ring_head + ring_size++) % kAheadPairs] = {i, j};
-        }
-        // kNearPairs out, the stubs are cached: read the predicted endpoints
-        // (possibly stale after swap-pops; only a prefetch depends on them).
-        if (ring_size > kNearPairs) {
-          const auto [i, j] = ring[(ring_head + kNearPairs) % kAheadPairs];
-          const count_t u = stubs[i], v = stubs[j];
-          seen.prefetch(std::min(u, v) * n + std::max(u, v));
-          __builtin_prefetch(&adjacency[u * d], 1);
-          __builtin_prefetch(&adjacency[v * d], 1);
-          __builtin_prefetch(&fill[u], 1);
-          __builtin_prefetch(&fill[v], 1);
-        }
+  return AgentGraph::fixed_degree(n, d, [&](std::uint32_t* rows) {
+    for (int attempt = 0; attempt < 256; ++attempt) {
+      for (count_t v = 0; v < n; ++v) {
+        std::fill_n(stubs.begin() + v * d, d, static_cast<std::uint32_t>(v));
       }
-      bool matched = false;
-      for (int tries = 0; tries < 200; ++tries) {
-        const std::size_t i = rng::uniform_below(gen, free_stubs);
-        std::size_t j = rng::uniform_below(gen, free_stubs - 1);
-        if (j >= i) ++j;
-        const count_t u = stubs[i], v = stubs[j];
-        if (u == v) continue;
-        if (!seen.insert(std::min(u, v) * n + std::max(u, v))) continue;
-        adjacency[u * d + fill[u]++] = v;
-        adjacency[v * d + fill[v]++] = u;
-        // Swap-pop both stubs (larger index first keeps i/j valid).
-        const std::size_t hi = std::max(i, j), lo = std::min(i, j);
-        stubs[hi] = stubs[--free_stubs];
-        stubs[lo] = stubs[--free_stubs];
+      std::fill(fill.begin(), fill.end(), 0);
+      if (attempt > 0) seen.clear();
+      std::size_t free_stubs = stubs.size();
+      reseed(free_stubs);
+      std::size_t misses = 0;
+      bool looking_ahead = true;
+      bool stuck = false;
+      while (free_stubs > 0) {
         if (looking_ahead) {
-          if (tries == 0 && ring_size > 0 && ring[ring_head] == std::pair{i, j}) {
-            ring_head = (ring_head + 1) % kAheadPairs;
-            --ring_size;
-          } else if (++misses * 32 <= stubs.size() - free_stubs + 512) {
-            reseed(free_stubs);
-          } else {
-            looking_ahead = false;
+          // Top up by up to two predictions, so a re-seeded ring regrows.
+          for (int k = 0; k < 2 && ring_size < kAheadPairs && ahead_free >= 2; ++k) {
+            const std::size_t i = kernels::uniform_below(ahead, ahead_free);
+            std::size_t j = kernels::uniform_below(ahead, ahead_free - 1);
+            if (j >= i) ++j;
+            ahead_free -= 2;
+            __builtin_prefetch(&stubs[i]);
+            __builtin_prefetch(&stubs[j]);
+            ring[(ring_head + ring_size++) % kAheadPairs] = {i, j};
+          }
+          // kNearPairs out, the stubs are cached: read the predicted endpoints
+          // (possibly stale after swap-pops; only a prefetch depends on them).
+          if (ring_size > kNearPairs) {
+            const auto [i, j] = ring[(ring_head + kNearPairs) % kAheadPairs];
+            const count_t u = stubs[i], v = stubs[j];
+            seen.prefetch(std::min(u, v) * n + std::max(u, v));
+            __builtin_prefetch(&rows[u * d], 1);
+            __builtin_prefetch(&rows[v * d], 1);
+            __builtin_prefetch(&fill[u], 1);
+            __builtin_prefetch(&fill[v], 1);
           }
         }
-        matched = true;
-        break;
+        bool matched = false;
+        for (int tries = 0; tries < 200; ++tries) {
+          const std::size_t i = rng::uniform_below(gen, free_stubs);
+          std::size_t j = rng::uniform_below(gen, free_stubs - 1);
+          if (j >= i) ++j;
+          const count_t u = stubs[i], v = stubs[j];
+          if (u == v) continue;
+          if (!seen.insert(std::min(u, v) * n + std::max(u, v))) continue;
+          rows[u * d + fill[u]++] = static_cast<std::uint32_t>(v);
+          rows[v * d + fill[v]++] = static_cast<std::uint32_t>(u);
+          // Swap-pop both stubs (larger index first keeps i/j valid).
+          const std::size_t hi = std::max(i, j), lo = std::min(i, j);
+          stubs[hi] = stubs[--free_stubs];
+          stubs[lo] = stubs[--free_stubs];
+          if (looking_ahead) {
+            if (tries == 0 && ring_size > 0 && ring[ring_head] == std::pair{i, j}) {
+              ring_head = (ring_head + 1) % kAheadPairs;
+              --ring_size;
+            } else if (++misses * 32 <= stubs.size() - free_stubs + 512) {
+              reseed(free_stubs);
+            } else {
+              looking_ahead = false;
+            }
+          }
+          matched = true;
+          break;
+        }
+        if (!matched) {
+          stuck = true;
+          break;
+        }
       }
-      if (!matched) {
-        stuck = true;
-        break;
-      }
+      if (!stuck) return;
     }
-    if (!stuck) {
-      std::vector<std::uint64_t> offsets(n + 1);
-      for (count_t v = 0; v <= n; ++v) offsets[v] = v * d;
-      return Topology::from_csr(n, std::move(offsets), std::move(adjacency));
-    }
-  }
-  PLURALITY_CHECK_MSG(false, "random_regular: failed to build a simple graph "
-                             "(n=" << n << ", d=" << d << "); d too close to n?");
-  return Topology::complete(n);  // unreachable
+    PLURALITY_CHECK_MSG(false, "random_regular: failed to build a simple graph "
+                               "(n=" << n << ", d=" << d << "); d too close to n?");
+  });
 }
 
-Topology erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
-                     bool patch_isolated) {
+AgentGraph erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
+                       bool patch_isolated) {
   PLURALITY_REQUIRE(n >= 2, "erdos_renyi: need n >= 2");
   const std::uint64_t max_edges = n * (n - 1) / 2;
   PLURALITY_REQUIRE(m <= max_edges, "erdos_renyi: m exceeds the edge universe");
@@ -275,7 +271,7 @@ Topology erdos_renyi(count_t n, std::uint64_t m, rng::Xoshiro256pp& gen,
       edges.emplace_back(v, u);
     }
   }
-  return Topology::from_edges(n, edges);
+  return AgentGraph::from_edges(n, edges);
 }
 
 }  // namespace plurality::graph

@@ -4,15 +4,6 @@
 
 namespace plurality::graph {
 
-ImplicitTopology ImplicitTopology::gossip(std::uint64_t n) {
-  PLURALITY_REQUIRE(n >= 1, "ImplicitTopology::gossip: need at least one node");
-  ImplicitTopology t;
-  t.family = Family::Gossip;
-  t.n = n;
-  t.degree = n;
-  return t;
-}
-
 ImplicitTopology ImplicitTopology::ring(std::uint64_t n) {
   PLURALITY_REQUIRE(n >= 3, "ImplicitTopology::ring: need n >= 3");
   ImplicitTopology t;

@@ -3,19 +3,19 @@
 // The CSR arena (agent_graph.hpp) caps the graph engine twice over: node
 // ids must fit 32 bits, and the arena itself is O(arcs) bytes of RAM. But
 // the paper grid's structured topologies — ring, torus, circulant
-// d-regular lattice — and the gossip/uniform-pull model of the follow-up
-// paper (arXiv:1407.2565) need no stored adjacency at all: neighbor j of
-// node v is arithmetic on v. An ImplicitTopology descriptor carries that
-// arithmetic; the stepping kernels (kernels.hpp strict, kernels_batched.hpp
-// batched) call neighbor(v, idx) instead of gathering from the arena, so
-// total simulation state collapses to the node-state arrays — at n = 10^9
-// with byte-wide states that is ~2 GB instead of a ~16 GB arena plus
-// 10 GB of workspace.
+// d-regular lattice — need no stored adjacency at all: neighbor j of node
+// v is arithmetic on v. (Nor do the clique and the gossip/uniform-pull
+// model of arXiv:1407.2565, which are both AgentGraph::complete.) An
+// ImplicitTopology descriptor carries that arithmetic; the stepping kernels
+// (kernels.hpp strict, kernels_batched.hpp batched) call neighbor(v, idx)
+// instead of gathering from the arena, so total simulation state collapses
+// to the node-state arrays — at n = 10^9 with byte-wide states that is
+// ~2 GB instead of a ~16 GB arena plus 10 GB of workspace.
 //
-// THE NEIGHBOR ORDER IS A BITWISE CONTRACT: for every family with an arena
-// twin (ring, torus, lattice), neighbor(v, idx) returns EXACTLY the id at
+// THE NEIGHBOR ORDER IS A BITWISE CONTRACT: for every family (ring,
+// torus, lattice), neighbor(v, idx) returns EXACTLY the id at
 // AgentGraph::neighbors_of(v)[idx] of the arena-backed build — the order
-// in which Topology::from_edges encounters v's incident edges in the
+// in which AgentGraph::from_edges encounters v's incident edges in the
 // builder's emission sequence (builders.cpp). The strict and batched
 // samplers draw the same index either way, so implicit and arena runs are
 // bitwise-identical at any n where both exist
@@ -36,8 +36,7 @@ inline constexpr count_t kImplicitAutoThreshold = count_t{1} << 22;
 
 struct ImplicitTopology {
   enum class Family : std::uint8_t {
-    None = 0,  ///< arena-backed graph (no implicit descriptor)
-    Gossip,    ///< uniform pull over the whole population, self included
+    None = 0,  ///< arena-backed or complete graph (no implicit descriptor)
     Ring,      ///< cycle C_n
     Torus,     ///< rows x cols wrap-around grid (4-regular)
     Lattice,   ///< circulant: v ~ v +- j (mod n) for j = 1..degree/2
@@ -48,19 +47,15 @@ struct ImplicitTopology {
   std::uint64_t rows = 0;  ///< Torus only
   std::uint64_t cols = 0;  ///< Torus only
   std::uint64_t half = 0;  ///< Lattice only: degree / 2
-  /// Per-node sampling bound: n for Gossip (self included — the paper's
-  /// clique model), 2 / 4 / d otherwise.
+  /// Per-node sampling bound: 2 / 4 / d.
   std::uint64_t degree = 0;
 
   [[nodiscard]] bool implicit() const { return family != Family::None; }
 
   /// Neighbor `idx` (0 <= idx < degree) of node v, in the arena twin's CSR
-  /// order (see the header comment). Gossip has no arena twin; its
-  /// "adjacency" is the identity over [0, n).
+  /// order (see the header comment).
   [[nodiscard]] std::uint64_t neighbor(std::uint64_t v, std::uint64_t idx) const {
     switch (family) {
-      case Family::Gossip:
-        return idx;
       case Family::Ring:
         // cycle(n) emits edge (v, v+1 mod n) in v order, so node 0 meets
         // edge (0,1) before (n-1,0) and every other node meets its
@@ -111,7 +106,6 @@ struct ImplicitTopology {
     return 0;  // unreachable for a well-formed descriptor
   }
 
-  static ImplicitTopology gossip(std::uint64_t n);
   static ImplicitTopology ring(std::uint64_t n);
   static ImplicitTopology torus(std::uint64_t rows, std::uint64_t cols);
   /// Circulant lattice on n nodes, even degree d with 2 <= d <= n - 2.

@@ -1,7 +1,7 @@
 // Fused per-dynamics stepping kernels for the CSR graph engine.
 //
 // The pre-refactor per-node stepper pays, for every node: an out-of-line
-// Topology::neighbors() call (two checked branches + span construction),
+// AgentGraph::neighbors_of() call (two checked branches + span construction),
 // one out-of-line rng::uniform_below() call per sample, and a virtual
 // Dynamics::apply_rule() dispatch. At n = 10^5..10^7 nodes per round those
 // call boundaries dominate the actual rule work. The kernels here fuse

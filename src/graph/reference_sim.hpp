@@ -4,14 +4,17 @@
 // same sampling order, per-round allocations and all. Do not optimize it —
 // tests/graph/test_graph_determinism.cpp pins the fast engine against it
 // round by round and on golden fixed-seed trajectories, and bench_graphs
-// reports the engine's speedup over it as a measured number.
+// reports the engine's speedup over it as a measured number. It samples
+// through the same packed AgentGraph as the engine (neighbors_of rows, or
+// uniform over [n] on the complete graph); implicit descriptors have no
+// rows and are rejected.
 #pragma once
 
 #include <vector>
 
 #include "core/configuration.hpp"
 #include "core/dynamics.hpp"
-#include "graph/topology.hpp"
+#include "graph/agent_graph.hpp"
 #include "rng/stream.hpp"
 #include "support/types.hpp"
 
@@ -19,9 +22,12 @@ namespace plurality::graph {
 
 class ReferenceGraphSimulation {
  public:
-  ReferenceGraphSimulation(const Dynamics& dynamics, const Topology& topology,
+  /// Borrows `graph`, which must outlive the simulation.
+  ReferenceGraphSimulation(const Dynamics& dynamics, const AgentGraph& graph,
                            const Configuration& start, std::uint64_t seed,
                            bool shuffle_layout = true);
+  ReferenceGraphSimulation(const Dynamics&, AgentGraph&&, const Configuration&,
+                           std::uint64_t, bool = true) = delete;
 
   void step();
 
@@ -35,7 +41,7 @@ class ReferenceGraphSimulation {
 
  private:
   const Dynamics& dynamics_;
-  const Topology& topology_;
+  const AgentGraph& graph_;
   Configuration config_;
   std::vector<state_t> nodes_;
   std::vector<state_t> scratch_;

@@ -234,46 +234,37 @@ void validate_topology_spec(const std::string& spec, count_t n) {
 
 AgentGraph make_topology(const std::string& spec, count_t n, rng::Xoshiro256pp& gen) {
   const auto [kind, arg] = split_spec(spec);
-  if (kind == "clique") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'clique' takes no argument");
-    return AgentGraph::complete(n);
-  }
-  if (kind == "gossip") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'gossip' takes no argument");
-    PLURALITY_REQUIRE(n <= kU32Max,
-                      "topology 'gossip': the batched engine's sample bound is n "
-                      "itself and must fit 32 bits (got " << n << ")");
-    return AgentGraph::implicit(ImplicitTopology::gossip(n));
-  }
+  // Clique and gossip store no adjacency: both are the implicit complete graph.
+  if (kind == "clique" || kind == "gossip") return make_topology_implicit(spec, n);
   if (kind == "ring") {
     PLURALITY_REQUIRE(arg.empty(), "topology 'ring' takes no argument");
     require_arena_ids(spec, n);
-    return AgentGraph::from_topology(cycle(n));
+    return cycle(n);
   }
   if (kind == "torus") {
     const auto [rows, cols] = torus_shape(arg, spec, n);
     require_arena_ids(spec, n);
-    return AgentGraph::from_topology(torus(rows, cols));
+    return torus(rows, cols);
   }
   if (kind == "lattice") {
     const count_t d = lattice_degree(arg, spec, n);
     require_arena_ids(spec, n);
-    return AgentGraph::from_topology(circulant_lattice(n, d));
+    return circulant_lattice(n, d);
   }
   if (kind == "regular") {
     require_arena_ids(spec, n);
     const count_t d = regular_degree(arg, spec, n);
-    return AgentGraph::from_topology(random_regular(n, d, gen));
+    return random_regular(n, d, gen);
   }
   if (kind == "er") {
     require_arena_ids(spec, n);
     const std::uint64_t m = er_edges(arg, spec, n);
-    return AgentGraph::from_topology(erdos_renyi(n, m, gen, /*patch_isolated=*/true));
+    return erdos_renyi(n, m, gen, /*patch_isolated=*/true);
   }
   if (kind == "gnm") {
     require_arena_ids(spec, n);
     const std::uint64_t m = gnm_edges(arg, spec, n);
-    return AgentGraph::from_topology(erdos_renyi(n, m, gen, /*patch_isolated=*/true));
+    return erdos_renyi(n, m, gen, /*patch_isolated=*/true);
   }
   if (kind == "edges") {
     require_arena_ids(spec, n);
@@ -296,7 +287,7 @@ AgentGraph make_topology_implicit(const std::string& spec, count_t n) {
     PLURALITY_REQUIRE(n <= kU32Max,
                       "topology 'gossip': the batched engine's sample bound is n "
                       "itself and must fit 32 bits (got " << n << ")");
-    return AgentGraph::implicit(ImplicitTopology::gossip(n));
+    return AgentGraph::complete(n);
   }
   if (kind == "ring") {
     PLURALITY_REQUIRE(arg.empty(), "topology 'ring' takes no argument");

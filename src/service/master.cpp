@@ -858,6 +858,10 @@ int Master::run() {
     } else if (!finished && pending_count() == 0) {
       write_outputs(/*allow_aggregate=*/true);
       finished = true;
+      if (!opt_.port_file.empty()) {
+        io::atomic_write_text(opt_.port_file, std::to_string(listener.port()) + " " +
+                                                  kPortFileComplete + "\n");
+      }
       // Parked workers already heard "drain"; the rest hear it on their
       // next request. The linger waits only for compute peers to leave (a
       // monitor never would), and gives up on one that never asks again.

@@ -83,6 +83,13 @@ inline constexpr int kExitOrphaned = 3;     ///< worker: master vanished mid-cel
                                             ///< cell file was still written to disk
 inline constexpr int kExitDrained = 130;    ///< both: SIGINT/SIGTERM graceful stop
 
+/// Word a master appends to its port file once its grid is finished
+/// ("<port> complete"). A worker whose connect is refused and that reads
+/// it exits kExitComplete rather than retrying for connect_timeout: the
+/// work is done. A drained master leaves the bare port, so its workers
+/// keep retrying until a resumed master rewrites the file.
+inline constexpr const char* kPortFileComplete = "complete";
+
 /// Malformed frame (not JSON, no "type", wrong field shape). The receiver
 /// drops the connection — a peer speaking garbage cannot be reasoned with.
 class ProtocolError : public std::runtime_error {

@@ -73,7 +73,8 @@ class Worker {
   }
 
   [[nodiscard]] std::uint16_t resolve_port();
-  void handshake();
+  [[nodiscard]] bool master_finished() const;
+  [[nodiscard]] bool handshake();
   LeaseEnd run_lease(const io::JsonValue& lease, sweep::FaultInjector& injector,
                      sweep::Watchdog& watchdog,
                      const std::vector<scenario::ScenarioSpec>& expanded);
@@ -101,6 +102,15 @@ std::uint16_t Worker::resolve_port() {
                       "worker: master port file " << opt_.port_file << " never appeared");
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
+}
+
+/// True once the port file carries the master's finished-grid record.
+bool Worker::master_finished() const {
+  if (opt_.port_file.empty()) return false;
+  std::ifstream in(opt_.port_file);
+  unsigned port = 0;
+  std::string record;
+  return static_cast<bool>(in >> port >> record) && record == kPortFileComplete;
 }
 
 io::JsonValue Worker::exchange(const io::JsonValue& msg) {
@@ -145,11 +155,14 @@ std::optional<io::JsonValue> Worker::request_lease() {
   }
 }
 
-void Worker::handshake() {
+/// Connects and joins the sweep; false if the master had already finished
+/// the grid and left (nothing to join).
+bool Worker::handshake() {
   // The master may still be binding/reconciling: retry the connect until
   // the deadline rather than failing the first refused attempt. Re-resolve
   // the port each round — a port file left by a DRAINED master names a
-  // dead port until the restarted master overwrites it.
+  // dead port until the restarted master overwrites it. A FINISHED master
+  // marks the file, and there is nothing to wait for.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(opt_.connect_timeout_seconds);
   for (;;) {
@@ -157,6 +170,7 @@ void Worker::handshake() {
       conn_ = net::connect_tcp(opt_.host, resolve_port(), 1.0);
       break;
     } catch (const net::NetError&) {
+      if (master_finished()) return false;
       if (std::chrono::steady_clock::now() >= deadline) throw;
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
@@ -176,6 +190,7 @@ void Worker::handshake() {
     welcome_.fault_plan = sweep::FaultPlan::from_json(reply.at("fault_plan"));
   }
   log("joined sweep");
+  return true;
 }
 
 LeaseEnd Worker::run_lease(const io::JsonValue& lease, sweep::FaultInjector& injector,
@@ -327,7 +342,10 @@ LeaseEnd Worker::run_lease(const io::JsonValue& lease, sweep::FaultInjector& inj
 
 int Worker::run() {
   if (opt_.name.empty()) opt_.name = "w" + std::to_string(::getpid());
-  handshake();
+  if (!handshake()) {
+    log("master already finished the grid; exiting");
+    return kExitComplete;
+  }
 
   const std::vector<scenario::ScenarioSpec> expanded = welcome_.spec.expand();
   sweep::FaultInjector injector(welcome_.fault_plan, welcome_.out_dir);

@@ -40,8 +40,10 @@ struct WorkerOptions {
 };
 
 /// Runs the worker loop until the master drains it (0), shutdown (130),
-/// or the master vanishes mid-cell (3). Throws CheckError on unusable
-/// configuration and NetError if the master can never be reached.
+/// or the master vanishes mid-cell (3). Also returns 0 at once when the
+/// port file says the master already finished the grid (kPortFileComplete).
+/// Throws CheckError on unusable configuration and NetError if the master
+/// can never be reached.
 int run_worker(WorkerOptions options);
 
 }  // namespace plurality::service

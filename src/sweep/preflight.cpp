@@ -83,22 +83,20 @@ std::uint64_t sat_bit_ceil(std::uint64_t v) {
   return v > (std::uint64_t{1} << 63) ? kSatMax : std::bit_ceil(v);
 }
 
-/// Bytes allocated while building and packing an arena topology with m
-/// undirected edges (graph/builders.cpp, graph/agent_graph.cpp):
+/// Bytes allocated while building an arena topology with m undirected
+/// edges (graph/builders.cpp, graph/agent_graph.cpp):
 ///   builder scratch   regular: a u32 stub per arc, a u32 row cursor per
 ///                     node and the flat edge-key table (a power of two of
 ///                     at least 2m u64 slots); every other topology: the
-///                     16-byte edge pairs plus from_edges' two u64 counters
-///                     per node, and for er/gnm the same edge-key table
-///   Topology CSR      u64 offsets + a u64 id per arc
+///                     16-byte edge pairs plus two u64 per node of slack,
+///                     and for er/gnm the same edge-key table
 ///   arena             u64 offsets + a u32 id per arc
-/// Billed as one sum although the scratch is freed before the arena is
-/// packed, so the bill errs high by the scratch.
+/// The builders write their rows straight into the arena while the
+/// scratch is live, so the two are billed as one sum.
 std::uint64_t arena_build_bytes(const std::string& kind, std::uint64_t n,
                                 std::uint64_t m) {
   const std::uint64_t arcs = sat_mul(2, m);
   const std::uint64_t offsets = sat_mul(sat_add(n, 1), 8);
-  const std::uint64_t topology_csr = sat_add(offsets, sat_mul(arcs, 8));
   const std::uint64_t arena = sat_add(offsets, sat_mul(arcs, 4));
   const std::uint64_t edge_table = sat_mul(sat_bit_ceil(arcs), 8);
   std::uint64_t scratch = sat_add(sat_mul(m, 16), sat_mul(n, 16));
@@ -107,7 +105,7 @@ std::uint64_t arena_build_bytes(const std::string& kind, std::uint64_t n,
   } else if (kind == "er" || kind == "gnm") {
     scratch = sat_add(scratch, edge_table);
   }
-  return sat_add(sat_add(scratch, topology_csr), arena);
+  return sat_add(scratch, arena);
 }
 
 /// Per-node state bytes of the graph step workspace, matching the memory

@@ -103,7 +103,7 @@ TEST_P(DynamicsProperties, ColorConsensusIsAbsorbing) {
 }
 
 TEST_P(DynamicsProperties, GraphCliqueConservesToo) {
-  graph::GraphSimulation sim(*dynamics_, graph::Topology::complete(n_), start_, 4,
+  graph::GraphSimulation sim(*dynamics_, graph::AgentGraph::complete(n_), start_, 4,
                              /*shuffle_layout=*/false);
   for (int round = 0; round < 10; ++round) {
     sim.step();

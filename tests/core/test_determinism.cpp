@@ -42,7 +42,7 @@ std::vector<count_t> counts_of(const Configuration& c) {
 // graph with the layout unshuffled (states laid out in color order).
 graph::GraphSimulation clique_sim(const Dynamics& dyn, const Configuration& start,
                                   std::uint64_t seed) {
-  return graph::GraphSimulation(dyn, graph::Topology::complete(start.n()), start, seed,
+  return graph::GraphSimulation(dyn, graph::AgentGraph::complete(start.n()), start, seed,
                                 /*shuffle_layout=*/false);
 }
 

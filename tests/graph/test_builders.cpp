@@ -4,22 +4,23 @@
 
 #include <set>
 
+#include "graph_test_utils.hpp"
 #include "support/check.hpp"
 
 namespace plurality::graph {
 namespace {
 
 TEST(Builders, CycleIsTwoRegularAndConnected) {
-  const Topology t = cycle(10);
+  const AgentGraph t = cycle(10);
   EXPECT_EQ(t.num_nodes(), 10u);
   EXPECT_EQ(t.min_degree(), 2u);
   EXPECT_EQ(t.max_degree(), 2u);
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(connected(t));
 }
 
 TEST(Builders, CycleNeighborsAreAdjacent) {
-  const Topology t = cycle(5);
-  const auto n0 = t.neighbors(0);
+  const AgentGraph t = cycle(5);
+  const auto n0 = t.neighbors_of(0);
   const std::set<count_t> neighbors(n0.begin(), n0.end());
   EXPECT_EQ(neighbors, (std::set<count_t>{1, 4}));
 }
@@ -29,16 +30,16 @@ TEST(Builders, CycleTooSmallThrows) {
 }
 
 TEST(Builders, TorusIsFourRegularAndConnected) {
-  const Topology t = torus(4, 5);
+  const AgentGraph t = torus(4, 5);
   EXPECT_EQ(t.num_nodes(), 20u);
   EXPECT_EQ(t.min_degree(), 4u);
   EXPECT_EQ(t.max_degree(), 4u);
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(connected(t));
 }
 
 TEST(Builders, TorusNeighborsWrapAround) {
-  const Topology t = torus(3, 3);
-  const auto n0 = t.neighbors(0);  // node (0,0)
+  const AgentGraph t = torus(3, 3);
+  const auto n0 = t.neighbors_of(0);  // node (0,0)
   const std::set<count_t> neighbors(n0.begin(), n0.end());
   // Right (0,1)=1, left (0,2)=2, down (1,0)=3, up (2,0)=6.
   EXPECT_EQ(neighbors, (std::set<count_t>{1, 2, 3, 6}));
@@ -46,7 +47,7 @@ TEST(Builders, TorusNeighborsWrapAround) {
 
 TEST(Builders, RandomRegularHasExactDegrees) {
   rng::Xoshiro256pp gen(1);
-  const Topology t = random_regular(200, 6, gen);
+  const AgentGraph t = random_regular(200, 6, gen);
   EXPECT_EQ(t.num_nodes(), 200u);
   EXPECT_EQ(t.min_degree(), 6u);
   EXPECT_EQ(t.max_degree(), 6u);
@@ -54,9 +55,9 @@ TEST(Builders, RandomRegularHasExactDegrees) {
 
 TEST(Builders, RandomRegularIsSimple) {
   rng::Xoshiro256pp gen(2);
-  const Topology t = random_regular(100, 4, gen);
+  const AgentGraph t = random_regular(100, 4, gen);
   for (count_t v = 0; v < 100; ++v) {
-    const auto neigh = t.neighbors(v);
+    const auto neigh = t.neighbors_of(v);
     std::set<count_t> unique(neigh.begin(), neigh.end());
     EXPECT_EQ(unique.size(), neigh.size()) << "parallel edge at " << v;
     EXPECT_EQ(unique.count(v), 0u) << "self loop at " << v;
@@ -66,8 +67,8 @@ TEST(Builders, RandomRegularIsSimple) {
 TEST(Builders, RandomRegularTypicallyConnected) {
   // Random d-regular graphs with d >= 3 are connected w.h.p.
   rng::Xoshiro256pp gen(3);
-  const Topology t = random_regular(300, 4, gen);
-  EXPECT_TRUE(t.connected());
+  const AgentGraph t = random_regular(300, 4, gen);
+  EXPECT_TRUE(connected(t));
 }
 
 TEST(Builders, RandomRegularOddProductThrows) {
@@ -78,16 +79,16 @@ TEST(Builders, RandomRegularOddProductThrows) {
 
 TEST(Builders, ErdosRenyiHasRequestedEdges) {
   rng::Xoshiro256pp gen(5);
-  const Topology t = erdos_renyi(100, 400, gen);
+  const AgentGraph t = erdos_renyi(100, 400, gen);
   EXPECT_EQ(t.num_arcs(), 800u);  // each edge stored in both directions
 }
 
 TEST(Builders, ErdosRenyiEdgesAreDistinctAndSimple) {
   rng::Xoshiro256pp gen(6);
-  const Topology t = erdos_renyi(50, 200, gen);
+  const AgentGraph t = erdos_renyi(50, 200, gen);
   std::set<std::pair<count_t, count_t>> seen;
   for (count_t v = 0; v < 50; ++v) {
-    for (count_t u : t.neighbors(v)) {
+    for (count_t u : t.neighbors_of(v)) {
       EXPECT_NE(u, v);
       if (v < u) seen.insert({v, u});
     }
@@ -97,7 +98,7 @@ TEST(Builders, ErdosRenyiEdgesAreDistinctAndSimple) {
 
 TEST(Builders, ErdosRenyiFullGraph) {
   rng::Xoshiro256pp gen(7);
-  const Topology t = erdos_renyi(10, 45, gen);  // complete K10
+  const AgentGraph t = erdos_renyi(10, 45, gen);  // complete K10
   EXPECT_EQ(t.min_degree(), 9u);
 }
 
@@ -115,7 +116,7 @@ TEST(Builders, ErdosRenyiTooManyEdgesThrows) {
 // output pins how many draws the build consumed. Any change to the rejection
 // rule, the retry budget, the restart loop or row order shows up here.
 
-std::uint64_t csr_digest(const Topology& t) {
+std::uint64_t csr_digest(const AgentGraph& t) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t word) {
     for (int b = 0; b < 8; ++b) {
@@ -124,9 +125,9 @@ std::uint64_t csr_digest(const Topology& t) {
     }
   };
   for (count_t v = 0; v < t.num_nodes(); ++v) {
-    const auto row = t.neighbors(v);
+    const auto row = t.neighbors_of(v);
     mix(row.size());
-    for (const count_t u : row) mix(u);
+    for (const std::uint32_t u : row) mix(u);
   }
   return h;
 }
@@ -138,7 +139,7 @@ struct BuildPin {
 
 BuildPin pin_regular(count_t n, count_t d, std::uint64_t seed) {
   rng::Xoshiro256pp gen(seed);
-  const Topology t = random_regular(n, d, gen);
+  const AgentGraph t = random_regular(n, d, gen);
   EXPECT_EQ(t.min_degree(), d);
   EXPECT_EQ(t.max_degree(), d);
   return {csr_digest(t), gen()};
@@ -146,7 +147,7 @@ BuildPin pin_regular(count_t n, count_t d, std::uint64_t seed) {
 
 BuildPin pin_erdos_renyi(count_t n, std::uint64_t m, bool patch, std::uint64_t seed) {
   rng::Xoshiro256pp gen(seed);
-  const Topology t = erdos_renyi(n, m, gen, patch);
+  const AgentGraph t = erdos_renyi(n, m, gen, patch);
   return {csr_digest(t), gen()};
 }
 

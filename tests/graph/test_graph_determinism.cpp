@@ -46,7 +46,7 @@ std::vector<count_t> counts_of(const Configuration& c) {
 
 TEST(GoldenGraphTrajectories, RingMajority) {
   ThreeMajority dyn;
-  const Topology topo = cycle(60);
+  const AgentGraph topo = cycle(60);
   const Configuration start = workloads::additive_bias(60, 3, 18);
   const std::vector<count_t> golden = {33, 8, 19};
 
@@ -61,7 +61,7 @@ TEST(GoldenGraphTrajectories, RingMajority) {
 
 TEST(GoldenGraphTrajectories, TorusUndecided) {
   UndecidedState dyn;
-  const Topology topo = torus(10, 10);
+  const AgentGraph topo = torus(10, 10);
   const Configuration start =
       UndecidedState::extend_with_undecided(workloads::additive_bias(100, 4, 20));
   const std::vector<count_t> golden = {75, 0, 5, 9, 11};
@@ -77,7 +77,7 @@ TEST(GoldenGraphTrajectories, TorusUndecided) {
 
 TEST(GoldenGraphTrajectories, CliqueMajority) {
   ThreeMajority dyn;
-  const Topology topo = Topology::complete(150);
+  const AgentGraph topo = AgentGraph::complete(150);
   const Configuration start = workloads::additive_bias(150, 3, 30);
   const std::vector<count_t> golden = {140, 3, 7};
 
@@ -102,14 +102,13 @@ class EngineVsReference : public ::testing::TestWithParam<EngineVsReferenceCase>
 TEST_P(EngineVsReference, BitwiseEqualOnRandomRegular) {
   const auto& param = GetParam();
   rng::Xoshiro256pp topo_gen(42);
-  const Topology topo = random_regular(200, 6, topo_gen);
-  const AgentGraph csr = AgentGraph::from_topology(topo);
+  const AgentGraph graph = random_regular(200, 6, topo_gen);
 
   Configuration start = workloads::additive_bias(200, 4, 40);
   if (param.extend_undecided) start = UndecidedState::extend_with_undecided(start);
 
-  ReferenceGraphSimulation ref(*param.dynamics, topo, start, 1234);
-  GraphSimulation engine(*param.dynamics, csr, start, 1234);
+  ReferenceGraphSimulation ref(*param.dynamics, graph, start, 1234);
+  GraphSimulation engine(*param.dynamics, graph, start, 1234);
   for (int round = 0; round < 25; ++round) {
     ref.step();
     engine.step();
@@ -122,7 +121,7 @@ TEST_P(EngineVsReference, BitwiseEqualOnRandomRegular) {
 
 TEST_P(EngineVsReference, BitwiseEqualOnClique) {
   const auto& param = GetParam();
-  const Topology topo = Topology::complete(200);
+  const AgentGraph topo = AgentGraph::complete(200);
   Configuration start = workloads::additive_bias(200, 4, 40);
   if (param.extend_undecided) start = UndecidedState::extend_with_undecided(start);
 
@@ -173,8 +172,7 @@ TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
   // cases above never reach it).
   const state_t k = 300;
   rng::Xoshiro256pp topo_gen(77);
-  const Topology topo = random_regular(600, 6, topo_gen);
-  const AgentGraph csr = AgentGraph::from_topology(topo);
+  const AgentGraph graph = random_regular(600, 6, topo_gen);
   std::vector<count_t> counts(k, 2);  // 600 nodes over 300 colors
   const Configuration start(std::move(counts));
 
@@ -182,8 +180,8 @@ TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
   const MedianDynamics median;
   for (const Dynamics* dynamics :
        {static_cast<const Dynamics*>(&voter), static_cast<const Dynamics*>(&median)}) {
-    ReferenceGraphSimulation ref(*dynamics, topo, start, 4242);
-    GraphSimulation engine(*dynamics, csr, start, 4242);
+    ReferenceGraphSimulation ref(*dynamics, graph, start, 4242);
+    GraphSimulation engine(*dynamics, graph, start, 4242);
     for (int round = 0; round < 12; ++round) {
       ref.step();
       engine.step();
@@ -203,7 +201,7 @@ TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
   ThreeMajority majority;
   UndecidedState undecided;
   rng::Xoshiro256pp topo_gen(11);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(120, 4, topo_gen));
+  const AgentGraph graph = random_regular(120, 4, topo_gen);
   const Configuration start_a = workloads::additive_bias(120, 3, 30);
   const Configuration start_b =
       UndecidedState::extend_with_undecided(workloads::additive_bias(120, 5, 20));
@@ -241,7 +239,7 @@ TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
 TEST(GoldenGraphTrajectories, GraphTrialSummary) {
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(8);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(300, 8, topo_gen));
+  const AgentGraph graph = random_regular(300, 8, topo_gen);
   CommonTrialOptions options;
   options.trials = 24;
   options.seed = 31;
@@ -273,7 +271,7 @@ TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
   // that have them); 12x12 chunks are too short and stay scalar. A team of
   // 16 exceeds the lane path's 8 work items per round and steps scalar.
   for (const auto& [side, bias] : {std::pair<count_t, count_t>{12, 40}, {128, 4096}}) {
-    const Topology topo = torus(side, side);
+    const AgentGraph topo = torus(side, side);
     const Configuration start =
         UndecidedState::extend_with_undecided(workloads::additive_bias(side * side, 3, bias));
 
@@ -300,7 +298,7 @@ TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
 
 TrialSummary torus_trials(bool parallel) {
   ThreeMajority dyn;
-  const AgentGraph graph = AgentGraph::from_topology(torus(10, 10));
+  const AgentGraph graph = torus(10, 10);
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 2026;

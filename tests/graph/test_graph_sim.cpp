@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "core/backend.hpp"
 #include "core/majority.hpp"
 #include "core/undecided.hpp"
@@ -16,7 +19,7 @@ namespace {
 
 TEST(GraphSim, PreservesPopulation) {
   ThreeMajority dynamics;
-  const Topology topo = torus(10, 10);
+  const AgentGraph topo = torus(10, 10);
   GraphSimulation sim(dynamics, topo, workloads::additive_bias(100, 3, 30), 1);
   for (int round = 0; round < 20; ++round) {
     sim.step();
@@ -26,7 +29,7 @@ TEST(GraphSim, PreservesPopulation) {
 
 TEST(GraphSim, DeterministicForSeed) {
   ThreeMajority dynamics;
-  const Topology topo = cycle(60);
+  const AgentGraph topo = cycle(60);
   GraphSimulation a(dynamics, topo, workloads::additive_bias(60, 2, 20), 7);
   GraphSimulation b(dynamics, topo, workloads::additive_bias(60, 2, 20), 7);
   for (int round = 0; round < 10; ++round) {
@@ -36,21 +39,49 @@ TEST(GraphSim, DeterministicForSeed) {
   }
 }
 
+TEST(GraphSim, OwnsTemporaryGraphs) {
+  // A temporary graph is moved into the simulation, never borrowed: bound
+  // to the borrowing constructor, every step below would read a destroyed
+  // graph (the sanitizer build reports it). Owned and borrowed runs over
+  // the same graph must agree state for state.
+  ThreeMajority dynamics;
+  const Configuration ring_start = workloads::additive_bias(60, 3, 12);
+  const Configuration clique_start = workloads::additive_bias(150, 3, 30);
+  GraphSimulation owned_ring(dynamics, cycle(60), ring_start, 31);
+  GraphSimulation owned_clique(dynamics, AgentGraph::complete(150), clique_start, 32);
+  const AgentGraph ring = cycle(60);
+  const AgentGraph clique = AgentGraph::complete(150);
+  GraphSimulation named_ring(dynamics, ring, ring_start, 31);
+  GraphSimulation named_clique(dynamics, clique, clique_start, 32);
+  EXPECT_EQ(owned_ring.graph().num_arcs(), 120u);
+  EXPECT_TRUE(owned_clique.graph().is_complete());
+  for (int round = 0; round < 20; ++round) {
+    owned_ring.step();
+    owned_clique.step();
+    named_ring.step();
+    named_clique.step();
+  }
+  EXPECT_EQ(owned_ring.states(), named_ring.states());
+  EXPECT_EQ(owned_ring.configuration(), named_ring.configuration());
+  EXPECT_EQ(owned_clique.states(), named_clique.states());
+  EXPECT_EQ(owned_clique.configuration(), named_clique.configuration());
+}
+
 TEST(GraphSim, PopulationMismatchThrows) {
   ThreeMajority dynamics;
-  const Topology topo = cycle(10);
+  const AgentGraph topo = cycle(10);
   EXPECT_THROW(
       GraphSimulation(dynamics, topo, workloads::additive_bias(20, 2, 5), 1),
       CheckError);
 }
 
 TEST(GraphSim, CompleteTopologyMatchesCliqueBackendInDistribution) {
-  // On Topology::complete, one GraphSimulation round must sample the same
+  // On AgentGraph::complete, one GraphSimulation round must sample the same
   // transition distribution as the clique count-based backend.
   ThreeMajority dynamics;
   const count_t n = 150;
   const Configuration start({80, 40, 30});
-  const Topology topo = Topology::complete(n);
+  const AgentGraph topo = AgentGraph::complete(n);
 
   const int kTrials = 3000;
   std::vector<std::uint64_t> graph_hist(n + 1, 0), count_hist(n + 1, 0);
@@ -74,7 +105,7 @@ TEST(GraphSim, ConsensusOnDenseRandomGraph) {
   // still reach consensus on the plurality.
   ThreeMajority dynamics;
   rng::Xoshiro256pp topo_gen(10);
-  const Topology topo = random_regular(500, 16, topo_gen);
+  const AgentGraph topo = random_regular(500, 16, topo_gen);
   GraphSimulation sim(dynamics, topo, workloads::additive_bias(500, 2, 300), 11);
   const round_t rounds = sim.run_to_consensus(2000);
   EXPECT_LT(rounds, 2000u);
@@ -86,7 +117,7 @@ TEST(GraphSim, VoterOnCycleEventuallyAbsorbs) {
   // The voter on a small cycle absorbs in reasonable time; mostly a smoke
   // test of neighbor sampling on a sparse topology.
   Voter dynamics;
-  const Topology topo = cycle(30);
+  const AgentGraph topo = cycle(30);
   GraphSimulation sim(dynamics, topo, workloads::balanced(30, 2), 12);
   const round_t rounds = sim.run_to_consensus(200000);
   EXPECT_LT(rounds, 200000u);
@@ -95,7 +126,7 @@ TEST(GraphSim, VoterOnCycleEventuallyAbsorbs) {
 
 TEST(GraphSim, ShuffleLayoutChangesNodePlacementNotCounts) {
   ThreeMajority dynamics;
-  const Topology topo = cycle(50);
+  const AgentGraph topo = cycle(50);
   const Configuration start = workloads::additive_bias(50, 2, 10);
   GraphSimulation plain(dynamics, topo, start, 13, /*shuffle_layout=*/false);
   GraphSimulation shuffled(dynamics, topo, start, 13, /*shuffle_layout=*/true);
@@ -114,7 +145,7 @@ TEST(GraphSim, CliqueCountsTrackNodeArray) {
   const Dynamics* dynamics[] = {&majority, &undecided};
   for (int d = 0; d < 2; ++d) {
     const Configuration& start = starts[d];
-    GraphSimulation sim(*dynamics[d], Topology::complete(start.n()), start, 2 + d,
+    GraphSimulation sim(*dynamics[d], AgentGraph::complete(start.n()), start, 2 + d,
                         /*shuffle_layout=*/false);
     for (int round = 0; round < 30; ++round) {
       sim.step();
@@ -128,7 +159,7 @@ TEST(GraphSim, CliqueCountsTrackNodeArray) {
 
 TEST(GraphSim, RoundCounterAdvances) {
   Voter dynamics;
-  const Topology topo = cycle(10);
+  const AgentGraph topo = cycle(10);
   GraphSimulation sim(dynamics, topo, workloads::balanced(10, 2), 14);
   EXPECT_EQ(sim.round(), 0u);
   sim.step();
@@ -143,14 +174,13 @@ TEST(GraphSim, IsolatedVertexRejected) {
   // topology up front instead of drawing uniform_below(gen, 0) mid-round.
   ThreeMajority dynamics;
   const std::vector<std::pair<count_t, count_t>> edges = {{0, 1}, {1, 2}, {2, 0}};
-  const Topology topo = Topology::from_edges(4, edges);
-  EXPECT_EQ(topo.min_degree(), 0u);
-  EXPECT_THROW(GraphSimulation(dynamics, topo, workloads::balanced(4, 2), 1),
-               CheckError);
-  const AgentGraph csr = AgentGraph::from_topology(topo);
+  const AgentGraph csr = AgentGraph::from_edges(4, edges);
   EXPECT_EQ(csr.min_degree(), 0u);
   EXPECT_EQ(csr.degree(3), 0u);
   EXPECT_THROW(GraphSimulation(dynamics, csr, workloads::balanced(4, 2), 1),
+               CheckError);
+  EXPECT_THROW(GraphSimulation(dynamics, AgentGraph::from_edges(4, edges),
+                               workloads::balanced(4, 2), 1),
                CheckError);
 }
 
@@ -158,9 +188,9 @@ TEST(GraphSim, ErdosRenyiPatchIsolatedLeavesNoDegreeZero) {
   // Sparse G(n, m) (m = n/4) leaves many isolated vertices; with
   // patch_isolated every node must end up sampleable.
   rng::Xoshiro256pp gen(15);
-  const Topology sparse = erdos_renyi(200, 50, gen, /*patch_isolated=*/false);
+  const AgentGraph sparse = erdos_renyi(200, 50, gen, /*patch_isolated=*/false);
   EXPECT_EQ(sparse.min_degree(), 0u) << "workload regression: pick a sparser m";
-  const Topology patched = erdos_renyi(200, 50, gen, /*patch_isolated=*/true);
+  const AgentGraph patched = erdos_renyi(200, 50, gen, /*patch_isolated=*/true);
   EXPECT_GE(patched.min_degree(), 1u);
   // Patching must make the topology acceptable to the engine.
   ThreeMajority dynamics;
@@ -177,9 +207,9 @@ TEST(GraphSim, RandomRegularBuilderRejectsSelfLoops) {
   // stub pool is tight.
   for (const count_t n : {8u, 20u, 150u}) {
     rng::Xoshiro256pp gen(17 + n);
-    const Topology topo = random_regular(n, 4, gen);
+    const AgentGraph topo = random_regular(n, 4, gen);
     for (count_t v = 0; v < n; ++v) {
-      for (const count_t u : topo.neighbors(v)) {
+      for (const count_t u : topo.neighbors_of(v)) {
         ASSERT_NE(u, v) << "self-loop at node " << v << " (n=" << n << ")";
       }
     }
@@ -188,9 +218,9 @@ TEST(GraphSim, RandomRegularBuilderRejectsSelfLoops) {
 
 TEST(GraphSim, ErdosRenyiBuilderRejectsSelfLoops) {
   rng::Xoshiro256pp gen(18);
-  const Topology topo = erdos_renyi(120, 300, gen, /*patch_isolated=*/true);
+  const AgentGraph topo = erdos_renyi(120, 300, gen, /*patch_isolated=*/true);
   for (count_t v = 0; v < 120; ++v) {
-    for (const count_t u : topo.neighbors(v)) {
+    for (const count_t u : topo.neighbors_of(v)) {
       ASSERT_NE(u, v) << "self-loop at node " << v;
     }
   }
@@ -200,10 +230,8 @@ TEST(GraphSim, ExplicitSelfLoopsAreStillLegalTopologyInput) {
   // from_edges supports self-loops by contract (sampling semantics): a
   // self-loop contributes ONE arc, and the node can sample itself.
   const std::vector<std::pair<count_t, count_t>> edges = {{0, 0}, {0, 1}, {1, 2}, {2, 0}};
-  const Topology topo = Topology::from_edges(3, edges);
-  EXPECT_EQ(topo.degree(0), 3u);  // self-loop once + two neighbors
-  const AgentGraph csr = AgentGraph::from_topology(topo);
-  EXPECT_EQ(csr.degree(0), 3u);
+  const AgentGraph csr = AgentGraph::from_edges(3, edges);
+  EXPECT_EQ(csr.degree(0), 3u);  // self-loop once + two neighbors
   Voter dynamics;
   GraphSimulation sim(dynamics, csr, workloads::balanced(3, 3), 19,
                       /*shuffle_layout=*/false);
@@ -213,26 +241,29 @@ TEST(GraphSim, ExplicitSelfLoopsAreStillLegalTopologyInput) {
 
 // --- CSR packing. ----------------------------------------------------------
 
-TEST(AgentGraphCsr, PackingPreservesTopology) {
+TEST(AgentGraphCsr, RowsCoverEveryEdgeBothWays) {
+  // Every stored arc u -> v has its twin v -> u, and the degree bounds
+  // are those of the rows.
   rng::Xoshiro256pp gen(20);
-  const Topology topo = erdos_renyi(80, 200, gen, /*patch_isolated=*/true);
-  const AgentGraph csr = AgentGraph::from_topology(topo);
-  ASSERT_EQ(csr.num_nodes(), topo.num_nodes());
-  ASSERT_EQ(csr.num_arcs(), topo.num_arcs());
-  EXPECT_EQ(csr.min_degree(), topo.min_degree());
-  EXPECT_EQ(csr.max_degree(), topo.max_degree());
+  const AgentGraph csr = erdos_renyi(80, 200, gen, /*patch_isolated=*/true);
+  std::multiset<std::pair<count_t, count_t>> arcs;
+  count_t min_deg = csr.num_nodes(), max_deg = 0;
   for (count_t v = 0; v < csr.num_nodes(); ++v) {
-    const auto expected = topo.neighbors(v);
-    const auto actual = csr.neighbors_of(v);
-    ASSERT_EQ(actual.size(), expected.size()) << "node " << v;
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-      ASSERT_EQ(static_cast<count_t>(actual[i]), expected[i]) << "node " << v;
-    }
+    const auto row = csr.neighbors_of(v);
+    min_deg = std::min<count_t>(min_deg, row.size());
+    max_deg = std::max<count_t>(max_deg, row.size());
+    for (const std::uint32_t u : row) arcs.insert({v, u});
   }
+  EXPECT_EQ(arcs.size(), csr.num_arcs());
+  for (const auto& [v, u] : arcs) {
+    ASSERT_EQ(arcs.count({u, v}), arcs.count({v, u})) << v << " -> " << u;
+  }
+  EXPECT_EQ(csr.min_degree(), min_deg);
+  EXPECT_EQ(csr.max_degree(), max_deg);
 }
 
 TEST(AgentGraphCsr, SingleArenaLayout) {
-  const AgentGraph csr = AgentGraph::from_topology(cycle(10));
+  const AgentGraph csr = cycle(10);
   // Offsets and neighbors live in one contiguous arena: the neighbor array
   // begins exactly one u64 row past the n+1 offsets.
   EXPECT_EQ(static_cast<const void*>(csr.neighbors()),

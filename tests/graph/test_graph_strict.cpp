@@ -120,7 +120,7 @@ TEST(GraphStrict, SimdMatchesScalarBitwise) {
     rng::Xoshiro256pp topo_gen(n);
     const std::array<std::pair<const char*, AgentGraph>, 2> graphs = {
         std::pair{"clique", AgentGraph::complete(n)},
-        std::pair{"regular:8", AgentGraph::from_topology(random_regular(n, 8, topo_gen))}};
+        std::pair{"regular:8", random_regular(n, 8, topo_gen)}};
     for (const state_t k : {state_t{2}, state_t{17}, state_t{200}}) {
       for (const Dynamics* dyn : dynamics) {
         const Configuration start = dyn == &undecided
@@ -218,8 +218,8 @@ TEST(GraphStrict, LaneKernelsRedoRejectedDraws) {
   // Degree 6 rejects below threshold 4; degree 8 (a power of two) flags the
   // draw but accepts it (threshold 0).
   const AgentGraph clique = AgentGraph::complete(n);
-  const AgentGraph regular6 = AgentGraph::from_topology(random_regular(n, 6, topo_gen));
-  const AgentGraph regular8 = AgentGraph::from_topology(random_regular(n, 8, topo_gen));
+  const AgentGraph regular6 = random_regular(n, 6, topo_gen);
+  const AgentGraph regular8 = random_regular(n, 8, topo_gen);
   const state_t k = 4;  // undecided: state 3
   std::vector<std::uint8_t> nodes8(n + 4, 0);
   rng::Xoshiro256pp fill(9);

@@ -29,7 +29,7 @@ std::vector<count_t> tally(const std::vector<state_t>& nodes, state_t k) {
 TEST(GraphTrials, BiasedStartOnExpanderReachesPluralityConsensus) {
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(5);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(400, 10, topo_gen));
+  const AgentGraph graph = random_regular(400, 10, topo_gen);
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 9;
@@ -45,7 +45,7 @@ TEST(GraphTrials, BiasedStartOnExpanderReachesPluralityConsensus) {
 TEST(GraphTrials, RoundLimitIsReported) {
   // The voter on a large cycle mixes in Θ(n^2); 3 rounds cannot absorb.
   Voter dyn;
-  const AgentGraph graph = AgentGraph::from_topology(cycle(200));
+  const AgentGraph graph = cycle(200);
   CommonTrialOptions options;
   options.trials = 8;
   options.seed = 11;
@@ -63,7 +63,7 @@ TEST(GraphTrials, MPluralityPredicateStopsTrials) {
   // never later than that twin's consensus.
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(5);
-  const AgentGraph graph = AgentGraph::from_topology(random_regular(400, 10, topo_gen));
+  const AgentGraph graph = random_regular(400, 10, topo_gen);
   const Configuration start = workloads::additive_bias(400, 3, 150);
   CommonTrialOptions options;
   options.trials = 12;
@@ -89,7 +89,7 @@ TEST(GraphTrials, MPluralityPredicateStopsTrials) {
 
 TEST(GraphTrials, FactoryReceivesTrialIndex) {
   ThreeMajority dyn;
-  const AgentGraph graph = AgentGraph::from_topology(cycle(60));
+  const AgentGraph graph = cycle(60);
   CommonTrialOptions options;
   options.trials = 6;
   options.seed = 3;

@@ -9,17 +9,19 @@
 //  * Trajectory equivalence: implicit vs arena full-state trajectories are
 //    bitwise-equal in BOTH engine modes, and invariant under the OpenMP
 //    team size.
-//  * Gossip: trajectory-equal to the implicit clique (it reuses the
-//    complete-graph kernels; the descriptor only changes bookkeeping).
+//  * Gossip: topology=gossip and topology=clique backend=graph compile to
+//    the same complete graph, so their scenario summaries are identical.
 //  * Bytes-only memory mode: run_graph_trials summaries are bitwise-equal
 //    with the mode forced on vs off (the u32 arrays it drops were
 //    write-only).
-//  * Adoption-law battery: one-round chi-square pins for gossip and the
-//    implicit families in both modes, with the exact law computed from
-//    ImplicitTopology::neighbor itself (the arena is not consulted).
+//  * Adoption-law battery: one-round chi-square pins for the complete
+//    graph and the implicit families in both modes, with the exact law
+//    computed from ImplicitTopology::neighbor itself (the arena is not
+//    consulted).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/majority.hpp"
@@ -30,6 +32,7 @@
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
 #include "graph/implicit_topology.hpp"
+#include "scenario/scenario.hpp"
 #include "stats/chi_square.hpp"
 
 #if defined(PLURALITY_HAVE_OPENMP)
@@ -39,9 +42,8 @@
 namespace plurality::graph {
 namespace {
 
-void expect_matches_arena_rows(const ImplicitTopology& topo, const Topology& arena_topo,
+void expect_matches_arena_rows(const ImplicitTopology& topo, const AgentGraph& arena,
                                const char* label) {
-  const AgentGraph arena = AgentGraph::from_topology(arena_topo);
   ASSERT_EQ(arena.num_nodes(), topo.n) << label;
   for (count_t v = 0; v < arena.num_nodes(); ++v) {
     const auto row = arena.neighbors_of(v);
@@ -100,13 +102,13 @@ TEST(ImplicitTopology, ImplicitMatchesArenaBitwise) {
     AgentGraph implicit_graph;
   };
   std::vector<Case> cases;
-  cases.push_back({"ring", AgentGraph::from_topology(cycle(900)),
+  cases.push_back({"ring", cycle(900),
                    AgentGraph::implicit(ImplicitTopology::ring(900))});
-  cases.push_back({"torus", AgentGraph::from_topology(torus(30, 30)),
+  cases.push_back({"torus", torus(30, 30),
                    AgentGraph::implicit(ImplicitTopology::torus(30, 30))});
-  cases.push_back({"torus 20x45", AgentGraph::from_topology(torus(20, 45)),
+  cases.push_back({"torus 20x45", torus(20, 45),
                    AgentGraph::implicit(ImplicitTopology::torus(20, 45))});
-  cases.push_back({"lattice:6", AgentGraph::from_topology(circulant_lattice(900, 6)),
+  cases.push_back({"lattice:6", circulant_lattice(900, 6),
                    AgentGraph::implicit(ImplicitTopology::lattice(900, 6))});
   const Configuration start = workloads::additive_bias(900, 3, 200);
   for (auto& c : cases) {
@@ -120,16 +122,22 @@ TEST(ImplicitTopology, ImplicitMatchesArenaBitwise) {
 }
 
 TEST(ImplicitTopology, GossipMatchesCliqueBitwise) {
-  ThreeMajority majority;
-  const AgentGraph gossip = AgentGraph::implicit(ImplicitTopology::gossip(900));
-  const AgentGraph clique = AgentGraph::complete(900);
-  EXPECT_TRUE(gossip.is_complete());
-  EXPECT_EQ(gossip.max_degree(), 900u);
-  const Configuration start = workloads::additive_bias(900, 3, 200);
-  for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
-    ASSERT_EQ(trajectory(majority, gossip, start, 44, 4, mode),
-              trajectory(majority, clique, start, 44, 4, mode))
-        << (mode == EngineMode::Batched ? "batched" : "strict");
+  // Gossip is uniform pull over the whole population — the clique's
+  // sampling, kept on the node engine — so the spec-level pair must agree
+  // summary for summary under both engines.
+  for (const char* engine : {"strict", "batched"}) {
+    const std::string tail = std::string(" engine=") + engine +
+                             " dynamics=3-majority workload=bias:200 n=900 k=3 trials=6 "
+                             "seed=44";
+    const scenario::ScenarioResult gossip =
+        scenario::run_scenario(scenario::ScenarioSpec::parse("topology=gossip" + tail));
+    const scenario::ScenarioResult clique = scenario::run_scenario(
+        scenario::ScenarioSpec::parse("topology=clique backend=graph" + tail));
+    EXPECT_EQ(gossip.resolved.backend, "graph") << engine;
+    EXPECT_EQ(scenario::scenario_result_to_json(gossip).at("summary").to_compact_string(),
+              scenario::scenario_result_to_json(clique).at("summary").to_compact_string())
+        << engine;
+    EXPECT_EQ(gossip.summary.round_samples, clique.summary.round_samples) << engine;
   }
 }
 
@@ -165,7 +173,7 @@ TEST(ImplicitTopology, BytesOnlyModeIsBitwiseInvisible) {
   // run_graph_trials with the byte-array-only workspace forced on vs off:
   // identical TrialSummary (the u32 arrays the mode drops were never read).
   ThreeMajority majority;
-  const AgentGraph graph = AgentGraph::implicit(ImplicitTopology::gossip(600));
+  const AgentGraph graph = AgentGraph::complete(600);
   const Configuration start = workloads::additive_bias(600, 3, 180);
   CommonTrialOptions options;
   options.trials = 24;
@@ -190,14 +198,19 @@ TEST(ImplicitTopology, BytesOnlyModeIsBitwiseInvisible) {
 /// Exact next-state law of `node`, with the neighborhood multiset read off
 /// ImplicitTopology::neighbor — deliberately NOT the arena (that equality
 /// has its own pin above); a bug in the implicit sampler's indexing would
-/// make the engine disagree with this law.
-std::vector<double> implicit_node_law(const Dynamics& dynamics,
-                                      const ImplicitTopology& topo,
-                                      const std::vector<state_t>& layout, count_t node,
-                                      state_t states) {
+/// make the engine disagree with this law. On the complete graph the
+/// neighborhood is the whole population, self included.
+std::vector<double> node_law(const Dynamics& dynamics, const AgentGraph& graph,
+                             const std::vector<state_t>& layout, count_t node,
+                             state_t states) {
   std::vector<double> neighborhood(states, 0.0);
-  for (std::uint64_t idx = 0; idx < topo.degree; ++idx) {
-    neighborhood[layout[topo.neighbor(node, idx)]] += 1.0;
+  if (graph.is_complete()) {
+    for (const state_t s : layout) neighborhood[s] += 1.0;
+  } else {
+    const ImplicitTopology& topo = graph.implicit_topology();
+    for (std::uint64_t idx = 0; idx < topo.degree; ++idx) {
+      neighborhood[layout[topo.neighbor(node, idx)]] += 1.0;
+    }
   }
   std::vector<double> law(states, 0.0);
   if (dynamics.law_depends_on_own_state()) {
@@ -208,14 +221,13 @@ std::vector<double> implicit_node_law(const Dynamics& dynamics,
   return law;
 }
 
-void expect_implicit_matches_law(const Dynamics& dynamics, const ImplicitTopology& topo,
-                                 const Configuration& start, count_t node,
-                                 std::uint64_t seed_base, int trials = 6000) {
-  const AgentGraph graph = AgentGraph::implicit(topo);
+void expect_matches_law(const Dynamics& dynamics, const AgentGraph& graph,
+                        const Configuration& start, count_t node, std::uint64_t seed_base,
+                        int trials = 6000) {
   const state_t states = start.k();
   GraphSimulation probe(dynamics, graph, start, seed_base, /*shuffle_layout=*/false);
   const std::vector<state_t> layout = probe.states();
-  const std::vector<double> law = implicit_node_law(dynamics, topo, layout, node, states);
+  const std::vector<double> law = node_law(dynamics, graph, layout, node, states);
 
   for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
     std::vector<std::uint64_t> observed(states, 0);
@@ -240,42 +252,39 @@ Configuration battery_start(count_t n) {
   return Configuration(std::vector<count_t>{3, 2, n - 5});
 }
 
-TEST(ImplicitLawBattery, GossipMatchesLaw) {
-  // Gossip's law is the adoption law of the whole configuration, self
-  // included — exactly the uniform-pull model of arXiv:1407.2565.
+TEST(ImplicitLawBattery, CompleteGraphMatchesLaw) {
+  // The complete graph's law (topology=clique or gossip) is the adoption
+  // law of the whole configuration, self included — exactly the
+  // uniform-pull model of arXiv:1407.2565.
   ThreeMajority majority;
-  expect_implicit_matches_law(majority, ImplicitTopology::gossip(7), battery_start(7),
-                              0, 110'000);
+  expect_matches_law(majority, AgentGraph::complete(7), battery_start(7), 0, 110'000);
   Voter voter;
-  expect_implicit_matches_law(voter, ImplicitTopology::gossip(7), battery_start(7),
-                              3, 120'000);
+  expect_matches_law(voter, AgentGraph::complete(7), battery_start(7), 3, 120'000);
 }
 
 TEST(ImplicitLawBattery, RingMatchesLaw) {
   ThreeMajority majority;
+  const AgentGraph ring = AgentGraph::implicit(ImplicitTopology::ring(7));
   // Node 4 sees colors {1, 2} (ids 3 and 5) — a genuinely mixed boundary.
-  expect_implicit_matches_law(majority, ImplicitTopology::ring(7), battery_start(7),
-                              4, 130'000);
+  expect_matches_law(majority, ring, battery_start(7), 4, 130'000);
   // Node 0 wraps: neighbors n-1 (color 2) and 1 (color 0).
-  expect_implicit_matches_law(majority, ImplicitTopology::ring(7), battery_start(7),
-                              0, 140'000);
+  expect_matches_law(majority, ring, battery_start(7), 0, 140'000);
 }
 
 TEST(ImplicitLawBattery, TorusMatchesLaw) {
   ThreeMajority majority;
+  const AgentGraph torus3 = AgentGraph::implicit(ImplicitTopology::torus(3, 3));
   // 3x3: node 4 (interior of the id range) sees ids {1, 3, 5, 7} = colors
   // {0, 1, 2, 2}; node 0 wraps both axes.
-  expect_implicit_matches_law(majority, ImplicitTopology::torus(3, 3), battery_start(9),
-                              4, 150'000);
-  expect_implicit_matches_law(majority, ImplicitTopology::torus(3, 3), battery_start(9),
-                              0, 160'000);
+  expect_matches_law(majority, torus3, battery_start(9), 4, 150'000);
+  expect_matches_law(majority, torus3, battery_start(9), 0, 160'000);
 }
 
 TEST(ImplicitLawBattery, LatticeMatchesLaw) {
   ThreeMajority majority;
   // degree 4 on 9 nodes: node 4 sees ids {2, 3, 5, 6} = colors {0, 1, 2, 2}.
-  expect_implicit_matches_law(majority, ImplicitTopology::lattice(9, 4),
-                              battery_start(9), 4, 170'000);
+  expect_matches_law(majority, AgentGraph::implicit(ImplicitTopology::lattice(9, 4)),
+                     battery_start(9), 4, 170'000);
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ TEST(Edge, MedianWithTwoNodesAndThreeColors) {
 
 TEST(Edge, GraphCliqueTinyPopulation) {
   ThreeMajority dynamics;
-  graph::GraphSimulation sim(dynamics, graph::Topology::complete(3), Configuration({2, 1}),
+  graph::GraphSimulation sim(dynamics, graph::AgentGraph::complete(3), Configuration({2, 1}),
                              10, /*shuffle_layout=*/false);
   for (int round = 0; round < 50; ++round) {
     sim.step();

@@ -797,5 +797,41 @@ TEST_F(ServiceTest, IdleWorkerLeavesOnShutdownWhileParked) {
   EXPECT_FALSE(conn.recv_line(line, 1.0)) << "worker sent '" << line << "'";
 }
 
+// --- workers that arrive after the grid ------------------------------------
+
+TEST_F(ServiceTest, LateWorkerExitsCompleteAfterFinishedGrid) {
+  // A worker that starts after the master finished the grid and left must
+  // not retry a refused connect for its whole connect timeout: the port
+  // file records the finish, and the worker exits 0 at once.
+  const fs::path dir = fresh_dir("late_worker");
+  const MasterOptions options = one_cell_master(dir);
+  int master_exit = -1;
+  std::thread master([&] { master_exit = run_master(options); });
+  const std::uint16_t port = wait_for_port(dir / "port");
+  {
+    FakeWorker holder(port, "holder");
+    compute_and_complete(holder, holder.acquire_lease(), options);
+  }
+  master.join();
+  ASSERT_EQ(master_exit, kExitComplete);
+
+  WorkerOptions late;
+  late.port_file = (dir / "port").string();
+  late.name = "late";
+  late.connect_timeout_seconds = 5.0;
+  late.verbose = false;
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_EQ(run_worker(late), kExitComplete);
+  EXPECT_LT(seconds_since(started), 1.0);
+
+  // A drained master leaves the bare port: its workers keep retrying for
+  // a resumed master until the connect timeout, as before.
+  io::atomic_write_text(late.port_file, std::to_string(port) + "\n");
+  late.connect_timeout_seconds = 0.3;
+  const auto retried = std::chrono::steady_clock::now();
+  EXPECT_THROW(run_worker(late), net::NetError);
+  EXPECT_GE(seconds_since(retried), 0.3);
+}
+
 }  // namespace
 }  // namespace plurality::service

@@ -15,8 +15,9 @@
 // local-orchestrator mode: it finishes the cell, the file lands on
 // disk, and a restarted master reconciles it from there.
 //
-// Exit codes: 0 drained by the master (grid done) or idle when the
-// master vanished, 1 usage/config error, 3 orphaned mid-cell (work
+// Exit codes: 0 drained by the master (grid done), idle when the master
+// vanished, or started after the master finished the grid (its port file
+// then reads "<port> complete"), 1 usage/config error, 3 orphaned mid-cell (work
 // committed locally, report lost), 130 shutdown signal, 86 injected
 // crash fault.
 #include <iostream>
