@@ -28,10 +28,10 @@
 
 namespace plurality::graph {
 
-/// Auto-resolution threshold of the scenario layer's topology_backend:
-/// implicit-capable topologies at n >= this compile to the implicit path
-/// (no arena); below it the arena build is cheap and keeps the fused SIMD
-/// regular-CSR kernels in play.
+/// Where the scenario layer switches topology stores
+/// (ScenarioSpec::resolved_topology_backend): ring, torus and lattice at
+/// n >= this compile to the implicit path (no arena); below it the arena
+/// build is cheap and keeps the fused SIMD regular-CSR kernels in play.
 inline constexpr count_t kImplicitAutoThreshold = count_t{1} << 22;
 
 struct ImplicitTopology {

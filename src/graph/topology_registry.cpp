@@ -26,8 +26,16 @@ void require_arena_ids(const std::string& spec, count_t n) {
                     "topology '" << spec << "': node ids are 32-bit in the CSR "
                     "arena, so n is capped at 4294967295 (got " << n << "); for "
                     "larger populations use an implicit topology — 'ring', "
-                    "'torus', 'lattice:<d>' (with topology_backend=implicit or "
-                    "auto) have no id cap");
+                    "'torus' and 'lattice:<d>' are built implicitly at that size "
+                    "and have no id cap");
+}
+
+/// Clique and gossip: the batched sampler's bound is n itself.
+void require_sample_bound(const std::string& kind, const std::string& arg, count_t n) {
+  PLURALITY_REQUIRE(arg.empty(), "topology '" << kind << "' takes no argument");
+  PLURALITY_REQUIRE(n <= kU32Max,
+                    "topology '" << kind << "': the batched engine's sample bound is n "
+                    "itself and must fit 32 bits (got " << n << ")");
 }
 
 std::uint64_t parse_uint_field(const std::string& text, const std::string& spec,
@@ -179,18 +187,8 @@ bool topology_is_implicit_capable(const std::string& spec) {
 void validate_topology_spec(const std::string& spec, count_t n) {
   PLURALITY_REQUIRE(n >= 1, "topology '" << spec << "': n must be >= 1");
   const auto [kind, arg] = split_spec(spec);
-  if (kind == "clique") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'clique' takes no argument");
-    PLURALITY_REQUIRE(n <= kU32Max,
-                      "topology 'clique': the batched engine's sample bound is n "
-                      "itself and must fit 32 bits (got " << n << ")");
-    return;
-  }
-  if (kind == "gossip") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'gossip' takes no argument");
-    PLURALITY_REQUIRE(n <= kU32Max,
-                      "topology 'gossip': the batched engine's sample bound is n "
-                      "itself and must fit 32 bits (got " << n << ")");
+  if (kind == "clique" || kind == "gossip") {
+    require_sample_bound(kind, arg, n);
     return;
   }
   if (kind == "ring") {
@@ -278,15 +276,8 @@ AgentGraph make_topology(const std::string& spec, count_t n, rng::Xoshiro256pp& 
 
 AgentGraph make_topology_implicit(const std::string& spec, count_t n) {
   const auto [kind, arg] = split_spec(spec);
-  if (kind == "clique") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'clique' takes no argument");
-    return AgentGraph::complete(n);
-  }
-  if (kind == "gossip") {
-    PLURALITY_REQUIRE(arg.empty(), "topology 'gossip' takes no argument");
-    PLURALITY_REQUIRE(n <= kU32Max,
-                      "topology 'gossip': the batched engine's sample bound is n "
-                      "itself and must fit 32 bits (got " << n << ")");
+  if (kind == "clique" || kind == "gossip") {
+    require_sample_bound(kind, arg, n);
     return AgentGraph::complete(n);
   }
   if (kind == "ring") {

@@ -39,14 +39,11 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
 
   compiled.use_graph_ = backend == "graph";
   if (compiled.use_graph_) {
-    // topology_backend "auto" resolves here (echoed into the resolved spec
-    // like `backend` above). Implicit builds are deterministic and
-    // arena-free; arena builds draw their randomness from a dedicated
-    // stream family so the SAME seed reproduces the same random graph
-    // without touching trial streams.
-    const std::string topo_backend = spec.resolved_topology_backend();
-    compiled.spec_.topology_backend = topo_backend;
-    if (topo_backend == "implicit") {
+    // The topology store follows from the topology and n. Implicit builds
+    // are deterministic and arena-free; arena builds draw their randomness
+    // from a dedicated stream family so the SAME seed reproduces the same
+    // random graph without touching trial streams.
+    if (spec.resolved_topology_backend() == "implicit") {
       compiled.graph_ = graph::make_topology_implicit(spec.topology, spec.n);
     } else {
       rng::Xoshiro256pp topo_gen =
@@ -112,7 +109,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, RoundObserver* observer,
 io::JsonValue scenario_result_to_json(const ScenarioResult& result) {
   io::JsonValue doc = io::JsonValue::object();
   doc.set("schema_version", 1);
-  doc.set("spec", result.resolved.to_json());
+  io::JsonValue& spec = doc.set("spec", result.resolved.to_json());
+  if (result.resolved.backend == "graph") {
+    // Not a spec field: the store that ran is echoed for readers, and
+    // from_json drops it again when the echo is re-parsed.
+    spec.set("topology_backend", result.resolved.resolved_topology_backend());
+  }
 
   const TrialSummary& summary = result.summary;
   io::JsonValue& out = doc.set("summary", io::JsonValue::object());

@@ -90,9 +90,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, RoundObserver* observer = 
                             const CancellationToken* cancel = nullptr);
 
 /// The result as an ordered JSON document (schema_version 1): the resolved
-/// spec echo, the summary counters/rates, round statistics (mean/min/max
-/// and p50/p95 where any trial stopped), and timing. Written via the
-/// existing src/io writer.
+/// spec echo (graph-backend runs add the topology store that ran as
+/// `topology_backend`), the summary counters/rates, round statistics
+/// (mean/min/max and p50/p95 where any trial stopped), and timing. Written
+/// via the existing src/io writer.
 io::JsonValue scenario_result_to_json(const ScenarioResult& result);
 
 }  // namespace plurality::scenario

@@ -65,7 +65,16 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
   } else if (key == "stop") {
     spec.stop = value.as_string();
   } else if (key == "topology_backend") {
-    spec.topology_backend = value.as_string();
+    // Removed field: compile picks the topology store from the topology and
+    // n, and no store ever changed results, so the old values are dropped
+    // (result echoes still name the store that ran and must re-parse).
+    const bool legacy = value.is_string() && (value.as_string() == "auto" ||
+                                              value.as_string() == "arena" ||
+                                              value.as_string() == "implicit");
+    PLURALITY_REQUIRE(legacy, "scenario: field 'topology_backend' was removed; the "
+                              "topology store is picked from the topology and n "
+                              "(only the old values auto, arena and implicit are still "
+                              "accepted) — drop the field");
   } else if (key == "graph_layout") {
     // Removed field: "identity" names what every run does and is dropped.
     PLURALITY_REQUIRE(value.is_string() && value.as_string() == "identity",
@@ -101,8 +110,8 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
     PLURALITY_REQUIRE(false,
                       "scenario: unknown field '"
                           << key << "'; known: dynamics, workload, topology, adversary, "
-                          << "backend, engine, stop, topology_backend, "
-                          << "n, k, trials, seed, max_rounds, parallel, shuffle_layout");
+                          << "backend, engine, stop, n, k, trials, seed, max_rounds, "
+                          << "parallel, shuffle_layout");
   }
 }
 
@@ -114,17 +123,6 @@ std::string resolve_backend_impl(const ScenarioSpec& spec, const Dynamics& dyn) 
   const bool count =
       graph::topology_is_clique(spec.topology) && dyn.has_exact_law(dyn.num_states(spec.k));
   return count ? "count" : "graph";
-}
-
-/// The topology backend "auto" denotes (shared by validate() and
-/// Scenario::compile() so both always agree on what gets built).
-std::string resolve_topology_backend_impl(const ScenarioSpec& spec) {
-  if (spec.topology_backend != "auto") return spec.topology_backend;
-  if (!graph::topology_is_implicit_capable(spec.topology)) return "arena";
-  const std::string kind = split_spec(spec.topology).kind;
-  // Clique/gossip store nothing either way; report them as implicit.
-  if (kind == "clique" || kind == "gossip") return "implicit";
-  return spec.n >= graph::kImplicitAutoThreshold ? "implicit" : "arena";
 }
 
 }  // namespace
@@ -202,7 +200,6 @@ io::JsonValue ScenarioSpec::to_json() const {
   doc.set("backend", backend);
   doc.set("engine", engine);
   doc.set("stop", stop);
-  doc.set("topology_backend", topology_backend);
   doc.set("n", std::uint64_t{n});
   doc.set("k", std::uint64_t{k});
   doc.set("trials", trials);
@@ -217,8 +214,7 @@ std::string ScenarioSpec::to_spec_string() const {
   std::ostringstream os;
   os << "dynamics=" << dynamics << " workload=" << workload << " topology=" << topology
      << " adversary=" << adversary << " backend=" << backend << " engine=" << engine
-     << " stop=" << stop << " topology_backend=" << topology_backend << " n=" << n
-     << " k=" << k << " trials=" << trials
+     << " stop=" << stop << " n=" << n << " k=" << k << " trials=" << trials
      << " seed=" << seed << " max_rounds=" << max_rounds
      << " parallel=" << (parallel ? "true" : "false")
      << " shuffle_layout=" << (shuffle_layout ? "true" : "false");
@@ -232,7 +228,11 @@ std::string ScenarioSpec::resolved_backend() const {
 
 std::string ScenarioSpec::resolved_topology_backend() const {
   validate();
-  return resolve_topology_backend_impl(*this);
+  if (!graph::topology_is_implicit_capable(topology)) return "arena";
+  const std::string kind = split_spec(topology).kind;
+  // Clique/gossip store nothing either way; report them as implicit.
+  if (kind == "clique" || kind == "gossip") return "implicit";
+  return n >= graph::kImplicitAutoThreshold ? "implicit" : "arena";
 }
 
 void ScenarioSpec::validate() const {
@@ -266,29 +266,6 @@ void ScenarioSpec::validate() const {
                         << backend
                         << "' (backend 'agent' was removed; backend 'graph' (or "
                            "'auto') runs the same per-node clique process)");
-  PLURALITY_REQUIRE(topology_backend == "auto" || topology_backend == "arena" ||
-                        topology_backend == "implicit",
-                    "scenario: topology_backend must be auto/arena/implicit, got '"
-                        << topology_backend << "'");
-  if (topology_backend == "implicit") {
-    PLURALITY_REQUIRE(graph::topology_is_implicit_capable(topology),
-                      "scenario: topology '" << topology << "' has no implicit form; "
-                      "implicit-capable: clique, gossip, ring, torus[:<r>x<c>], "
-                      "lattice:<d>; use topology_backend 'arena' (or 'auto')");
-  }
-  if (topology_backend == "arena") {
-    const std::string topo_kind = split_spec(topology).kind;
-    PLURALITY_REQUIRE(topo_kind != "clique" && topo_kind != "gossip",
-                      "scenario: topology '" << topology << "' is implicit by "
-                      "construction (there is no CSR arena to build); use "
-                      "topology_backend 'implicit' or 'auto'");
-    PLURALITY_REQUIRE(n <= 4294967295ULL,
-                      "scenario: topology_backend 'arena' packs node ids as u32, "
-                      "capping n at 4294967295 (got " << n << "); use "
-                      "topology_backend 'implicit' (ring, torus, lattice:<d>) or "
-                      "topology 'gossip'");
-  }
-
   const bool clique = graph::topology_is_clique(topology);
   const state_t states = dyn->num_states(k);
   if (backend == "count") {

@@ -19,7 +19,11 @@
 // The graph engine's cache knobs (graph::StepTuning) never change
 // results, so they are not spec fields: the removed `tile_nodes` and
 // `prefetch_distance` are still accepted at their defaults (0 and 16) and
-// dropped, so old result echoes re-parse.
+// dropped, so old result echoes re-parse. The same goes for the topology
+// store (CSR arena or implicit neighborhoods): compile picks it from the
+// topology and n (resolved_topology_backend), and the removed
+// `topology_backend` field still accepts its old values auto, arena and
+// implicit, and drops them.
 //
 // Specs parse from "key=value" strings or JSON files, validate with
 // actionable errors, compile (scenario.hpp) into the right backend, and
@@ -53,21 +57,6 @@ struct ScenarioSpec {
   ///                       runs; every workload puts the plurality there)
   ///   "any-reaches:<T>"   some color holds >= T nodes (Theorem 2 runs)
   std::string stop = "consensus";
-  /// How the graph backend materializes the topology:
-  ///   "auto"      implicit whenever the topology has an implicit form and
-  ///               it pays off — always for clique/gossip (arena-free by
-  ///               construction), for ring/torus/lattice:<d> once
-  ///               n >= 2^22 (graph::kImplicitAutoThreshold); arena below
-  ///               that (cheap, and keeps the fused SIMD CSR kernels).
-  ///   "arena"     force the CSR arena build (caps n at 2^32 - 1 node ids;
-  ///               rejects clique/gossip, which have no arena form)
-  ///   "implicit"  force arithmetic neighborhoods (clique, gossip, ring,
-  ///               torus, lattice:<d> only; no id cap beyond clique/gossip's
-  ///               batched sample bound)
-  /// Implicit ring/torus/lattice are bitwise-identical to their arena
-  /// builds, so this knob never changes results — only memory and the
-  /// reachable n. Ignored by the count backend.
-  std::string topology_backend = "auto";
   count_t n = 10'000;
   state_t k = 3;
   std::uint64_t trials = 20;
@@ -117,9 +106,14 @@ struct ScenarioSpec {
   /// and engine (identity for explicit backends). validate()s first.
   [[nodiscard]] std::string resolved_backend() const;
 
-  /// The topology backend ("arena" or "implicit") this spec's graph would
-  /// be built with (identity for explicit values, auto rule above
-  /// otherwise). validate()s first. Meaningful only when the trial backend
+  /// The topology store ("arena" or "implicit") this spec's graph is built
+  /// with. Clique and gossip are always implicit (they store nothing);
+  /// ring, torus and lattice:<d> are implicit once n >= 2^22
+  /// (graph::kImplicitAutoThreshold) and arena below it, where the build is
+  /// cheap and keeps the CSR lane kernels; every other family is arena.
+  /// Implicit ring/torus/lattice step bitwise-identically to their arena
+  /// builds, so the choice changes memory and the reachable n, never
+  /// results. validate()s first. Meaningful only when the trial backend
   /// resolves to "graph".
   [[nodiscard]] std::string resolved_topology_backend() const;
 };

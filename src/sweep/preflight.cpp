@@ -152,20 +152,20 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
   }
 
   // graph backend. Implicit topologies (gossip/clique, and ring/torus/
-  // lattice once the auto rule kicks in) build no arena: total state is the
-  // step workspaces — at n = 1e9 in bytes-only mode that is ~2 GB per
-  // trial thread, which is exactly why preflight must NOT bill such cells
-  // for a clique-sized CSR.
-  std::string topo_backend;
+  // lattice from n = 2^22 on) build no arena: total state is the step
+  // workspaces — at n = 1e9 in bytes-only mode that is ~2 GB per trial
+  // thread, which is exactly why preflight must NOT bill such cells for a
+  // clique-sized CSR.
+  bool implicit = false;
   try {
-    topo_backend = spec.resolved_topology_backend();
+    implicit = spec.resolved_topology_backend() == "implicit";
   } catch (...) {
-    topo_backend = spec.topology_backend;  // "auto" falls to the arena model
+    // Validation will reject the spec; bill the arena model.
   }
   const std::uint64_t workspace =
       sat_mul(sat_add(sat_mul(graph_state_bytes_per_node(spec), n), 64 * k * 8),
               concurrent_workspaces(spec));
-  if (topo_backend == "implicit") {
+  if (implicit) {
     return sat_add(kFixed, workspace);
   }
   const std::string kind = spec.topology.substr(0, spec.topology.find(':'));

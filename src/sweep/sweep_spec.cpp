@@ -58,6 +58,22 @@ ObserveSpec observe_from_json(const io::JsonValue& doc) {
   return observe;
 }
 
+/// Applies each axis value to a scratch copy of `base`, so a typo'd field
+/// or value fails before expansion multiplies it. Values that land on the
+/// same spec (`n=1e6,1000000`, or old values of a removed field that are
+/// dropped on parse) fail too: they would rerun one cell under new seeds.
+void probe_axis(const scenario::ScenarioSpec& base, const SweepAxis& axis) {
+  std::set<std::string> cells;
+  for (const std::string& v : axis.values) {
+    scenario::ScenarioSpec probe = base;
+    probe.set_field(axis.field, v);
+    PLURALITY_REQUIRE(cells.insert(probe.to_spec_string()).second,
+                      "sweep: axis '" << axis.field << "' value '" << v
+                                      << "' gives the same cell as an earlier value; "
+                                         "drop the duplicate");
+  }
+}
+
 }  // namespace
 
 std::string cell_id(std::size_t index) {
@@ -89,12 +105,7 @@ SweepSpec SweepSpec::parse(const std::string& text) {
       PLURALITY_REQUIRE(!v.empty(), "sweep: axis '" << key << "' has an empty value "
                                                        "(trailing or doubled comma?)");
     }
-    // Probe the field name (and each value's parse) now, on a scratch
-    // spec, so a typo'd axis fails before expansion multiplies it.
-    for (const std::string& v : axis.values) {
-      scenario::ScenarioSpec probe = sweep.base;
-      probe.set_field(key, v);
-    }
+    probe_axis(sweep.base, axis);
     sweep.axes.push_back(std::move(axis));
   }
   PLURALITY_REQUIRE(any, "sweep: empty sweep string");
@@ -131,14 +142,7 @@ SweepSpec SweepSpec::from_json(const io::JsonValue& doc) {
                                    << "'; known: base, axes, observe, per_cell_seeds");
     }
   }
-  // Field-name typos in axes must fail even before expand(): probe each
-  // assignment on a scratch spec.
-  for (const SweepAxis& axis : sweep.axes) {
-    for (const std::string& v : axis.values) {
-      scenario::ScenarioSpec probe = sweep.base;
-      probe.set_field(axis.field, v);
-    }
-  }
+  for (const SweepAxis& axis : sweep.axes) probe_axis(sweep.base, axis);
   return sweep;
 }
 

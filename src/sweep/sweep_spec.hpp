@@ -70,6 +70,8 @@ struct SweepSpec {
   /// Compact string form: whitespace-separated key=value tokens; a value
   /// containing ',' becomes an axis (split on commas, two values minimum
   /// per axis by construction), anything else assigns the base field.
+  /// Both parse and from_json reject an axis whose values give the same
+  /// spec (e.g. n=1e6,1000000).
   static SweepSpec parse(const std::string& text);
 
   /// Strict JSON: {"base": {spec fields}, "axes": {field: [values]},

@@ -307,6 +307,20 @@ TEST(ScenarioSpec, SweepsOverRemovedSurfacesFailBeforeAnyCellRuns) {
   EXPECT_THROW(sweep::SweepSpec::from_json(io::parse_json(
                    R"({"base": {"topology": "regular:8"}, "axes": {"tile_nodes": [0, 512]}})")),
                CheckError);
+  // Axis values that land on the same spec (old topology stores, which are
+  // dropped on parse, or two spellings of one n) fail too: they would only
+  // rerun one cell under new seeds.
+  for (const char* axis : {"topology_backend=arena,implicit", "n=1e6,1000000"}) {
+    EXPECT_THROW(sweep::SweepSpec::parse(std::string("topology=ring ") + axis), CheckError)
+        << axis;
+  }
+  EXPECT_THROW(sweep::SweepSpec::from_json(io::parse_json(
+                   R"({"base": {"topology": "ring"},
+                       "axes": {"topology_backend": ["arena", "implicit"]}})")),
+               CheckError);
+  EXPECT_THROW(sweep::SweepSpec::from_json(io::parse_json(
+                   R"({"base": {"topology": "ring"}, "axes": {"n": ["1e6", 1000000]}})")),
+               CheckError);
   // An engine axis naming push fails the up-front per-cell validation.
   const sweep::SweepSpec push = sweep::SweepSpec::from_json(io::parse_json(
       R"({"base": {"dynamics": "voter", "k": 2, "topology": "regular:8"},

@@ -1,16 +1,20 @@
-// The topology_backend axis of ScenarioSpec (spec.hpp) and the u32
-// node-id ceiling it unlocks.
+// The topology store (CSR arena or implicit neighborhoods) a graph-backend
+// scenario compiles to, and the u32 node-id ceiling the implicit store
+// lifts.
 //
-// Before the implicit engine, n > 2^32 - 1 either crashed deep in the CSR
-// packer or silently truncated ids. Now the boundary is validated with an
-// actionable error at the registry/spec layer, and the implicit families
-// are the documented escape hatch. These tests pin: field round-trips
-// (string + JSON), the auto-resolution rule around kImplicitAutoThreshold,
-// the arena/implicit validation errors, the u32 boundary itself, and
-// compile() echoing the resolved choice.
+// The store is not a spec field: compile picks it from the topology and n
+// (ScenarioSpec::resolved_topology_backend), results echo it as
+// `spec.topology_backend`, and the removed field's old values still parse
+// (and are dropped) so old specs and result echoes keep working. Before
+// the implicit engine, n > 2^32 - 1 either crashed deep in the CSR packer
+// or silently truncated ids; now the boundary is validated with an
+// actionable error naming the implicit families. These tests pin the
+// resolution rule around kImplicitAutoThreshold, the echo, the legacy
+// values, and the u32 boundary itself.
 #include <gtest/gtest.h>
 
 #include "graph/implicit_topology.hpp"
+#include "io/json.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
 #include "support/check.hpp"
@@ -18,18 +22,7 @@
 namespace plurality::scenario {
 namespace {
 
-TEST(TopologyBackend, RoundTripsThroughStringAndJson) {
-  ScenarioSpec spec = ScenarioSpec::parse("topology=ring n=1e6 topology_backend=implicit");
-  EXPECT_EQ(spec.topology_backend, "implicit");
-  EXPECT_EQ(ScenarioSpec::parse(spec.to_spec_string()).topology_backend, "implicit");
-  EXPECT_EQ(ScenarioSpec::from_json(spec.to_json()).topology_backend, "implicit");
-  // Default stays "auto" and survives the round trip too.
-  ScenarioSpec def;
-  EXPECT_EQ(def.topology_backend, "auto");
-  EXPECT_EQ(ScenarioSpec::parse(def.to_spec_string()).topology_backend, "auto");
-}
-
-TEST(TopologyBackend, AutoResolvesByThresholdAndFamily) {
+TEST(TopologyBackend, ResolvesByThresholdAndFamily) {
   const count_t at = graph::kImplicitAutoThreshold;
   // Structured families: arena below the threshold, implicit at/above.
   EXPECT_EQ(ScenarioSpec::parse("topology=ring n=4096").resolved_topology_backend(),
@@ -47,25 +40,19 @@ TEST(TopologyBackend, AutoResolvesByThresholdAndFamily) {
   // Arena-only families always resolve to arena.
   EXPECT_EQ(ScenarioSpec::parse("topology=regular:8 n=1e7").resolved_topology_backend(),
             "arena");
-  // Explicit values are identities.
-  EXPECT_EQ(ScenarioSpec::parse("topology=ring n=1e7 topology_backend=arena")
-                .resolved_topology_backend(),
-            "arena");
 }
 
-TEST(TopologyBackend, ValidationRejectsImpossibleCombinations) {
-  // Unknown value.
-  EXPECT_THROW(ScenarioSpec::parse("topology_backend=csr").validate(), CheckError);
-  // Implicit has no form for the random families.
-  EXPECT_THROW(ScenarioSpec::parse("topology=regular:8 topology_backend=implicit").validate(),
-               CheckError);
-  EXPECT_THROW(ScenarioSpec::parse("topology=er:0.01 topology_backend=implicit").validate(),
-               CheckError);
-  // Arena has no form for clique/gossip.
-  EXPECT_THROW(ScenarioSpec::parse("topology=clique topology_backend=arena").validate(),
-               CheckError);
-  EXPECT_THROW(ScenarioSpec::parse("topology=gossip topology_backend=arena").validate(),
-               CheckError);
+TEST(TopologyBackend, CompilePicksTheStoreAtTheThreshold) {
+  // Compile only (no trial runs): one node below the threshold the ring is
+  // a CSR arena, at the threshold it is arithmetic.
+  const count_t at = graph::kImplicitAutoThreshold;
+  ScenarioSpec spec = ScenarioSpec::parse("topology=ring trials=1");
+  spec.n = at - 1;
+  EXPECT_FALSE(Scenario::compile(spec).graph().is_implicit());
+  spec.n = at;
+  const Scenario implicit = Scenario::compile(spec);
+  EXPECT_TRUE(implicit.graph().is_implicit());
+  EXPECT_EQ(implicit.graph().max_degree(), 2u);
 }
 
 TEST(TopologyBackend, U32NodeIdBoundaryIsValidatedWithEscapeHatch) {
@@ -84,64 +71,79 @@ TEST(TopologyBackend, U32NodeIdBoundaryIsValidatedWithEscapeHatch) {
     const std::string what = e.what();
     EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
     EXPECT_NE(what.find("implicit"), std::string::npos) << what;
+    EXPECT_NE(what.find("'ring', 'torus' and 'lattice:<d>'"), std::string::npos) << what;
+    EXPECT_EQ(what.find("topology_backend"), std::string::npos) << what;
   }
-  // Forced-arena ring hits the same ceiling...
-  ScenarioSpec ring = ScenarioSpec::parse("topology=ring topology_backend=arena");
-  ring.n = kU32Max + 1;
-  EXPECT_THROW(ring.validate(), CheckError);
-  // ...while the implicit path sails past it (validate-only: no 4-billion
-  // node graph is built here).
+  // The implicit path sails past it (validate-only: no 4-billion node
+  // graph is built here).
   ScenarioSpec implicit_ring = ScenarioSpec::parse("topology=ring");
   implicit_ring.n = kU32Max + 1;
   EXPECT_NO_THROW(implicit_ring.validate());
   EXPECT_EQ(implicit_ring.resolved_topology_backend(), "implicit");
   // Clique/gossip keep the 32-bit cap: the batched sampler's bound is n.
-  ScenarioSpec gossip = ScenarioSpec::parse("topology=gossip");
-  gossip.n = kU32Max + 1;
-  EXPECT_THROW(gossip.validate(), CheckError);
-}
-
-TEST(TopologyBackend, CompileEchoesResolvedBackendAndBuildsImplicit) {
-  // Above-threshold would be slow to step, so compile a forced-implicit
-  // small ring and a small gossip instead; the resolved spec must echo the
-  // concrete choice, and the graphs must carry no arena.
-  const Scenario ring = Scenario::compile(
-      ScenarioSpec::parse("topology=ring n=1000 topology_backend=implicit trials=1"));
-  EXPECT_EQ(ring.spec().topology_backend, "implicit");
-  EXPECT_TRUE(ring.graph().is_implicit());
-  EXPECT_EQ(ring.graph().max_degree(), 2u);
-
-  const Scenario gossip =
-      Scenario::compile(ScenarioSpec::parse("topology=gossip n=1000 trials=1"));
-  EXPECT_EQ(gossip.spec().topology_backend, "implicit");
-  EXPECT_TRUE(gossip.graph().is_complete());
-
-  const Scenario arena = Scenario::compile(ScenarioSpec::parse("topology=ring n=1000 trials=1"));
-  EXPECT_EQ(arena.spec().topology_backend, "arena");
-  EXPECT_FALSE(arena.graph().is_implicit());
-
-  // A run's result echoes the arena an arena-only family resolved to.
-  const ScenarioResult regular = run_scenario(ScenarioSpec::parse(
-      "dynamics=voter k=2 topology=regular:8 n=2000 trials=3 max_rounds=40000"));
-  EXPECT_EQ(regular.resolved.backend, "graph");
-  EXPECT_EQ(regular.resolved.topology_backend, "arena");
-  EXPECT_EQ(regular.summary.trials, 3u);
-}
-
-TEST(TopologyBackend, ImplicitAndArenaCompileToSameResults) {
-  // End-to-end through the scenario layer: same spec, both backends, same
-  // summary bit for bit (the engine-level pin lives in
-  // tests/graph/test_implicit_topology.cpp; this covers the compile path).
-  const std::string base = "topology=torus:20x30 n=600 k=3 workload=bias:50 trials=6 "
-                           "seed=9 max_rounds=20000";
-  for (const char* engine : {"strict", "batched"}) {
-    const auto arena = run_scenario(
-        ScenarioSpec::parse(base + " engine=" + engine + " topology_backend=arena"));
-    const auto implicit = run_scenario(
-        ScenarioSpec::parse(base + " engine=" + engine + " topology_backend=implicit"));
-    EXPECT_EQ(implicit.summary.round_samples, arena.summary.round_samples) << engine;
-    EXPECT_EQ(implicit.summary.consensus_count, arena.summary.consensus_count) << engine;
+  for (const char* topology : {"clique", "gossip"}) {
+    ScenarioSpec complete = ScenarioSpec::parse(std::string("topology=") + topology);
+    complete.n = kU32Max + 1;
+    EXPECT_THROW(complete.validate(), CheckError) << topology;
   }
+}
+
+TEST(TopologyBackend, ResultsEchoTheStoreThatRan) {
+  const auto result_of = [](const std::string& text) {
+    return scenario_result_to_json(run_scenario(ScenarioSpec::parse(text)));
+  };
+  const std::string text =
+      "dynamics=voter k=2 topology=regular:8 n=2000 trials=3 max_rounds=40000";
+  const io::JsonValue regular = result_of(text);
+  EXPECT_EQ(regular.at("spec").at("backend").as_string(), "graph");
+  EXPECT_EQ(regular.at("spec").at("topology_backend").as_string(), "arena");
+  EXPECT_EQ(result_of("topology=gossip n=1000 trials=1")
+                .at("spec").at("topology_backend").as_string(),
+            "implicit");
+  // The count backend builds no topology, so there is nothing to echo.
+  EXPECT_FALSE(
+      result_of("topology=clique n=1000 trials=1").at("spec").contains("topology_backend"));
+  // The echo re-parses: from_json drops the store again.
+  EXPECT_EQ(ScenarioSpec::from_json(regular.at("spec")).to_spec_string(),
+            ScenarioSpec::parse(text + " backend=graph").to_spec_string());
+}
+
+TEST(TopologyBackend, CommittedResultEchoesReparseAndValidate) {
+  // The spec block of scenarios/big/results/gossip_1e9.json, verbatim.
+  const ScenarioSpec spec = ScenarioSpec::from_json(io::parse_json(R"({
+      "dynamics": "3-majority", "workload": "share:0.6", "topology": "gossip",
+      "adversary": "none", "backend": "graph", "engine": "batched",
+      "stop": "consensus", "topology_backend": "implicit", "n": 1000000000,
+      "k": 2, "trials": 1, "seed": 7, "max_rounds": 100, "parallel": true,
+      "shuffle_layout": true})"));
+  EXPECT_NO_THROW(spec.validate());
+  EXPECT_EQ(spec.resolved_topology_backend(), "implicit");
+}
+
+TEST(TopologyBackend, FieldWasRemoved) {
+  // The old values never changed results: they are accepted and dropped.
+  for (const char* value : {"auto", "arena", "implicit"}) {
+    const ScenarioSpec legacy =
+        ScenarioSpec::parse(std::string("topology=torus n=10000 topology_backend=") + value);
+    EXPECT_EQ(legacy.to_spec_string(),
+              ScenarioSpec::parse("topology=torus n=10000").to_spec_string())
+        << value;
+  }
+  // Anything else fails at parse, naming the removal.
+  for (const char* text : {"topology_backend=csr", "topology=ring topology_backend=Arena"}) {
+    try {
+      (void)ScenarioSpec::parse(text);
+      FAIL() << "expected '" << text << "' to be rejected";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"topology_backend": 1})")),
+               CheckError);
+  // The spec itself never names it.
+  const ScenarioSpec spec = ScenarioSpec::parse("topology=ring n=1e7");
+  EXPECT_EQ(spec.to_spec_string().find("topology_backend"), std::string::npos);
+  EXPECT_FALSE(spec.to_json().contains("topology_backend"));
 }
 
 }  // namespace

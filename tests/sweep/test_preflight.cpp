@@ -16,6 +16,7 @@
 #include <omp.h>
 #endif
 
+#include "graph/implicit_topology.hpp"
 #include "scenario/spec.hpp"
 #include "sweep/preflight.hpp"
 
@@ -43,12 +44,11 @@ TEST(Preflight, HugeCliqueFallbackSaturatesInsteadOfWrapping) {
 }
 
 TEST(Preflight, ArenaEdgeArithmeticSaturates) {
-  // Forced-arena estimates at absurd n must clamp, not wrap. (The spec
-  // would fail validation — preflight estimates are deliberately usable
-  // on unvalidated specs so refusal messages can name the real number.)
+  // Arena estimates at absurd n must clamp, not wrap. (The spec would fail
+  // validation — preflight estimates are deliberately usable on
+  // unvalidated specs so refusal messages can name the real number.)
   scenario::ScenarioSpec spec;
   spec.topology = "regular:64";
-  spec.topology_backend = "arena";
   spec.n = 1'000'000'000'000'000'000ULL;  // 64 * n wraps u64 without saturation
   EXPECT_GE(estimate_cell_memory_bytes(spec), std::uint64_t{1} << 60);
 }
@@ -69,10 +69,13 @@ TEST(Preflight, ImplicitRingBillionFitsSmallBudget) {
 }
 
 TEST(Preflight, ImplicitIsCheaperThanArenaForSameTopology) {
-  // Below the auto threshold ring resolves to arena (CSR billed); forcing
-  // implicit must strictly shrink the estimate. Same n, same k.
-  const auto arena = spec_of("topology=ring n=1e6 topology_backend=arena");
-  const auto implicit = spec_of("topology=ring n=1e6 topology_backend=implicit");
+  // One node below the threshold ring builds an arena (CSR billed); at the
+  // threshold it is implicit, and the extra node must not outweigh the
+  // arena it saves. Same k.
+  scenario::ScenarioSpec arena = spec_of("topology=ring");
+  arena.n = graph::kImplicitAutoThreshold - 1;
+  scenario::ScenarioSpec implicit = spec_of("topology=ring");
+  implicit.n = graph::kImplicitAutoThreshold;
   EXPECT_LT(estimate_cell_memory_bytes(implicit), estimate_cell_memory_bytes(arena));
 }
 
