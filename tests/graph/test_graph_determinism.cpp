@@ -18,9 +18,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/adversary.hpp"
 #include "core/hplurality.hpp"
 #include "core/majority.hpp"
 #include "core/median.hpp"
+#include "core/observer.hpp"
 #include "core/registry.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
@@ -251,6 +253,123 @@ TEST(GoldenGraphTrajectories, GraphTrialSummary) {
   EXPECT_EQ(s.plurality_wins, 24u);
   EXPECT_EQ(s.round_limit_hits, 0u);
   EXPECT_DOUBLE_EQ(s.rounds.mean(), 10.83333333333333);
+}
+
+// --- Golden adversary digests (pin corrupt_nodes' victim placement through
+//     run_graph_trials, at both node-state widths and on both engines). ----
+
+std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Every observed round's counts, per trial.
+class RoundCountsRecorder final : public RoundObserver {
+ public:
+  explicit RoundCountsRecorder(std::uint64_t trials) : rounds(trials) {}
+  void begin_trial(std::uint64_t, const Configuration&, state_t) override {}
+  void observe_round(std::uint64_t trial, round_t, const Configuration& config,
+                     state_t) override {
+    rounds[trial].push_back(counts_of(config));
+  }
+  void end_trial(std::uint64_t, StopReason, round_t, const Configuration&,
+                 state_t) override {}
+  std::vector<std::vector<std::vector<count_t>>> rounds;
+};
+
+/// Node states of a loaded workspace, read at the width it holds them in:
+/// the u32 array when it is sized for the trial, the byte array otherwise.
+std::vector<state_t> held_states(const GraphStepWorkspace& ws, count_t n) {
+  if (ws.nodes.size() == n) return ws.nodes;
+  return {ws.nodes8.begin(), ws.nodes8.begin() + static_cast<std::ptrdiff_t>(n)};
+}
+
+struct AdversaryDigestCase {
+  EngineMode mode;
+  state_t k;
+  bool clique;
+  const char* adversary;
+  std::uint64_t digest;
+};
+
+TEST(GoldenGraphTrajectories, AdversaryDigests) {
+  // One FNV-1a fold per case: each trial's per-round counts as
+  // run_graph_trials observes them, then that trial's final node states.
+  // The states come from replaying the trial body by hand (same streams,
+  // same step/corrupt order), checked round by round against the driver.
+  const AdversaryDigestCase cases[] = {
+      {EngineMode::Strict, 3, false, "boost-runner-up:5", 9852026409027801548ULL},
+      {EngineMode::Strict, 3, false, "feed-weakest:5", 4967488595588132269ULL},
+      {EngineMode::Strict, 3, false, "random:5", 16044322498806337014ULL},
+      {EngineMode::Strict, 3, true, "boost-runner-up:5", 3648216674347242354ULL},
+      {EngineMode::Strict, 3, true, "feed-weakest:5", 13918839696605588705ULL},
+      {EngineMode::Strict, 3, true, "random:5", 4269764271436849247ULL},
+      {EngineMode::Strict, 300, false, "boost-runner-up:5", 11434491331252467179ULL},
+      {EngineMode::Strict, 300, false, "feed-weakest:5", 3437248862254746286ULL},
+      {EngineMode::Strict, 300, false, "random:5", 8689180245820232417ULL},
+      {EngineMode::Strict, 300, true, "boost-runner-up:5", 14810013975322796848ULL},
+      {EngineMode::Strict, 300, true, "feed-weakest:5", 13192695104015871542ULL},
+      {EngineMode::Strict, 300, true, "random:5", 3496551910755007910ULL},
+      {EngineMode::Batched, 3, false, "boost-runner-up:5", 12005769850071587784ULL},
+      {EngineMode::Batched, 3, false, "feed-weakest:5", 6916512133824353322ULL},
+      {EngineMode::Batched, 3, false, "random:5", 14579110828458237110ULL},
+      {EngineMode::Batched, 3, true, "boost-runner-up:5", 7595546262468472183ULL},
+      {EngineMode::Batched, 3, true, "feed-weakest:5", 5843886066452926274ULL},
+      {EngineMode::Batched, 3, true, "random:5", 9991894083895568087ULL},
+      {EngineMode::Batched, 300, false, "boost-runner-up:5", 9535074156720721478ULL},
+      {EngineMode::Batched, 300, false, "feed-weakest:5", 14477177272306780550ULL},
+      {EngineMode::Batched, 300, false, "random:5", 16848510144476427838ULL},
+      {EngineMode::Batched, 300, true, "boost-runner-up:5", 13619612230741886071ULL},
+      {EngineMode::Batched, 300, true, "feed-weakest:5", 12201288241587720159ULL},
+      {EngineMode::Batched, 300, true, "random:5", 248374195580575791ULL},
+  };
+  const count_t n = 1200;
+  ThreeMajority dyn;
+  rng::Xoshiro256pp topo_gen(2718);
+  const AgentGraph regular = random_regular(n, 8, topo_gen);
+  const AgentGraph clique = AgentGraph::complete(n);
+  std::uint64_t seed = 500;
+  for (const AdversaryDigestCase& c : cases) {
+    const std::string what = std::string(c.mode == EngineMode::Strict ? "strict" : "batched") +
+                             " k=" + std::to_string(c.k) +
+                             (c.clique ? " clique " : " regular:8 ") + c.adversary;
+    const AgentGraph& graph = c.clique ? clique : regular;
+    const Configuration start = workloads::additive_bias(n, c.k, 100);
+    const auto adversary = make_adversary(c.adversary);
+    RoundCountsRecorder recorder(3);
+    CommonTrialOptions options;
+    options.trials = 3;
+    options.seed = seed++;
+    options.parallel = false;
+    options.max_rounds = 30;
+    options.mode = c.mode;
+    options.adversary = adversary.get();
+    options.observer = &recorder;
+    run_graph_trials(dyn, graph, start, options);
+
+    const rng::StreamFactory streams(options.seed);
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::uint64_t trial = 0; trial < options.trials; ++trial) {
+      rng::Xoshiro256pp gen = streams.stream(trial);
+      const rng::StreamFactory trial_streams = streams.child(trial);
+      Configuration config = start;
+      GraphStepWorkspace ws;
+      ws.prepare(n, c.k);
+      load_nodes(config, true, trial_streams, ws);
+      const auto& observed = recorder.rounds[trial];
+      for (round_t r = 1; r <= observed.size(); ++r) {
+        step_graph(dyn, graph, config, trial_streams, r - 1, ws, c.mode);
+        corrupt_nodes(*adversary, config, c.k, r, gen, ws);
+        ASSERT_EQ(counts_of(config), observed[r - 1]) << what << " trial " << trial;
+        for (const count_t x : observed[r - 1]) h = fnv_fold(h, x);
+      }
+      for (const state_t s : held_states(ws, n)) h = fnv_fold(h, s);
+    }
+    EXPECT_EQ(h, c.digest) << what;
+  }
 }
 
 // --- 3. Thread-count independence. ----------------------------------------
