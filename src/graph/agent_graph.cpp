@@ -120,47 +120,36 @@ std::span<const std::uint32_t> AgentGraph::neighbors_of(count_t v) const {
 
 // ---------------------------------------------------------------- engine ---
 
-void load_nodes(const Configuration& start, bool shuffle_layout,
-                const rng::StreamFactory& streams, GraphStepWorkspace& ws) {
-  if (ws.bytes_only) {
-    // The byte array IS the state. rng::shuffle's swap sequence depends
-    // only on the element count, so shuffling bytes here yields the same
-    // node->state assignment as the u32 path — bitwise-identical runs.
-    PLURALITY_REQUIRE(start.k() <= 256,
-                      "load_nodes: bytes-only mode needs k <= 256");
-    const std::size_t n = start.n();
-    ws.nodes8.resize(n + 4);
-    ws.scratch8.resize(n + 4);
-    std::uint8_t* nodes = ws.nodes8.data();
-    std::size_t pos = 0;
-    for (state_t j = 0; j < start.k(); ++j) {
-      const count_t c = start.at(j);
-      std::fill_n(nodes + pos, c, static_cast<std::uint8_t>(j));
-      pos += c;
-    }
-    if (shuffle_layout) {
-      rng::Xoshiro256pp gen = streams.stream(kLayoutStream);
-      rng::shuffle(gen, nodes, n);
-    }
-    std::fill_n(ws.nodes8.begin() + static_cast<std::ptrdiff_t>(n), 4,
-                std::uint8_t{0});  // SIMD tail slack
-    ws.mirror_fresh = true;  // nodes8 is authoritative by definition
-    return;
-  }
-  ws.nodes.resize(start.n());
-  ws.scratch.resize(start.n());
-  state_t* nodes = ws.nodes.data();
+namespace {
+
+/// Lays state j out start.at(j) times in node-id order, then shuffles with
+/// the layout stream. rng::shuffle's swaps depend only on the node count,
+/// so every storage width gets the same node -> state assignment.
+template <typename TNode>
+void lay_out(const Configuration& start, bool shuffle_layout,
+             const rng::StreamFactory& streams, TNode* nodes) {
   std::size_t pos = 0;
   for (state_t j = 0; j < start.k(); ++j) {
     const count_t c = start.at(j);
-    std::fill_n(nodes + pos, c, j);
+    std::fill_n(nodes + pos, c, static_cast<TNode>(j));
     pos += c;
   }
   if (shuffle_layout) {
     rng::Xoshiro256pp gen = streams.stream(kLayoutStream);
-    rng::shuffle(gen, nodes, ws.nodes.size());
+    rng::shuffle(gen, nodes, start.n());
   }
-  ws.mirror_fresh = false;  // nodes rewritten; the byte mirror is stale
+}
+
+}  // namespace
+
+void load_nodes(const Configuration& start, bool shuffle_layout,
+                const rng::StreamFactory& streams, GraphStepWorkspace& ws) {
+  ws.prepare(start.n(), start.k());
+  if (byte_states(start.k())) {
+    lay_out(start, shuffle_layout, streams, ws.nodes8.data());
+  } else {
+    lay_out(start, shuffle_layout, streams, ws.nodes.data());
+  }
 }
 
 namespace {
@@ -169,13 +158,11 @@ namespace {
 /// grid, stream derivation, and publish order are bit-for-bit the frozen
 /// reference's (reference_sim.cpp); only the per-node inner loop differs.
 template <class Rule, typename TNode>
-void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* mirror_out,
-                 const AgentGraph& graph, state_t k, const rng::StreamFactory& streams,
-                 round_t round, GraphStepWorkspace& ws, const StepTuning& tuning) {
+void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGraph& graph,
+                 state_t k, const rng::StreamFactory& streams, round_t round,
+                 GraphStepWorkspace& ws, const StepTuning& tuning) {
   const std::size_t n = graph.num_nodes();
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
-  // Bytes-only mode: no u32 array exists; publish() skips the wide write.
-  state_t* out = ws.bytes_only ? nullptr : ws.scratch.data();
   count_t* partials = ws.partials.data();
   const bool complete = graph.is_complete();
   const bool implicit = graph.is_implicit();
@@ -199,17 +186,16 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* mirror_out,
     if (lo < hi) {
       rng::Xoshiro256pp gen = streams.stream(round * kGraphChunks + chunk);
       if (complete) {
-        kernels::run_chunk_complete(rule, nodes, out, mirror_out, local, lo, hi, n, k,
-                                    gen, prefetch);
+        kernels::run_chunk_complete(rule, nodes, out, local, lo, hi, n, k, gen, prefetch);
       } else if (implicit) {
-        kernels::run_chunk_implicit(rule, nodes, out, mirror_out, local, lo, hi,
+        kernels::run_chunk_implicit(rule, nodes, out, local, lo, hi,
                                     graph.implicit_topology(), k, gen, prefetch);
       } else if (regular) {
-        kernels::run_chunk_regular(rule, nodes, out, mirror_out, local, lo, hi,
-                                   neighbors, uniform_degree, k, gen, prefetch);
+        kernels::run_chunk_regular(rule, nodes, out, local, lo, hi, neighbors,
+                                   uniform_degree, k, gen, prefetch);
       } else {
-        kernels::run_chunk_csr(rule, nodes, out, mirror_out, local, lo, hi, offsets,
-                               neighbors, k, gen, prefetch);
+        kernels::run_chunk_csr(rule, nodes, out, local, lo, hi, offsets, neighbors, k,
+                               gen, prefetch);
       }
     }
   }
@@ -250,7 +236,7 @@ auto lane_kernel_for(const simd::Ops* ops, const AgentGraph& graph)
   }
 }
 
-/// chunk_sweep on the byte mirror with simd::kStrictLanes chunk streams
+/// chunk_sweep on the byte states with simd::kStrictLanes chunk streams
 /// per lane kernel call. Each group of lanes steps in lockstep for its
 /// shortest chunk (whole kLaneBlocks); every lane's ragged tail then
 /// finishes in the scalar chunk driver with that lane's generator. Each
@@ -258,14 +244,13 @@ auto lane_kernel_for(const simd::Ops* ops, const AgentGraph& graph)
 /// results are bitwise chunk_sweep's.
 template <class Rule>
 void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
-                const simd::Ops& ops, const std::uint8_t* nodes, std::uint8_t* mirror_out,
+                const simd::Ops& ops, const std::uint8_t* nodes, std::uint8_t* out,
                 const AgentGraph& graph, state_t k, const rng::StreamFactory& streams,
                 round_t round, GraphStepWorkspace& ws, const StepTuning& tuning) {
   const std::size_t n = graph.num_nodes();
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
   constexpr unsigned lanes = simd::kStrictLanes;
   static_assert(kGraphChunks % lanes == 0);
-  state_t* out = ws.bytes_only ? nullptr : ws.scratch.data();
   count_t* partials = ws.partials.data();
   const bool complete = graph.is_complete();
   const std::uint32_t* neighbors = complete ? nullptr : graph.neighbors();
@@ -290,7 +275,7 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
     steps -= steps % simd::kLaneBlock;
     if (steps > 0) {
       kernel(simd::LaneArgs{state, chunk0 * chunk_size, chunk_size, steps, neighbors,
-                            bound, nodes, mirror_out, out, k});
+                            bound, nodes, out, k});
     }
     for (unsigned l = 0; l < lanes; ++l) {
       const unsigned chunk = chunk0 + l;
@@ -300,19 +285,19 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
       std::fill(local, local + k, count_t{0});
       if (lo >= hi) continue;
       if (ops.count_u8 != nullptr && k <= 16) {
-        ops.count_u8(mirror_out, lo, lo + steps, k, local);
+        ops.count_u8(out, lo, lo + steps, k, local);
       } else {
-        kernels_batched::count_tile(mirror_out, lo, steps, k, local);
+        kernels_batched::count_tile(out, lo, steps, k, local);
       }
       if (lo + steps == hi) continue;
       rng::Xoshiro256pp gen({state[l], state[lanes + l], state[2 * lanes + l],
                              state[3 * lanes + l]});
       if (complete) {
-        kernels::run_chunk_complete(rule, nodes, out, mirror_out, local, lo + steps, hi, n,
-                                    k, gen, prefetch);
+        kernels::run_chunk_complete(rule, nodes, out, local, lo + steps, hi, n, k, gen,
+                                    prefetch);
       } else {
-        kernels::run_chunk_regular(rule, nodes, out, mirror_out, local, lo + steps, hi,
-                                   neighbors, bound, k, gen, prefetch);
+        kernels::run_chunk_regular(rule, nodes, out, local, lo + steps, hi, neighbors,
+                                   bound, k, gen, prefetch);
       }
     }
   }
@@ -322,49 +307,24 @@ template <class Rule>
 void step_all_chunks(const Rule& rule, const AgentGraph& graph, Configuration& config,
                      const rng::StreamFactory& streams, round_t round,
                      GraphStepWorkspace& ws, const StepTuning& tuning) {
-  const std::size_t n = graph.num_nodes();
   const state_t k = config.k();
-
-  if (k <= 256) {
-    // Sample from the byte-wide mirror of the node states: the random
-    // sample loads then touch a 4x denser array (L1/L2-resident at bench
-    // scale). Values are identical, so results are bitwise unaffected. The
-    // sweep emits the next round's mirror as it goes (publish() in
-    // kernels.hpp); the explicit refresh below only runs when somebody
-    // rewrote ws.nodes since the last sweep (trial start, adversary).
-    std::uint8_t* mirror = ws.nodes8.data();
-    // Bytes-only mode has no u32 array to refresh from; load_nodes writes
-    // nodes8 directly and nothing else can stale it (corrupt_nodes rejects
-    // the mode).
-    if (!ws.bytes_only && !ws.mirror_fresh) {
-      const state_t* nodes = ws.nodes.data();
-#if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-      for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
-        const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
-        const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
-        const std::size_t hi = std::min(n, lo + chunk_size);
-        for (std::size_t i = lo; i < hi; ++i) {
-          mirror[i] = static_cast<std::uint8_t>(nodes[i]);
-        }
-      }
-    }
+  // One state array, at the width byte_states(k) picks; only the byte
+  // states have strict lane kernels.
+  if (byte_states(k)) {
     const simd::Ops* ops = simd::active();
     if (const auto kernel = lane_kernel_for<Rule>(ops, graph)) {
-      lane_sweep(rule, kernel, *ops, mirror, ws.scratch8.data(), graph, k, streams, round,
-                 ws, tuning);
+      lane_sweep(rule, kernel, *ops, ws.nodes8.data(), ws.scratch8.data(), graph, k,
+                 streams, round, ws, tuning);
     } else {
-      chunk_sweep(rule, mirror, ws.scratch8.data(), graph, k, streams, round, ws, tuning);
+      chunk_sweep(rule, ws.nodes8.data(), ws.scratch8.data(), graph, k, streams, round, ws,
+                  tuning);
     }
     ws.nodes8.swap(ws.scratch8);
-    ws.mirror_fresh = true;
   } else {
-    state_t* no_mirror = nullptr;
-    chunk_sweep(rule, ws.nodes.data(), no_mirror, graph, k, streams, round, ws, tuning);
+    chunk_sweep(rule, ws.nodes.data(), ws.scratch.data(), graph, k, streams, round, ws,
+                tuning);
+    ws.nodes.swap(ws.scratch);
   }
-
-  ws.nodes.swap(ws.scratch);  // no-op (both empty) in bytes-only mode
   std::fill(ws.counts.begin(), ws.counts.end(), count_t{0});
   for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
     const count_t* local = ws.partials.data() + static_cast<std::size_t>(chunk) * k;
@@ -382,8 +342,8 @@ void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
   const count_t n = graph.num_nodes();
   PLURALITY_REQUIRE(config.n() == n, "step_graph: configuration has "
                                          << config.n() << " nodes but graph has " << n);
-  PLURALITY_REQUIRE(ws.state_size() == n,
-                    "step_graph: workspace holds " << ws.state_size()
+  PLURALITY_REQUIRE(ws.state_size(config.k()) == n,
+                    "step_graph: workspace holds " << ws.state_size(config.k())
                         << " node states for " << n << " nodes — call load_nodes first");
   PLURALITY_REQUIRE(graph.is_complete() || graph.min_degree() >= 1,
                     "step_graph: isolated vertices cannot sample");
@@ -461,7 +421,6 @@ void GraphSimulation::init(const Configuration& start, bool shuffle_layout) {
                         << " nodes but topology has " << graph_->num_nodes());
   PLURALITY_REQUIRE(graph_->is_complete() || graph_->min_degree() >= 1,
                     "GraphSimulation: isolated vertices cannot sample");
-  ws_.prepare(start.n(), start.k());
   load_nodes(start, shuffle_layout, streams_, ws_);
 }
 

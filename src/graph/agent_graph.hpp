@@ -12,8 +12,9 @@
 //    of implicit_topology.hpp.
 //
 //  * GraphStepWorkspace (graph_workspace.hpp) — all per-round scratch:
-//    double-buffered node-state arrays, per-chunk partial counts. Warm
-//    rounds perform zero heap allocations.
+//    the double-buffered node-state array (one byte per node when k <= 256,
+//    u32 beyond), per-chunk partial counts. Warm rounds perform zero heap
+//    allocations.
 //
 //  * step_graph()/load_nodes() — the OpenMP-chunked stepper: kGraphChunks
 //    fixed chunks with one hash-derived RNG stream per (round, chunk)
@@ -135,17 +136,18 @@ class AgentGraph {
 /// every (round, chunk) stepping stream).
 inline constexpr std::uint64_t kLayoutStream = ~0ULL;
 
-/// (Re)initializes ws.nodes from a configuration: state j laid out at(j)
-/// times in node-id order, then shuffled with streams.stream(kLayoutStream)
-/// when `shuffle_layout` (node position matters on sparse graphs, unlike
-/// the clique). Allocation-free once ws has seen this n.
+/// (Re)initializes the workspace's node states from a configuration, at the
+/// width byte_states(start.k()) picks: state j laid out at(j) times in
+/// node-id order, then shuffled with streams.stream(kLayoutStream) when
+/// `shuffle_layout` (node position matters on sparse graphs, unlike the
+/// clique). Allocation-free once ws has seen this (n, k).
 void load_nodes(const Configuration& start, bool shuffle_layout,
                 const rng::StreamFactory& streams, GraphStepWorkspace& ws);
 
 /// One synchronous round over `graph`: every node draws sample_arity()
 /// states from its neighborhood (uniform with repetition) and applies the
-/// dynamics' rule. Reads and advances ws.nodes (double-buffered through
-/// ws.scratch) and publishes the new counts into `config`. Zero heap
+/// dynamics' rule. Reads and advances the workspace's node states (double-
+/// buffered) and publishes the new counts into `config`. Zero heap
 /// allocations once ws is warm.
 ///
 /// `mode` selects the stepping pipeline (see EngineMode in
@@ -197,7 +199,9 @@ class GraphSimulation {
 
   [[nodiscard]] const Configuration& configuration() const { return config_; }
   [[nodiscard]] round_t round() const { return round_; }
-  [[nodiscard]] const std::vector<state_t>& states() const { return ws_.nodes; }
+  /// Current node states (a view into the workspace, valid until the next
+  /// step).
+  [[nodiscard]] NodeStates states() const { return ws_.states(config_.k()); }
   [[nodiscard]] const AgentGraph& graph() const { return *graph_; }
 
   /// Runs until color consensus or `max_rounds`; returns rounds used, or

@@ -24,16 +24,15 @@
 namespace plurality::graph::simd {
 
 /// Arguments of a fused kernel invocation: passes 1-4 for `count` nodes
-/// [base, base+count) of one chunk, byte-mirror states.
+/// [base, base+count) of one chunk, byte states.
 struct FusedArgs {
   rng::Philox4x32::Key key;
   std::uint64_t round;           // Philox counter domain
   std::uint64_t n_pad;           // padded node count of the word layout
   const std::uint32_t* neighbors;  // regular CSR rows; nullptr on the clique
   std::uint64_t bound;           // degree (regular) or n (complete)
-  const std::uint8_t* nodes8;    // current states, byte mirror
-  std::uint8_t* out8;            // next states, byte mirror scratch
-  state_t* out32;                // next states, state_t scratch
+  const std::uint8_t* nodes8;    // current states
+  std::uint8_t* out8;            // next states (double buffer)
   std::uint64_t base;            // first node (global id)
   std::size_t count;
   state_t states;                // state-space size (undecided rule uses k-1)
@@ -60,9 +59,8 @@ struct LaneArgs {
   std::size_t steps;               // nodes per lane, a multiple of kLaneBlock
   const std::uint32_t* neighbors;  // regular CSR rows; nullptr on the clique
   std::uint64_t bound;             // degree (regular) or n (complete); < 2^32
-  const std::uint8_t* nodes8;      // current states, byte mirror
-  std::uint8_t* out8;              // next states, byte mirror scratch
-  state_t* out32;                  // next states, state_t scratch (null bytes-only)
+  const std::uint8_t* nodes8;      // current states
+  std::uint8_t* out8;              // next states (double buffer)
   state_t states;                  // state-space size (undecided rule uses k-1)
 };
 
@@ -85,7 +83,7 @@ struct Ops {
   /// Per-class byte count (k <= 16): local[j] += |{i in [lo,hi): data[i]==j}|.
   void (*count_u8)(const std::uint8_t* data, std::size_t lo, std::size_t hi,
                    state_t k, count_t* local);
-  // Strict-engine lane kernels (byte mirror), degree-uniform CSR topology;
+  // Strict-engine lane kernels (byte states), degree-uniform CSR topology;
   // AVX-512 only (the AVX2 table leaves them null).
   void (*strict_regular_majority)(const LaneArgs& args);
   void (*strict_regular_voter)(const LaneArgs& args);

@@ -4,7 +4,7 @@
 // identical Philox words, identical bounded-bias conversion, identical rule
 // algebra as the scalar pipeline. It has no strict lane kernels: four
 // 64-bit lanes lost to the scalar chunk path's prefetch windows once the
-// byte mirror left L2 (docs/performance.md), so the strict engine steps
+// byte states left L2 (docs/performance.md), so the strict engine steps
 // scalar on AVX2 hosts. Selected by simd::detect() on hosts with AVX2 but
 // not the AVX-512 subset we target; the graph tests run it on AVX-512
 // hosts too.
@@ -197,9 +197,6 @@ inline void fused_block(const FusedArgs& args, std::uint64_t node0, unsigned lo,
     const __m256i colored = blend_mask(keep, own, undecided);
     const __m256i isund = _mm256_cmpeq_epi32(own, undecided);
     next = blend_mask(isund, seen, colored);
-  }
-  if (args.out32 != nullptr) {  // absent in bytes-only mode
-    _mm256_maskstore_epi32(reinterpret_cast<int*>(args.out32 + node0), live, next);
   }
   const std::uint64_t bytes = pack_bytes8(next);
   if (whole) {

@@ -139,7 +139,7 @@ inline __m512i plane_indices(const FusedArgs& args, unsigned s, std::uint64_t no
 
 /// Gathers the sampled states (u32-widened) for the `live` lanes of 16
 /// indices: through the neighbor row on regular graphs, directly on the
-/// complete graph. The byte mirror is padded (GraphStepWorkspace::prepare)
+/// complete graph. The byte states are padded (GraphStepWorkspace::prepare)
 /// so the u32 loads at nodes8 + id stay in bounds; dead lanes load nothing.
 template <bool Complete>
 inline __m512i gather16(const FusedArgs& args, const __m512i& idx, std::uint64_t node0,
@@ -189,9 +189,6 @@ inline void fused_block(const FusedArgs& args, std::uint64_t node0, __mmask16 li
     const __m512i colored = _mm512_mask_blend_epi32(keep, undecided, own);
     const __mmask16 isund = _mm512_cmpeq_epi32_mask(own, undecided);
     next = _mm512_mask_blend_epi32(isund, colored, seen);
-  }
-  if (args.out32 != nullptr) {  // absent in bytes-only mode
-    _mm512_mask_storeu_epi32(args.out32 + node0, live, next);
   }
   _mm_mask_storeu_epi8(args.out8 + node0, live, _mm512_cvtepi32_epi8(next));
 }
@@ -367,11 +364,6 @@ void lane_kernel(const LaneArgs& args) {
     for (unsigned l = 0; l < 8; ++l) {
       const std::uint64_t at = args.first + l * args.stride + j0;
       __builtin_memcpy(args.out8 + at, &runs[l], 8);
-      if (args.out32 != nullptr) {  // absent in bytes-only mode
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(args.out32 + at),
-                            _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
-                                static_cast<long long>(runs[l]))));
-      }
     }
     node = _mm512_add_epi64(node, _mm512_set1_epi64(static_cast<long long>(kLaneBlock)));
   }

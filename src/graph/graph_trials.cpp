@@ -1,7 +1,6 @@
 #include "graph/graph_trials.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "core/observer.hpp"
 #include "rng/distributions.hpp"
@@ -14,29 +13,52 @@
 namespace plurality::graph {
 
 namespace {
-std::atomic<int> g_bytes_only_override{-1};
+
+/// corrupt_nodes' node-level half on one storage width: a per-color
+/// reservoir picks ws.adv_take[c] uniform victims among the nodes of each
+/// demoted color c, which then take the promoted colors in block order.
+template <typename TNode>
+void recolor_victims(TNode* nodes, std::size_t n, const Configuration& config,
+                     std::uint64_t total_victims, rng::Xoshiro256pp& gen,
+                     GraphStepWorkspace& ws) {
+  ws.adv_victims.resize(total_victims);
+  std::fill(ws.adv_seen.begin(), ws.adv_seen.end(), count_t{0});
+
+  // One-pass per-color reservoir sampling: after the scan, each demoted
+  // color's victim block holds a uniform random subset of its nodes.
+  for (std::size_t i = 0; i < n; ++i) {
+    const state_t c = nodes[i];
+    const count_t take = ws.adv_take[c];
+    if (take == 0) continue;
+    const count_t seen = ws.adv_seen[c]++;
+    if (seen < take) {
+      ws.adv_victims[ws.adv_offset[c] + seen] = i;
+    } else {
+      const std::uint64_t r = rng::uniform_below(gen, seen + 1);
+      if (r < take) ws.adv_victims[ws.adv_offset[c] + r] = i;
+    }
+  }
+
+  // Hand the victims (in demoted-color block order) their new states.
+  std::size_t cursor = 0;
+  for (state_t j = 0; j < config.k(); ++j) {
+    const count_t now = config.at(j);
+    const count_t before = ws.adv_before[j];
+    if (now <= before) continue;
+    for (count_t g = 0; g < now - before; ++g) {
+      nodes[ws.adv_victims[cursor++]] = static_cast<TNode>(j);
+    }
+  }
+  PLURALITY_CHECK(cursor == total_victims);
+}
+
 }  // namespace
-
-bool graph_bytes_only_auto(count_t n, state_t k, bool has_adversary) {
-  const bool eligible = k <= 256 && !has_adversary;
-  const int mode = g_bytes_only_override.load(std::memory_order_relaxed);
-  if (mode == 0) return false;
-  if (mode == 1) return eligible;
-  return eligible && n >= kBytesOnlyAutoThreshold;
-}
-
-void set_graph_bytes_only_override(int mode) {
-  g_bytes_only_override.store(mode, std::memory_order_relaxed);
-}
 
 void corrupt_nodes(const Adversary& adversary, Configuration& config,
                    state_t num_colors, round_t round, rng::Xoshiro256pp& gen,
                    GraphStepWorkspace& ws) {
   const state_t k = config.k();
-  PLURALITY_REQUIRE(!ws.bytes_only,
-                    "corrupt_nodes: adversaries edit the u32 node array; the "
-                    "bytes-only memory mode never auto-enables with one wired in");
-  PLURALITY_REQUIRE(ws.nodes.size() == config.n(),
+  PLURALITY_REQUIRE(ws.state_size(k) == config.n(),
                     "corrupt_nodes: workspace/config node count mismatch");
   ws.prepare_adversary(k);
   std::copy(config.counts().begin(), config.counts().end(), ws.adv_before.begin());
@@ -55,38 +77,11 @@ void corrupt_nodes(const Adversary& adversary, Configuration& config,
     ws.adv_offset[j + 1] = total_victims;
   }
   if (total_victims == 0) return;
-  ws.adv_victims.resize(total_victims);
-  std::fill(ws.adv_seen.begin(), ws.adv_seen.end(), count_t{0});
-
-  // One-pass per-color reservoir sampling: after the scan, each demoted
-  // color's victim block holds a uniform random subset of its nodes.
-  const std::size_t n = ws.nodes.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const state_t c = ws.nodes[i];
-    const count_t take = ws.adv_take[c];
-    if (take == 0) continue;
-    const count_t seen = ws.adv_seen[c]++;
-    if (seen < take) {
-      ws.adv_victims[ws.adv_offset[c] + seen] = i;
-    } else {
-      const std::uint64_t r = rng::uniform_below(gen, seen + 1);
-      if (r < take) ws.adv_victims[ws.adv_offset[c] + r] = i;
-    }
+  if (byte_states(k)) {
+    recolor_victims(ws.nodes8.data(), config.n(), config, total_victims, gen, ws);
+  } else {
+    recolor_victims(ws.nodes.data(), config.n(), config, total_victims, gen, ws);
   }
-
-  ws.mirror_fresh = false;  // node states change below; the byte mirror is stale
-
-  // Hand the victims (in demoted-color block order) their new states.
-  std::size_t cursor = 0;
-  for (state_t j = 0; j < k; ++j) {
-    const count_t now = config.at(j);
-    const count_t before = ws.adv_before[j];
-    if (now <= before) continue;
-    for (count_t g = 0; g < now - before; ++g) {
-      ws.nodes[ws.adv_victims[cursor++]] = j;
-    }
-  }
-  PLURALITY_CHECK(cursor == total_victims);
 }
 
 TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
@@ -114,9 +109,6 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
     const state_t num_colors = dynamics.num_colors(config.k());
     const state_t initial_plurality = config.plurality(num_colors);
 
-    ws.bytes_only = graph_bytes_only_auto(config.n(), config.k(),
-                                          options.adversary != nullptr);
-    ws.prepare(config.n(), config.k());
     load_nodes(config, options.shuffle_layout, trial_streams, ws);
 
     RoundObserver* const observer = options.observer;

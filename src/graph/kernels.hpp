@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <type_traits>
 
 #include "core/dynamics.hpp"
 #include "graph/implicit_topology.hpp"
@@ -53,10 +52,9 @@ inline std::uint64_t uniform_below(rng::Xoshiro256pp& gen, std::uint64_t bound) 
 
 /// Clique (implicit complete graph): uniform over all n nodes, self
 /// included — the paper's sampling model. TNode is the storage width of
-/// the sampled-state array: state_t, or a narrower per-round shadow (the
-/// engine keeps a uint8_t mirror when the state space fits one byte so the
-/// random sample loads stay L1-resident); the VALUES are identical either
-/// way, so the storage width never affects results.
+/// the node-state array: uint8_t when the state space fits one byte
+/// (byte_states), state_t otherwise; the rules compute in state_t, so the
+/// storage width never affects results.
 /// Every sampler also exposes addr(gen): draw the SAME index the call form
 /// would, but return the gather ADDRESS instead of loading it. The windowed
 /// drivers below use it to split "draw + prefetch" from "load + rule" —
@@ -289,17 +287,10 @@ struct GenericRule {
 
 // --- Chunk drivers. -----------------------------------------------------
 
-/// Publishes one node's next state: the state_t scratch (null in the
-/// bytes-only memory mode, where the byte mirror is the whole state); the
-/// byte mirror's double buffer too when the sweep runs on the narrow
-/// mirror (next round then reuses it with no refresh pass).
+/// Publishes one node's next state into the double buffer and counts it.
 template <typename TNode>
-inline void publish(state_t* out, TNode* mirror_out, count_t* local, std::size_t i,
-                    state_t next) {
-  if (out != nullptr) out[i] = next;
-  if constexpr (!std::is_same_v<TNode, state_t>) {
-    mirror_out[i] = static_cast<TNode>(next);
-  }
+inline void publish(TNode* out, count_t* local, std::size_t i, state_t next) {
+  out[i] = static_cast<TNode>(next);
   ++local[next];
 }
 
@@ -329,9 +320,9 @@ inline constexpr unsigned kMaxPrefetchWindow = 64;
 /// `sampler_for(i)` yields the node's sampler (any of the three above).
 template <class Rule, typename TNode, class SamplerFor>
 inline void run_chunk_nodes(const Rule& rule, const TNode* __restrict nodes,
-                            state_t* __restrict out, TNode* __restrict mirror_out,
-                            count_t* __restrict local, std::size_t lo, std::size_t hi,
-                            state_t states, rng::Xoshiro256pp& gen, unsigned prefetch,
+                            TNode* __restrict out, count_t* __restrict local,
+                            std::size_t lo, std::size_t hi, state_t states,
+                            rng::Xoshiro256pp& gen, unsigned prefetch,
                             SamplerFor&& sampler_for) {
   if constexpr (is_windowable_rule<Rule>) {
     if (prefetch > 0) {
@@ -352,7 +343,7 @@ inline void run_chunk_nodes(const Rule& rule, const TNode* __restrict nodes,
           for (unsigned a = 0; a < Rule::kArity; ++a) {
             s[a] = static_cast<state_t>(*addr[i * Rule::kArity + a]);
           }
-          publish(out, mirror_out, local, base + i,
+          publish(out, local, base + i,
                   Rule::combine(static_cast<state_t>(nodes[base + i]), states, s));
         }
       }
@@ -361,7 +352,7 @@ inline void run_chunk_nodes(const Rule& rule, const TNode* __restrict nodes,
   }
   for (std::size_t i = lo; i < hi; ++i) {
     const auto sample = sampler_for(i);
-    publish(out, mirror_out, local, i,
+    publish(out, local, i,
             rule(static_cast<state_t>(nodes[i]), states, sample, gen));
   }
 }
@@ -369,23 +360,23 @@ inline void run_chunk_nodes(const Rule& rule, const TNode* __restrict nodes,
 /// Steps nodes [lo, hi) of the implicit complete graph.
 template <class Rule, typename TNode>
 inline void run_chunk_complete(const Rule& rule, const TNode* __restrict nodes,
-                               state_t* __restrict out, TNode* __restrict mirror_out,
-                               count_t* __restrict local, std::size_t lo,
-                               std::size_t hi, std::uint64_t n, state_t states,
+                               TNode* __restrict out, count_t* __restrict local,
+                               std::size_t lo, std::size_t hi, std::uint64_t n,
+                               state_t states,
                                rng::Xoshiro256pp& gen, unsigned prefetch = 0) {
-  run_chunk_nodes(rule, nodes, out, mirror_out, local, lo, hi, states, gen, prefetch,
+  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen, prefetch,
                   [&](std::size_t) { return CompleteSampler<TNode>{nodes, n}; });
 }
 
 /// Steps nodes [lo, hi) of an explicit CSR graph.
 template <class Rule, typename TNode>
 inline void run_chunk_csr(const Rule& rule, const TNode* __restrict nodes,
-                          state_t* __restrict out, TNode* __restrict mirror_out,
-                          count_t* __restrict local, std::size_t lo, std::size_t hi,
+                          TNode* __restrict out, count_t* __restrict local,
+                          std::size_t lo, std::size_t hi,
                           const std::uint64_t* __restrict offsets,
                           const std::uint32_t* __restrict neighbors, state_t states,
                           rng::Xoshiro256pp& gen, unsigned prefetch = 0) {
-  run_chunk_nodes(rule, nodes, out, mirror_out, local, lo, hi, states, gen, prefetch,
+  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen, prefetch,
                   [&](std::size_t i) {
                     const std::uint64_t off = offsets[i];
                     return CsrSampler<TNode>{nodes, neighbors + off,
@@ -399,12 +390,12 @@ inline void run_chunk_csr(const Rule& rule, const TNode* __restrict nodes,
 /// (same index draws, same neighbor order — see implicit_topology.hpp).
 template <class Rule, typename TNode>
 inline void run_chunk_implicit(const Rule& rule, const TNode* __restrict nodes,
-                               state_t* __restrict out, TNode* __restrict mirror_out,
-                               count_t* __restrict local, std::size_t lo,
-                               std::size_t hi, const ImplicitTopology& topo,
+                               TNode* __restrict out, count_t* __restrict local,
+                               std::size_t lo, std::size_t hi,
+                               const ImplicitTopology& topo,
                                state_t states, rng::Xoshiro256pp& gen,
                                unsigned prefetch = 0) {
-  run_chunk_nodes(rule, nodes, out, mirror_out, local, lo, hi, states, gen, prefetch,
+  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen, prefetch,
                   [&](std::size_t i) { return ImplicitSampler<TNode>{nodes, &topo, i}; });
 }
 
@@ -415,12 +406,12 @@ inline void run_chunk_implicit(const Rule& rule, const TNode* __restrict nodes,
 /// of a regular graph ARE i*degree); only the address arithmetic changes.
 template <class Rule, typename TNode>
 inline void run_chunk_regular(const Rule& rule, const TNode* __restrict nodes,
-                              state_t* __restrict out, TNode* __restrict mirror_out,
-                              count_t* __restrict local, std::size_t lo, std::size_t hi,
+                              TNode* __restrict out, count_t* __restrict local,
+                              std::size_t lo, std::size_t hi,
                               const std::uint32_t* __restrict neighbors,
                               std::uint64_t degree, state_t states,
                               rng::Xoshiro256pp& gen, unsigned prefetch = 0) {
-  run_chunk_nodes(rule, nodes, out, mirror_out, local, lo, hi, states, gen, prefetch,
+  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen, prefetch,
                   [&](std::size_t i) {
                     return CsrSampler<TNode>{nodes, neighbors + i * degree, degree};
                   });

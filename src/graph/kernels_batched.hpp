@@ -14,7 +14,7 @@
 //     bounded-bias Lemire high-multiply (no rejection loop — see
 //     scale_word below for the documented bias bound);
 //   pass 3 (gather): pull the sampled states out of the node array
-//     (byte mirror when k <= 256), with software prefetch ahead of the
+//     (one byte per node when k <= 256), with software prefetch ahead of the
 //     random loads;
 //   pass 4 (apply): the same arithmetic mask-select rules as the strict
 //     kernels, now reading pre-gathered samples — a flat loop with no
@@ -290,23 +290,17 @@ struct BatchedCsrSampler {
 // them verbatim.
 
 /// Pass 4: apply the rule over the tile's gathered planes and publish into
-/// the state_t scratch (null in the bytes-only memory mode, where the byte
-/// mirror is the whole state) + byte mirror when TS is byte-wide.
+/// the node-state double buffer (at its storage width).
 template <class Rule, typename TNode, typename TS>
-inline void apply_tile(const Rule& rule, unsigned arity, const TNode* nodes,
-                       state_t* out, TNode* mirror_out, state_t states,
+inline void apply_tile(const Rule& rule, const TNode* nodes, TNode* out, state_t states,
                        std::size_t base, std::size_t nb, const TS* sample_states,
                        std::size_t plane_stride, const std::uint64_t* tie_words) {
   for (std::size_t i = 0; i < nb; ++i) {
     // Planes are node-major per tile: sample s of node i at [s*stride + i].
-    const state_t next = rule.apply(static_cast<state_t>(nodes[base + i]), states,
-                                    sample_states + i, plane_stride, tie_words + i);
-    if (out != nullptr) out[base + i] = next;
-    if constexpr (!std::is_same_v<TNode, state_t>) {
-      mirror_out[base + i] = static_cast<TNode>(next);
-    }
+    out[base + i] = static_cast<TNode>(rule.apply(static_cast<state_t>(nodes[base + i]),
+                                                  states, sample_states + i, plane_stride,
+                                                  tie_words + i));
   }
-  (void)arity;
 }
 
 /// Class-count pass over the published tile (k <= 8 uses a per-class

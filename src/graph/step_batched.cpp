@@ -66,8 +66,8 @@ auto fused_kernel(const simd::Ops* ops) -> void (*)(const simd::FusedArgs&) {
 template <class Rule, class Sampler, typename TNode>
 void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
                    rng::Philox4x32::Key key, std::uint64_t round, std::uint64_t n_pad,
-                   const Sampler& sampler, const TNode* nodes, state_t* out,
-                   TNode* mirror_out, state_t states, std::size_t lo, std::size_t hi,
+                   const Sampler& sampler, const TNode* nodes, TNode* out,
+                   state_t states, std::size_t lo, std::size_t hi,
                    const simd::Ops* ops, const simd::FusedArgs* fused_proto,
                    count_t* local, state_t k, const StepTuning& tuning) {
   if constexpr (std::is_same_v<TNode, std::uint8_t>) {
@@ -78,11 +78,11 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
         args.base = lo;
         args.count = hi - lo;
         fused(args);
-        // Fused kernels publish out8/out32; counting happens here.
+        // Fused kernels publish out8; counting happens here.
         if (ops->count_u8 != nullptr && k <= 16) {
-          ops->count_u8(mirror_out, lo, hi, k, local);
+          ops->count_u8(out, lo, hi, k, local);
         } else {
-          kb::count_tile(mirror_out, lo, hi - lo, k, local);
+          kb::count_tile(out, lo, hi - lo, k, local);
         }
         return;
       }
@@ -136,18 +136,16 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
       fill(key, round, (static_cast<std::uint64_t>(arity) + t) * n_pad + base, nb,
            tie_base + static_cast<std::size_t>(t) * tile);
     }
-    // Pass 4: apply the rule; publish into scratch (+ mirror).
-    kb::apply_tile(rule, arity, nodes, out, mirror_out, states, base, nb, st, tile,
+    // Pass 4: apply the rule; publish into the double buffer.
+    kb::apply_tile(rule, nodes, out, states, base, nb, st, tile,
                    tie_words > 0 ? tie_base : words);
     if constexpr (std::is_same_v<TNode, std::uint8_t>) {
       if (ops != nullptr && ops->count_u8 != nullptr && k <= 16) {
-        ops->count_u8(mirror_out, base, base + nb, k, local);
+        ops->count_u8(out, base, base + nb, k, local);
         continue;
       }
-      kb::count_tile(mirror_out, base, nb, k, local);
-    } else {
-      kb::count_tile(out + base, 0, nb, k, local);
     }
+    kb::count_tile(out, base, nb, k, local);
   }
 }
 
@@ -173,11 +171,8 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
   const std::uint64_t uniform_degree = regular ? graph.min_degree() : 0;
   const simd::Ops* ops = simd::active();
   count_t* partials = ws.partials.data();
-  // Bytes-only mode: no u32 scratch exists; apply_tile and the fused SIMD
-  // kernels skip the wide write on a null out pointer.
-  state_t* out = ws.bytes_only ? nullptr : ws.scratch.data();
 
-  const auto sweep = [&](auto nodes_ptr, auto* mirror_out) {
+  const auto sweep = [&](auto nodes_ptr, auto* out) {
     using TNode = std::remove_const_t<std::remove_pointer_t<decltype(nodes_ptr)>>;
     // Fused prototype args (byte path only; completed per chunk).
     simd::FusedArgs proto;
@@ -195,8 +190,7 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
         proto.neighbors = complete ? nullptr : graph.neighbors();
         proto.bound = complete ? n : uniform_degree;
         proto.nodes8 = nodes_ptr;
-        proto.out8 = mirror_out;
-        proto.out32 = out;
+        proto.out8 = out;
         proto.states = k;
         fused_proto = &proto;
       }
@@ -213,55 +207,34 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
       if (lo >= hi) continue;
       if (complete) {
         const kb::BatchedCompleteSampler<TNode> sampler{nodes_ptr, n};
-        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
+        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out, k,
+                      lo, hi, ops, fused_proto, local, k, tuning);
       } else if (implicit) {
         const kb::BatchedImplicitSampler<TNode> sampler{nodes_ptr,
                                                         graph.implicit_topology()};
-        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
+        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out, k,
+                      lo, hi, ops, fused_proto, local, k, tuning);
       } else if (regular) {
         const kb::BatchedRegularSampler<TNode> sampler{nodes_ptr, graph.neighbors(),
                                                        uniform_degree};
-        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
+        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out, k,
+                      lo, hi, ops, fused_proto, local, k, tuning);
       } else {
         const kb::BatchedCsrSampler<TNode> sampler{nodes_ptr, graph.offsets(),
                                                    graph.neighbors()};
-        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out,
-                      mirror_out, k, lo, hi, ops, fused_proto, local, k, tuning);
+        batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out, k,
+                      lo, hi, ops, fused_proto, local, k, tuning);
       }
     }
   };
 
-  if (k <= 256) {
-    // Byte-mirror path (same rationale as the strict engine: the random
-    // sample loads hit a 4x denser array; values identical either way).
-    std::uint8_t* mirror = ws.nodes8.data();
-    // Bytes-only mode: load_nodes writes nodes8 directly; there is no u32
-    // array to refresh from (and corrupt_nodes rejects the mode).
-    if (!ws.bytes_only && !ws.mirror_fresh) {
-      const state_t* nodes = ws.nodes.data();
-#if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-      for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
-        const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
-        const std::size_t hi = std::min(n, lo + chunk_size);
-        for (std::size_t i = lo; i < hi; ++i) {
-          mirror[i] = static_cast<std::uint8_t>(nodes[i]);
-        }
-      }
-    }
-    sweep(static_cast<const std::uint8_t*>(mirror), ws.scratch8.data());
+  if (byte_states(k)) {
+    sweep(static_cast<const std::uint8_t*>(ws.nodes8.data()), ws.scratch8.data());
     ws.nodes8.swap(ws.scratch8);
-    ws.mirror_fresh = true;
   } else {
-    state_t* no_mirror = nullptr;
-    sweep(static_cast<const state_t*>(ws.nodes.data()), no_mirror);
+    sweep(static_cast<const state_t*>(ws.nodes.data()), ws.scratch.data());
+    ws.nodes.swap(ws.scratch);
   }
-
-  ws.nodes.swap(ws.scratch);  // no-op (both empty) in bytes-only mode
   std::fill(ws.counts.begin(), ws.counts.end(), count_t{0});
   for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
     const count_t* local = ws.partials.data() + static_cast<std::size_t>(chunk) * k;
@@ -289,9 +262,9 @@ void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
   const count_t n = graph.num_nodes();
   PLURALITY_REQUIRE(config.n() == n, "step_graph_batched: configuration has "
                                          << config.n() << " nodes but graph has " << n);
-  PLURALITY_REQUIRE(ws.state_size() == n,
+  PLURALITY_REQUIRE(ws.state_size(config.k()) == n,
                     "step_graph_batched: workspace holds "
-                        << ws.state_size() << " node states for " << n
+                        << ws.state_size(config.k()) << " node states for " << n
                         << " nodes — call load_nodes first");
   PLURALITY_REQUIRE(graph.is_complete() || graph.min_degree() >= 1,
                     "step_graph_batched: isolated vertices cannot sample");

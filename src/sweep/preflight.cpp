@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <string>
 
-#include "graph/graph_trials.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -108,17 +107,12 @@ std::uint64_t arena_build_bytes(const std::string& kind, std::uint64_t n,
   return sat_add(scratch, arena);
 }
 
-/// Per-node state bytes of the graph step workspace, matching the memory
-/// mode run_graph_trials will actually pick (graph_workspace.hpp):
-/// bytes-only = the two u8 buffers; k <= 256 = u32 pair + u8 mirror pair;
-/// otherwise u32 pair only.
+/// Per-node state bytes of the graph step workspace (graph_workspace.hpp):
+/// one state array and its double buffer, one byte per node each when
+/// k <= 256 (byte_states), u32 each otherwise. Adversaries edit the same
+/// array, so they add nothing per node.
 std::uint64_t graph_state_bytes_per_node(const scenario::ScenarioSpec& spec) {
-  const bool has_adversary = spec.adversary != "none";
-  if (spec.k <= 256 &&
-      graph::graph_bytes_only_auto(spec.n, spec.k, has_adversary)) {
-    return 2;
-  }
-  return spec.k <= 256 ? 2 * 4 + 2 : 2 * 4;
+  return spec.k <= 256 ? 2 * 1 : 2 * 4;
 }
 
 /// Graph step workspaces alive at once: run_graph_trials builds one per
@@ -153,7 +147,7 @@ std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
 
   // graph backend. Implicit topologies (gossip/clique, and ring/torus/
   // lattice from n = 2^22 on) build no arena: total state is the step
-  // workspaces — at n = 1e9 in bytes-only mode that is ~2 GB per trial
+  // workspaces — at n = 1e9 with k <= 256 that is ~2 GB per trial
   // thread, which is exactly why preflight must NOT bill such cells for a
   // clique-sized CSR.
   bool implicit = false;

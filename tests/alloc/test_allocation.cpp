@@ -17,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "core/adversary.hpp"
 #include "core/backend.hpp"
 #include "core/hplurality.hpp"
 #include "core/majority.hpp"
@@ -28,6 +29,7 @@
 #include "graph/agent_graph.hpp"
 #include "graph/batched_simd.hpp"
 #include "graph/builders.hpp"
+#include "graph/graph_trials.hpp"
 #include "graph/step_batched.hpp"
 #include "obs/metrics_observer.hpp"
 #include "rng/philox.hpp"
@@ -152,7 +154,7 @@ TEST(ZeroAllocation, WorkspaceWarmsOnceAcrossConfigurations) {
 
 TEST(ZeroAllocation, GraphEngineStepsOnSparseTopology) {
   // The CSR graph engine: once the workspace has seen (n, k), a warm round
-  // touches no heap — node double buffer, byte mirror, partial counts, and
+  // touches no heap — node-state double buffer, partial counts, and
   // the published configuration are all preallocated. (The pre-refactor
   // stepper allocated 64 per-chunk vectors plus a Configuration per round;
   // keeping this suite green is what pins the regression away.)
@@ -225,6 +227,52 @@ TEST(ZeroAllocation, GraphWorkspaceWarmsOnceAcrossTrials) {
   // Each trial's start-configuration copy allocates its count vector; the
   // 100 warm rounds themselves must not.
   EXPECT_LE(allocs, 5u);
+}
+
+TEST(ZeroAllocation, GraphWideStateSteps) {
+  // k > 256 keeps the node states as u32 (the byte array only holds
+  // k <= 256): warm strict and batched rounds on that path allocate
+  // nothing either.
+  ThreeMajority dyn;
+  rng::Xoshiro256pp topo_gen(16);
+  const graph::AgentGraph csr = graph::random_regular(3000, 8, topo_gen);
+  const Configuration start = workloads::additive_bias(3000, 300, 300);
+  for (const graph::EngineMode mode : {graph::EngineMode::Strict, graph::EngineMode::Batched}) {
+    graph::GraphSimulation sim(dyn, csr, start, 17, /*shuffle_layout=*/true, mode);
+    sim.step();  // warm-up
+    const std::uint64_t allocs = allocations_during([&] {
+      for (int r = 0; r < 30; ++r) sim.step();
+    });
+    EXPECT_EQ(allocs, 0u) << (mode == graph::EngineMode::Batched ? "batched" : "strict");
+  }
+}
+
+TEST(ZeroAllocation, GraphAdversaryRounds) {
+  // run_graph_trials' round with an adversary wired in: step, then
+  // corrupt_nodes recolors victims in the node states at either width
+  // (bytes at k = 3, u32 at k = 300). Its scratch lives in the workspace,
+  // so warm rounds allocate nothing.
+  ThreeMajority dyn;
+  const BoostRunnerUp adversary(20);
+  rng::Xoshiro256pp topo_gen(18);
+  const graph::AgentGraph csr = graph::random_regular(3000, 8, topo_gen);
+  for (const state_t k : {state_t{3}, state_t{300}}) {
+    const Configuration start = workloads::additive_bias(3000, k, 300);
+    const rng::StreamFactory streams(19);
+    rng::Xoshiro256pp gen(20);
+    graph::GraphStepWorkspace ws;
+    graph::load_nodes(start, true, streams, ws);
+    Configuration config = start;
+    const auto round = [&](round_t r) {
+      graph::step_graph(dyn, csr, config, streams, r - 1, ws);
+      graph::corrupt_nodes(adversary, config, k, r, gen, ws);
+    };
+    round(1);  // warm-up
+    const std::uint64_t allocs = allocations_during([&] {
+      for (round_t r = 2; r <= 30; ++r) round(r);
+    });
+    EXPECT_EQ(allocs, 0u) << "k=" << k;
+  }
 }
 
 TEST(ZeroAllocation, CountBasedPhiloxSteps) {

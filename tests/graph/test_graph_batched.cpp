@@ -63,7 +63,7 @@ std::vector<std::vector<state_t>> trajectory(const Dynamics& dynamics,
   std::vector<std::vector<state_t>> out;
   for (int r = 0; r < rounds; ++r) {
     sim.step();
-    out.push_back(sim.states());
+    out.push_back(sim.states().to_vector());
   }
   return out;
 }
@@ -294,7 +294,8 @@ TEST(GraphBatched, RuleTableFallsBackToStrict) {
   for (int r = 0; r < 4; ++r) {
     strict.step();
     batched.step();
-    ASSERT_EQ(strict.states(), batched.states()) << "round " << r;
+    ASSERT_EQ(strict.states().to_vector(), batched.states().to_vector())
+        << "round " << r;
   }
 }
 

@@ -116,7 +116,7 @@ TEST_P(EngineVsReference, BitwiseEqualOnRandomRegular) {
     engine.step();
     ASSERT_EQ(ref.configuration(), engine.configuration())
         << param.dynamics->name() << " counts diverged at round " << round;
-    ASSERT_EQ(ref.states(), engine.states())
+    ASSERT_EQ(ref.states(), engine.states().to_vector())
         << param.dynamics->name() << " node states diverged at round " << round;
   }
 }
@@ -134,7 +134,7 @@ TEST_P(EngineVsReference, BitwiseEqualOnClique) {
     engine.step();
     ASSERT_EQ(ref.configuration(), engine.configuration())
         << param.dynamics->name() << " counts diverged at round " << round;
-    ASSERT_EQ(ref.states(), engine.states())
+    ASSERT_EQ(ref.states(), engine.states().to_vector())
         << param.dynamics->name() << " node states diverged at round " << round;
   }
 }
@@ -189,7 +189,7 @@ TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
       engine.step();
       ASSERT_EQ(ref.configuration(), engine.configuration())
           << dynamics->name() << " (k=300) counts diverged at round " << round;
-      ASSERT_EQ(ref.states(), engine.states())
+      ASSERT_EQ(ref.states(), engine.states().to_vector())
           << dynamics->name() << " (k=300) node states diverged at round " << round;
     }
   }
@@ -198,8 +198,8 @@ TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
 TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
   // One workspace carried across different dynamics and k values (the
   // run_graph_trials reuse pattern) must reproduce fresh-workspace runs:
-  // everything except ws.nodes is rewritten per round, and ws.nodes is
-  // rewritten per load_nodes.
+  // everything except the node states is rewritten per round, and the node
+  // states are rewritten per load_nodes.
   ThreeMajority majority;
   UndecidedState undecided;
   rng::Xoshiro256pp topo_gen(11);
@@ -229,7 +229,8 @@ TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
         step_graph(dyn, graph, shared_cfg, streams, round, shared);
         step_graph(dyn, graph, fresh_cfg, streams, round, fresh);
         ASSERT_EQ(shared_cfg, fresh_cfg) << dyn.name() << " round " << round;
-        ASSERT_EQ(shared.nodes, fresh.nodes) << dyn.name() << " round " << round;
+        ASSERT_EQ(shared.states(start.k()).to_vector(), fresh.states(start.k()).to_vector())
+            << dyn.name() << " round " << round;
       }
     }
   }

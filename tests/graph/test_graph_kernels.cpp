@@ -89,7 +89,7 @@ void expect_node_matches_law_mode(const Dynamics& dynamics, const AgentGraph& gr
                                   int trials = 6000) {
   const state_t states = start.k();
   GraphSimulation probe(dynamics, graph, start, seed_base, /*shuffle_layout=*/false);
-  const std::vector<state_t> layout = probe.states();
+  const std::vector<state_t> layout = probe.states().to_vector();
   const std::vector<double> law = exact_node_law(dynamics, graph, layout, node, states);
 
   std::vector<std::uint64_t> observed(states, 0);

@@ -4,8 +4,7 @@
 //
 //  * SimdMatchesScalarBitwise: whole strict rounds with every kernel table
 //    the host supports against the scalar path — lane rules and the
-//    two-choices fallback, clique and regular:8, empty and ragged chunks,
-//    byte-mirror and bytes-only memory modes.
+//    two-choices fallback, clique and regular:8, empty and ragged chunks.
 //  * LaneKernelsRedoRejectedDraws: hand-built generator states whose next
 //    output is 0 force Lemire rejections on some lanes; the lane entry must
 //    finish those draws exactly like kernels::uniform_below.
@@ -18,13 +17,11 @@
 #include <vector>
 
 #include "core/majority.hpp"
-#include "core/observer.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "graph/agent_graph.hpp"
 #include "graph/batched_simd.hpp"
 #include "graph/builders.hpp"
-#include "graph/graph_trials.hpp"
 #include "graph/kernels.hpp"
 
 #if defined(PLURALITY_HAVE_OPENMP)
@@ -65,43 +62,11 @@ std::vector<std::vector<state_t>> strict_trajectory(const Dynamics& dynamics,
   std::vector<std::vector<state_t>> out;
   for (int r = 0; r < rounds; ++r) {
     sim.step();
-    out.push_back(sim.states());
+    out.push_back(sim.states().to_vector());
     const auto counts = sim.configuration().counts();
     out.emplace_back(counts.begin(), counts.end());
   }
   return out;
-}
-
-/// Records every observed round's counts (serial trials only).
-class CountRecorder final : public RoundObserver {
- public:
-  void begin_trial(std::uint64_t, const Configuration&, state_t) override {}
-  void observe_round(std::uint64_t trial, round_t round, const Configuration& config,
-                     state_t) override {
-    std::vector<count_t> row{trial, round};
-    row.insert(row.end(), config.counts().begin(), config.counts().end());
-    rows.push_back(std::move(row));
-  }
-  void end_trial(std::uint64_t, StopReason, round_t, const Configuration&,
-                 state_t) override {}
-  std::vector<std::vector<count_t>> rows;
-};
-
-/// Per-round counts of a bytes-only run_graph_trials batch.
-std::vector<std::vector<count_t>> bytes_only_rounds(const Dynamics& dynamics,
-                                                   const AgentGraph& graph,
-                                                   const Configuration& start) {
-  CountRecorder recorder;
-  CommonTrialOptions options;
-  options.trials = 2;
-  options.seed = 43;
-  options.parallel = false;
-  options.max_rounds = 3;
-  options.observer = &recorder;
-  set_graph_bytes_only_override(1);
-  run_graph_trials(dynamics, graph, start, options);
-  set_graph_bytes_only_override(-1);
-  return std::move(recorder.rows);
 }
 
 TEST(GraphStrict, SimdMatchesScalarBitwise) {
@@ -128,20 +93,15 @@ TEST(GraphStrict, SimdMatchesScalarBitwise) {
                                         : spread(n, k);
         for (const auto& [graph_name, graph] : graphs) {
           std::vector<std::vector<state_t>> scalar;
-          std::vector<std::vector<count_t>> scalar_bytes_only;
           {
             const simd::ScopedSelection none(nullptr);
             scalar = strict_trajectory(*dyn, graph, start, 3);
-            scalar_bytes_only = bytes_only_rounds(*dyn, graph, start);
           }
           for (const simd::Ops* ops : simd::supported()) {
             const simd::ScopedSelection select(ops);
             ASSERT_EQ(strict_trajectory(*dyn, graph, start, 3), scalar)
                 << ops->name << " / " << graph_name << " / " << dyn->name() << " n=" << n
                 << " k=" << k;
-            ASSERT_EQ(bytes_only_rounds(*dyn, graph, start), scalar_bytes_only)
-                << "bytes-only " << ops->name << " / " << graph_name << " / "
-                << dyn->name() << " n=" << n << " k=" << k;
           }
         }
       }
@@ -178,24 +138,21 @@ void expect_lanes_match_scalar(const simd::Ops& ops, void (*entry)(const simd::L
     for (unsigned w = 0; w < 4; ++w) state[w * lanes + l] = starts[l][w];
   }
   std::vector<std::uint8_t> out8(n + 4, 0xee);
-  std::vector<state_t> out32(n, 0xdead);
   entry(simd::LaneArgs{state.data(), first, stride, steps,
                        complete ? nullptr : graph.neighbors(), bound, nodes8.data(),
-                       out8.data(), out32.data(), k});
+                       out8.data(), k});
 
   std::vector<std::uint8_t> ref8(n + 4, 0xee);
-  std::vector<state_t> ref32(n, 0xdead);
   std::vector<count_t> local(k, 0);
   for (unsigned l = 0; l < lanes; ++l) {
     rng::Xoshiro256pp gen(starts[l]);
     const std::size_t lo = first + l * stride;
     if (complete) {
-      kernels::run_chunk_complete(rule, nodes8.data(), ref32.data(), ref8.data(),
-                                  local.data(), lo, lo + steps, n, k, gen);
+      kernels::run_chunk_complete(rule, nodes8.data(), ref8.data(), local.data(), lo,
+                                  lo + steps, n, k, gen);
     } else {
-      kernels::run_chunk_regular(rule, nodes8.data(), ref32.data(), ref8.data(),
-                                 local.data(), lo, lo + steps, graph.neighbors(), bound, k,
-                                 gen);
+      kernels::run_chunk_regular(rule, nodes8.data(), ref8.data(), local.data(), lo,
+                                 lo + steps, graph.neighbors(), bound, k, gen);
     }
     for (unsigned w = 0; w < 4; ++w) {
       EXPECT_EQ(state[w * lanes + l], gen.state()[w])
@@ -203,7 +160,6 @@ void expect_lanes_match_scalar(const simd::Ops& ops, void (*entry)(const simd::L
     }
   }
   EXPECT_EQ(out8, ref8) << ops.name << " " << what;
-  EXPECT_EQ(out32, ref32) << ops.name << " " << what;
 }
 
 TEST(GraphStrict, LaneKernelsRedoRejectedDraws) {

@@ -131,7 +131,7 @@ TEST(CorruptNodes, KeepsNodesAndCountsConsistent) {
   rng::Xoshiro256pp gen(17);
   for (round_t round = 1; round <= 5; ++round) {
     corrupt_nodes(adversary, config, 3, round, gen, ws);
-    EXPECT_EQ(tally(ws.nodes, config.k()),
+    EXPECT_EQ(tally(ws.states(config.k()).to_vector(), config.k()),
               std::vector<count_t>(config.counts().begin(), config.counts().end()))
         << "round " << round;
     EXPECT_EQ(config.n(), 100u);
@@ -145,16 +145,16 @@ TEST(CorruptNodes, MovesExactlyTheStrategyBudget) {
   GraphStepWorkspace ws;
   ws.prepare(start.n(), start.k());
   load_nodes(start, false, streams, ws);
-  const std::vector<state_t> before = ws.nodes;
+  const std::vector<state_t> before = ws.states(start.k()).to_vector();
   Configuration config = start;
   rng::Xoshiro256pp gen(18);
   corrupt_nodes(adversary, config, 2, 1, gen, ws);
   // BoostRunnerUp moves min(F, ...) = 5 nodes from plurality to runner-up.
   std::size_t changed = 0;
   for (std::size_t i = 0; i < before.size(); ++i) {
-    if (before[i] != ws.nodes[i]) {
+    if (before[i] != ws.states(start.k())[i]) {
       EXPECT_EQ(before[i], 0u);  // taken from the plurality color
-      EXPECT_EQ(ws.nodes[i], 1u);
+      EXPECT_EQ(ws.states(start.k())[i], 1u);
       ++changed;
     }
   }
@@ -175,7 +175,8 @@ TEST(CorruptNodes, DeterministicForSeed) {
   for (round_t round = 1; round <= 4; ++round) {
     corrupt_nodes(adversary, config_a, 4, round, gen_a, ws_a);
     corrupt_nodes(adversary, config_b, 4, round, gen_b, ws_b);
-    ASSERT_EQ(ws_a.nodes, ws_b.nodes) << "round " << round;
+    ASSERT_EQ(ws_a.states(start.k()).to_vector(), ws_b.states(start.k()).to_vector())
+        << "round " << round;
     ASSERT_EQ(config_a, config_b) << "round " << round;
   }
 }

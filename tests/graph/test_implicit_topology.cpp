@@ -89,7 +89,7 @@ std::vector<std::vector<state_t>> trajectory(const Dynamics& dynamics,
   std::vector<std::vector<state_t>> out;
   for (int r = 0; r < rounds; ++r) {
     sim.step();
-    out.push_back(sim.states());
+    out.push_back(sim.states().to_vector());
   }
   return out;
 }
@@ -169,30 +169,6 @@ TEST(ImplicitTopology, ThreadCountNeverChangesResults) {
 }
 #endif
 
-TEST(ImplicitTopology, BytesOnlyModeIsBitwiseInvisible) {
-  // run_graph_trials with the byte-array-only workspace forced on vs off:
-  // identical TrialSummary (the u32 arrays the mode drops were never read).
-  ThreeMajority majority;
-  const AgentGraph graph = AgentGraph::complete(600);
-  const Configuration start = workloads::additive_bias(600, 3, 180);
-  CommonTrialOptions options;
-  options.trials = 24;
-  options.seed = 77;
-  options.max_rounds = 100'000;
-  for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
-    options.mode = mode;
-    set_graph_bytes_only_override(0);
-    const TrialSummary off = run_graph_trials(majority, graph, start, options);
-    set_graph_bytes_only_override(1);
-    const TrialSummary on = run_graph_trials(majority, graph, start, options);
-    set_graph_bytes_only_override(-1);
-    EXPECT_EQ(on.round_samples, off.round_samples)
-        << (mode == EngineMode::Batched ? "batched" : "strict");
-    EXPECT_EQ(on.consensus_count, off.consensus_count);
-    EXPECT_EQ(on.plurality_wins, off.plurality_wins);
-  }
-}
-
 // --- adoption-law battery over the implicit samplers. ----------------------
 
 /// Exact next-state law of `node`, with the neighborhood multiset read off
@@ -226,7 +202,7 @@ void expect_matches_law(const Dynamics& dynamics, const AgentGraph& graph,
                         int trials = 6000) {
   const state_t states = start.k();
   GraphSimulation probe(dynamics, graph, start, seed_base, /*shuffle_layout=*/false);
-  const std::vector<state_t> layout = probe.states();
+  const std::vector<state_t> layout = probe.states().to_vector();
   const std::vector<double> law = node_law(dynamics, graph, layout, node, states);
 
   for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {

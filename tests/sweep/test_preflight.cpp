@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #if defined(PLURALITY_HAVE_OPENMP)
 #include <omp.h>
@@ -101,6 +102,28 @@ TEST(Preflight, ParallelGraphTrialsBillOneWorkspacePerThread) {
   EXPECT_LT(serial, std::uint64_t{3'000'000'000});
 }
 #endif
+
+TEST(Preflight, GraphStateBillIsOneByteArrayPairWheneverKFitsAByte) {
+  // A graph trial keeps one node-state array and its double buffer: a byte
+  // per node each when k <= 256, whatever n or the adversary, and u32 each
+  // beyond. (A byte-only mode that switched on only at n >= 2^26 without an
+  // adversary used to bill 10 bytes per node below that.)
+  const auto bill = [](const std::string& text) {
+    return estimate_cell_memory_bytes(spec_of(text));
+  };
+  const std::string regular = "topology=regular:8 n=1e6 trials=4 parallel=false";
+  const std::uint64_t n = 1'000'000;
+  const std::uint64_t bytes = bill(regular + " k=4 adversary=boost-runner-up:5");
+  EXPECT_EQ(bytes, bill(regular + " k=4"));
+  // Same graph build: the difference is the state arrays and the partials.
+  EXPECT_EQ(bill(regular + " k=300 adversary=boost-runner-up:5") - bytes,
+            (2 * 4 - 2 * 1) * n + 64 * (300 - 4) * 8);
+  // An implicit ring bills no build: the fixed 1 MiB plus the state alone.
+  const std::uint64_t ring_n = graph::kImplicitAutoThreshold;
+  EXPECT_EQ(bill("topology=ring n=" + std::to_string(ring_n) +
+                 " k=4 adversary=boost-runner-up:5 trials=4 parallel=false"),
+            (std::uint64_t{1} << 20) + 2 * ring_n + 64 * 4 * 8);
+}
 
 TEST(Preflight, CoarseOrderingAcrossBackends) {
   // count << graph at the same n, on the clique and on a sparse topology:
