@@ -10,8 +10,8 @@
 //     BENCH_graphs.json's CSR rows.
 //
 //  2. Headline (default/full modes only): gossip and implicit ring at
-//     n = 10^9 through run_graph_trials — the bytes-only workspace
-//     (~2n bytes of total state) is the whole reason these cells exist.
+//     n = 10^9 through run_graph_trials — the byte-wide node states
+//     (~2n bytes of total state) are the whole reason these cells exist.
 //     Reported as wall-clock rounds/sec of a capped run, initialization
 //     included; CI never runs this section (--quick).
 //
@@ -146,8 +146,8 @@ int run(int argc, const char* const* argv) {
   }
 
   // ------------------------------------------------------------- headline --
-  // Capped batched runs through run_graph_trials, which auto-enables the
-  // bytes-only workspace at this scale: total state ~2n bytes. Wall clock
+  // Capped batched runs through run_graph_trials, whose node states are
+  // one byte each at k <= 256: total state ~2n bytes. Wall clock
   // includes trial initialization (workload layout + shuffle), so these are
   // end-to-end numbers, slightly below steady-state stepping throughput.
   const count_t headline_n = exp.cli().get_uint("headline-n") != 0
@@ -196,7 +196,7 @@ int run(int argc, const char* const* argv) {
       entry.set("node_updates_per_sec", updates / wall);
       entry.set("round_limit_hits", summary.round_limit_hits);
     }
-    std::cout << "headline: end-to-end capped runs, bytes-only workspace "
+    std::cout << "headline: end-to-end capped runs, byte node states "
                  "(~2 bytes/node of total state)\n";
     exp.emit(hl_table, "headline");
   }

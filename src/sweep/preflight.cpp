@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <string>
 
+#include "graph/graph_workspace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -107,12 +108,11 @@ std::uint64_t arena_build_bytes(const std::string& kind, std::uint64_t n,
   return sat_add(scratch, arena);
 }
 
-/// Per-node state bytes of the graph step workspace (graph_workspace.hpp):
-/// one state array and its double buffer, one byte per node each when
-/// k <= 256 (byte_states), u32 each otherwise. Adversaries edit the same
-/// array, so they add nothing per node.
+/// Per-node state bytes of the graph step workspace: one state array and
+/// its double buffer, at the width graph::byte_states picks. Adversaries
+/// edit the same array, so they add nothing per node.
 std::uint64_t graph_state_bytes_per_node(const scenario::ScenarioSpec& spec) {
-  return spec.k <= 256 ? 2 * 1 : 2 * 4;
+  return graph::byte_states(spec.k) ? 2 * 1 : 2 * 4;
 }
 
 /// Graph step workspaces alive at once: run_graph_trials builds one per

@@ -237,7 +237,8 @@ TEST(ZeroAllocation, GraphWideStateSteps) {
   rng::Xoshiro256pp topo_gen(16);
   const graph::AgentGraph csr = graph::random_regular(3000, 8, topo_gen);
   const Configuration start = workloads::additive_bias(3000, 300, 300);
-  for (const graph::EngineMode mode : {graph::EngineMode::Strict, graph::EngineMode::Batched}) {
+  for (const graph::EngineMode mode :
+       {graph::EngineMode::Strict, graph::EngineMode::Batched}) {
     graph::GraphSimulation sim(dyn, csr, start, 17, /*shuffle_layout=*/true, mode);
     sim.step();  // warm-up
     const std::uint64_t allocs = allocations_during([&] {

@@ -169,9 +169,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
-  // k > 256 disables the byte-wide sampling mirror, taking the state_t
-  // sweep path — pin that branch against the reference too (the k <= 256
-  // cases above never reach it).
+  // k > 256 keeps the node states as u32, taking the state_t sweep path —
+  // pin that branch against the reference too (the k <= 256 cases above
+  // never reach it).
   const state_t k = 300;
   rng::Xoshiro256pp topo_gen(77);
   const AgentGraph graph = random_regular(600, 6, topo_gen);

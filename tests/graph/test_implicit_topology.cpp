@@ -11,9 +11,6 @@
 //    team size.
 //  * Gossip: topology=gossip and topology=clique backend=graph compile to
 //    the same complete graph, so their scenario summaries are identical.
-//  * Bytes-only memory mode: run_graph_trials summaries are bitwise-equal
-//    with the mode forced on vs off (the u32 arrays it drops were
-//    write-only).
 //  * Adoption-law battery: one-round chi-square pins for the complete
 //    graph and the implicit families in both modes, with the exact law
 //    computed from ImplicitTopology::neighbor itself (the arena is not
@@ -25,12 +22,10 @@
 #include <vector>
 
 #include "core/majority.hpp"
-#include "core/trials.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
-#include "graph/graph_trials.hpp"
 #include "graph/implicit_topology.hpp"
 #include "scenario/scenario.hpp"
 #include "stats/chi_square.hpp"

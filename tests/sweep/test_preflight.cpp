@@ -106,8 +106,7 @@ TEST(Preflight, ParallelGraphTrialsBillOneWorkspacePerThread) {
 TEST(Preflight, GraphStateBillIsOneByteArrayPairWheneverKFitsAByte) {
   // A graph trial keeps one node-state array and its double buffer: a byte
   // per node each when k <= 256, whatever n or the adversary, and u32 each
-  // beyond. (A byte-only mode that switched on only at n >= 2^26 without an
-  // adversary used to bill 10 bytes per node below that.)
+  // beyond.
   const auto bill = [](const std::string& text) {
     return estimate_cell_memory_bytes(spec_of(text));
   };
