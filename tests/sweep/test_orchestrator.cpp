@@ -7,10 +7,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "io/checkpoint.hpp"
 #include "scenario/scenario.hpp"
 #include "support/check.hpp"
+
+#if defined(PLURALITY_HAVE_OPENMP)
+#include <omp.h>
+#endif
 
 namespace plurality::sweep {
 namespace {
@@ -77,6 +82,55 @@ TEST(Orchestrator, SchedulingModeCannotChangeResults) {
     EXPECT_EQ(a.cells[i].summary.rounds.mean(), b.cells[i].summary.rounds.mean());
     EXPECT_EQ(a.cells[i].summary.plurality_wins, b.cells[i].summary.plurality_wins);
   }
+}
+
+#if defined(PLURALITY_HAVE_OPENMP)
+struct ThreadCountGuard {
+  explicit ThreadCountGuard(int threads) : saved(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ThreadCountGuard() { omp_set_num_threads(saved); }
+  int saved;
+};
+#endif
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+TEST(Orchestrator, CellFilesAndAggregateAreByteIdenticalWithCellsInParallelOnAndOff) {
+  // Cells with more trials than threads and cells with fewer, on both
+  // backends and engines: however the cells and their trials share the
+  // team, every cell file and the aggregate must come out byte-identical.
+#if defined(PLURALITY_HAVE_OPENMP)
+  ThreadCountGuard guard(4);
+#endif
+  const SweepSpec sweep = SweepSpec::parse(
+      "dynamics=3-majority workload=bias:2c n=3000 max_rounds=5000 seed=3 "
+      "trials=2,6 k=2,4 backend=count,graph engine=strict,batched");
+  std::string cells[2][16];
+  std::string aggregate[2];
+  for (const bool in_parallel : {true, false}) {
+    const fs::path dir = fresh_dir(in_parallel ? "plan_on" : "plan_off");
+    SweepOptions options;
+    options.out_dir = dir.string();
+    options.zero_wall_times = true;
+    options.cells_in_parallel = in_parallel;
+    const SweepOutcome outcome = run_sweep(sweep, options);
+    ASSERT_EQ(outcome.cells.size(), 16u);
+    ASSERT_EQ(outcome.ran, 16u);
+    for (const CellOutcome& cell : outcome.cells) {
+      cells[in_parallel][cell.index] = file_bytes(dir / "cells" / (cell.id + ".json"));
+    }
+    aggregate[in_parallel] = file_bytes(dir / "aggregate.csv");
+  }
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_FALSE(cells[1][i].empty()) << "cell " << i;
+    EXPECT_EQ(cells[1][i], cells[0][i]) << "cell " << i;
+  }
+  EXPECT_FALSE(aggregate[1].empty());
+  EXPECT_EQ(aggregate[1], aggregate[0]);
 }
 
 TEST(Orchestrator, WritesManifestCellFilesAndAggregate) {
