@@ -199,6 +199,9 @@ int main(int argc, char** argv) {
   WallTimer timer;
   scenario::ScenarioResult result;
   result.resolved = resolved;
+  result.plan = compiled.plan();
+  std::cout << "threads:   trial team " << result.plan->trial_team << ", round team "
+            << result.plan->round_team << "\n";
   result.summary = compiled.run();
   result.wall_seconds = timer.seconds();
   const TrialSummary& summary = result.summary;

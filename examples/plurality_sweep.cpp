@@ -39,7 +39,7 @@ int run(int argc, char** argv) {
   cli.add_flag("force", "start over inside a populated out-dir (overwrites cell files)");
   cli.add_uint("trials", 0, "override every cell's trial count (0 = spec values)");
   cli.add_flag("seq-cells",
-               "run cells one at a time (each cell's trials then run OpenMP-parallel)");
+               "run cells one at a time, each on its own thread plan");
   cli.add_uint("observe-m", 0,
                "track time-to-m-plurality with this m (adds ttm_* columns); overrides "
                "the spec's observe block");

@@ -3,10 +3,6 @@
 #include "core/observer.hpp"
 #include "support/check.hpp"
 
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace plurality {
 
 double TrialSummary::win_rate() const {
@@ -90,6 +86,12 @@ TrialSummary TrialOutcomes::summarize() const {
   return summary;
 }
 
+ThreadPlan plan_trials(const CommonTrialOptions& options, std::uint64_t n,
+                       bool team_rounds) {
+  return plan_threads(options.parallel ? options.trials : 1, n, available_threads(),
+                      team_rounds);
+}
+
 TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
                         const CommonTrialOptions& options) {
   PLURALITY_REQUIRE(options.trials > 0, "run_trials: need at least one trial");
@@ -126,22 +128,22 @@ TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
     outcomes.record(trial, result.reason, result.plurality_won, result.rounds);
   };
 
+  // Count rounds have no parallel region, so n never moves the plan.
+  const ThreadPlan plan = plan_trials(options, 0, /*team_rounds=*/false);
 #if defined(PLURALITY_HAVE_OPENMP)
-  if (options.parallel) {
-#pragma omp parallel
+  if (plan.trial_team > 1) {
+#pragma omp parallel num_threads(plan.trial_team)
     {
       StepWorkspace ws;
 #pragma omp for schedule(dynamic)
       for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
     }
-  } else {
+  } else
+#endif
+  {
     StepWorkspace ws;
     for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
   }
-#else
-  StepWorkspace ws;
-  for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
-#endif
 
   // Unwinding is only safe here, outside the OpenMP region. Any token that
   // fired poisons the whole run: partial summaries are not reproducible.

@@ -1,12 +1,14 @@
 // Multi-trial experiment driver: R independent runs of a dynamics,
-// OpenMP-parallel over trials, each trial on its own hash-derived RNG
-// stream so results are identical no matter how many threads execute them.
+// OpenMP-parallel over trials when the thread plan (core/thread_plan.hpp)
+// says so, each trial on its own hash-derived RNG stream so results are
+// identical no matter how many threads execute them.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "core/runner.hpp"
+#include "core/thread_plan.hpp"
 #include "rng/stream.hpp"
 #include "stats/quantile_sketch.hpp"
 #include "stats/summary.hpp"
@@ -53,6 +55,8 @@ struct TrialSummary {
 struct CommonTrialOptions {
   std::uint64_t trials = 100;
   std::uint64_t seed = 1;
+  /// false runs the trials one after another whatever the thread plan
+  /// would pick (graph rounds may still take a team). Scheduling only.
   bool parallel = true;
   round_t max_rounds = 1'000'000;
   /// Stepping pipeline (see core/engine_mode.hpp). Count backend: Strict =
@@ -114,6 +118,13 @@ class TrialOutcomes {
   std::vector<std::uint8_t> won_, consensus_, limited_, predicate_;
   std::vector<double> round_samples_;
 };
+
+/// The thread plan a trial driver runs `options` with on `n`-node trials,
+/// from the threads available at the call: plan_threads over
+/// options.trials (1 when options.parallel is off). `team_rounds` is true
+/// for the graph driver, whose rounds have a parallel region.
+[[nodiscard]] ThreadPlan plan_trials(const CommonTrialOptions& options, std::uint64_t n,
+                                     bool team_rounds);
 
 /// Runs `options.trials` independent runs from factory-generated starts —
 /// the count-path trial driver (clique model; for sparse topologies see

@@ -7,6 +7,7 @@
 #include "core/hplurality.hpp"
 #include "core/majority.hpp"
 #include "core/median.hpp"
+#include "core/thread_plan.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "graph/batched_simd.hpp"
@@ -15,10 +16,6 @@
 #include "graph/step_batched.hpp"
 #include "rng/distributions.hpp"
 #include "support/check.hpp"
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace plurality::graph {
 
@@ -176,7 +173,7 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGr
   const unsigned prefetch = tuning.prefetch_distance;
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (n >= kRoundTeamMinNodes)
 #endif
   for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
     const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
@@ -201,15 +198,11 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGr
   }
 }
 
-/// Threads a parallel loop opened here runs with (1 inside a trial-level
-/// team unless nested parallelism is enabled).
-unsigned sweep_team_size() {
-#if defined(PLURALITY_HAVE_OPENMP)
-  if (omp_get_active_level() >= omp_get_max_active_levels()) return 1;
-  return static_cast<unsigned>(omp_get_max_threads());
-#else
-  return 1;
-#endif
+/// Threads the chunk loop of an n-node round runs with: 1 below the
+/// crossover (the regions' `if` clause) and inside a trial team, else the
+/// whole team.
+unsigned sweep_team_size(std::size_t n) {
+  return n >= kRoundTeamMinNodes ? available_threads() : 1;
 }
 
 /// The strict lane kernel of (Rule, graph) in `ops`, or nullptr: lane
@@ -221,7 +214,7 @@ template <class Rule>
 auto lane_kernel_for(const simd::Ops* ops, const AgentGraph& graph)
     -> void (*)(const simd::LaneArgs&) {
   if (ops == nullptr || graph.is_implicit()) return nullptr;
-  if (sweep_team_size() > kGraphChunks / simd::kStrictLanes) return nullptr;
+  if (sweep_team_size(graph.num_nodes()) > kGraphChunks / simd::kStrictLanes) return nullptr;
   const bool complete = graph.is_complete();
   if (!complete && graph.min_degree() != graph.max_degree()) return nullptr;
   if ((complete ? graph.num_nodes() : graph.min_degree()) > 0xffffffffULL) return nullptr;
@@ -258,7 +251,7 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
   const unsigned prefetch = tuning.prefetch_distance;
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (n >= kRoundTeamMinNodes)
 #endif
   for (unsigned group = 0; group < kGraphChunks / lanes; ++group) {
     const unsigned chunk0 = group * lanes;

@@ -24,7 +24,15 @@
 #if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512BW__) && \
     defined(__AVX512VL__)
 
+// GCC 12's AVX-512 headers seed _mm512_undefined_* with a self-initialised
+// local, and -Wmaybe-uninitialized reports it at every inlined intrinsic
+// (GCC bug 105593): 418 warnings on this file. A diagnostic pragma applies
+// by source location, so this silences the header text only; code in this
+// file still warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include <algorithm>
 #include <type_traits>

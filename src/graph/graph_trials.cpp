@@ -6,10 +6,6 @@
 #include "rng/distributions.hpp"
 #include "support/check.hpp"
 
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace plurality::graph {
 
 namespace {
@@ -164,22 +160,23 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
     outcomes.record(trial, reason, won, rounds);
   };
 
+  // Fewer trials than threads: trials run one after another and each
+  // round's chunk loop takes the team (agent_graph.cpp).
+  const ThreadPlan plan = plan_trials(options, graph.num_nodes(), /*team_rounds=*/true);
 #if defined(PLURALITY_HAVE_OPENMP)
-  if (options.parallel) {
-#pragma omp parallel
+  if (plan.trial_team > 1) {
+#pragma omp parallel num_threads(plan.trial_team)
     {
       GraphStepWorkspace ws;
 #pragma omp for schedule(dynamic)
       for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
     }
-  } else {
+  } else
+#endif
+  {
     GraphStepWorkspace ws;
     for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
   }
-#else
-  GraphStepWorkspace ws;
-  for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
-#endif
 
   // Outside the OpenMP region, where throwing is safe: a fired token means
   // at least one trial stopped mid-run, so the whole summary is invalid.

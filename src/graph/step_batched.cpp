@@ -8,16 +8,13 @@
 #include "core/hplurality.hpp"
 #include "core/majority.hpp"
 #include "core/median.hpp"
+#include "core/thread_plan.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "graph/agent_graph.hpp"
 #include "graph/batched_simd.hpp"
 #include "graph/kernels_batched.hpp"
 #include "support/check.hpp"
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace plurality::graph {
 
@@ -197,7 +194,7 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
     }
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (n >= kRoundTeamMinNodes)
 #endif
     for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
       const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;

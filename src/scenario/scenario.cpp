@@ -78,6 +78,10 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   return compiled;
 }
 
+ThreadPlan Scenario::plan() const {
+  return plan_trials(options_, start_.n(), use_graph_);
+}
+
 TrialSummary Scenario::run(RoundObserver* observer,
                            const CancellationToken* cancel) const {
   if (observer == nullptr && cancel == nullptr) {
@@ -100,6 +104,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, RoundObserver* observer,
   const Scenario compiled = Scenario::compile(spec);
   ScenarioResult result;
   result.resolved = compiled.spec();
+  result.plan = compiled.plan();
   WallTimer timer;
   result.summary = compiled.run(observer, cancel);
   result.wall_seconds = timer.seconds();
@@ -140,6 +145,11 @@ io::JsonValue scenario_result_to_json(const ScenarioResult& result) {
     rounds.set("quantiles_exact", summary.round_quantiles.exact());
   }
 
+  if (result.plan) {
+    io::JsonValue& plan = doc.set("plan", io::JsonValue::object());
+    plan.set("trial_team", std::uint64_t{result.plan->trial_team});
+    plan.set("round_team", std::uint64_t{result.plan->round_team});
+  }
   doc.set("wall_seconds", result.wall_seconds);
   return doc;
 }

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "core/adversary.hpp"
 #include "core/dynamics.hpp"
+#include "core/thread_plan.hpp"
 #include "core/trials.hpp"
 #include "graph/agent_graph.hpp"
 #include "scenario/spec.hpp"
@@ -49,6 +51,10 @@ class Scenario {
   /// The unified option set run() passes to the trial driver (adversary
   /// pointer already wired).
   [[nodiscard]] const CommonTrialOptions& options() const { return options_; }
+  /// The thread plan run() would use if called at this point
+  /// (core/thread_plan.hpp). It moves scheduling only, never a result
+  /// number.
+  [[nodiscard]] ThreadPlan plan() const;
 
   /// Runs the scenario's trials and reduces them to the shared summary.
   /// `observer` (optional) is threaded into the trial driver's per-round
@@ -74,12 +80,14 @@ class Scenario {
   CommonTrialOptions options_;
 };
 
-/// One scenario execution: the resolved spec, the trial summary, and the
-/// wall time the trials took.
+/// One scenario execution: the resolved spec, the trial summary, the wall
+/// time the trials took, and the thread plan they ran with (left empty by
+/// callers whose files must not depend on the schedule, like sweep cells).
 struct ScenarioResult {
   ScenarioSpec resolved;
   TrialSummary summary;
   double wall_seconds = 0.0;
+  std::optional<ThreadPlan> plan;
 };
 
 /// parse -> validate -> compile -> run in one call — the single entry
@@ -92,8 +100,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, RoundObserver* observer = 
 /// The result as an ordered JSON document (schema_version 1): the resolved
 /// spec echo (graph-backend runs add the topology store that ran as
 /// `topology_backend`), the summary counters/rates, round statistics
-/// (mean/min/max and p50/p95 where any trial stopped), and timing. Written
-/// via the existing src/io writer.
+/// (mean/min/max and p50/p95 where any trial stopped), the thread plan as
+/// `plan: {trial_team, round_team}` when the result carries one, and
+/// timing. Written via the existing src/io writer.
 io::JsonValue scenario_result_to_json(const ScenarioResult& result);
 
 }  // namespace plurality::scenario

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "core/thread_plan.hpp"
 #include "io/checkpoint.hpp"
 #include "io/csv.hpp"
 #include "obs/metrics.hpp"
@@ -15,10 +16,6 @@
 #include "sweep/cell_runner.hpp"
 #include "sweep/preflight.hpp"
 #include "sweep/watchdog.hpp"
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace plurality::sweep {
 
@@ -301,19 +298,19 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
   const std::uint64_t budget = options.memory_budget_bytes > 0
                                    ? options.memory_budget_bytes
                                    : default_memory_budget_bytes();
-#if defined(PLURALITY_HAVE_OPENMP)
-  const bool parallel_cells = options.cells_in_parallel;
-  const std::uint64_t threads =
-      parallel_cells ? static_cast<std::uint64_t>(omp_get_max_threads()) : 1;
-#else
-  const bool parallel_cells = false;
-  const std::uint64_t threads = 1;
-#endif
+  const unsigned threads = options.cells_in_parallel ? available_threads() : 1;
 
-  std::vector<std::size_t> parallel_batch;
-  std::vector<std::size_t> serial_batch;
+  // A cell whose thread plan gives its trials every thread (at least
+  // `threads` trials, whatever the backend or n) runs alone, and so does a
+  // cell too big to run next to siblings. Only cells with fewer trials than
+  // threads share the cell team.
+  std::vector<std::size_t> shared_batch;
+  std::vector<std::size_t> alone_batch;
   for (const std::size_t i : pending) {
     CellOutcome& cell = out.cells[i];
+    const scenario::ScenarioSpec& spec = cell.requested;
+    const ThreadPlan plan = plan_threads(spec.parallel ? spec.trials : 1, spec.n, threads,
+                                         /*team_rounds=*/true);
     const std::uint64_t estimate = estimate_cell_memory_bytes(cell.requested);
     if (estimate > budget) {
       cell.status = CellStatus::FailedSpec;
@@ -322,12 +319,10 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
                    " (raise memory_budget_bytes or shrink the cell)";
       ++done;
       if (options.on_cell) options.on_cell(cell, done, total);
-    } else if (threads > 1 && estimate > budget / threads) {
-      // Would fit alone but not times `threads`: degrade to the serial
-      // phase instead of gambling on the allocator.
-      serial_batch.push_back(i);
+    } else if (threads > 1 && (plan.trial_team == threads || estimate > budget / threads)) {
+      alone_batch.push_back(i);
     } else {
-      parallel_batch.push_back(i);
+      shared_batch.push_back(i);
     }
   }
 
@@ -380,7 +375,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     });
   }
 
-  const auto run_cell = [&](std::size_t i, bool in_parallel_phase) {
+  const auto run_cell = [&](std::size_t i, bool in_cell_team) {
     CellOutcome& cell = out.cells[i];
     if (shutdown_requested()) return;  // skipped cells stay Pending (resumable)
 
@@ -391,7 +386,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     ctx.cell_timeout_seconds = options.cell_timeout_seconds;
     ctx.max_retries = options.max_retries;
     ctx.retry_backoff_seconds = options.retry_backoff_seconds;
-    ctx.force_serial_trials = in_parallel_phase && parallel_cells;
+    ctx.force_serial_trials = in_cell_team;
     ctx.prior_attempts = prior_attempts[i];
     ctx.injector = &injector;
     ctx.watchdog = &watchdog;
@@ -408,20 +403,18 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
   };
 
 #if defined(PLURALITY_HAVE_OPENMP)
-  if (parallel_cells) {
+  if (threads > 1) {
 #pragma omp parallel for schedule(dynamic, 1)
-    for (std::size_t p = 0; p < parallel_batch.size(); ++p) {
-      run_cell(parallel_batch[p], true);
+    for (std::size_t p = 0; p < shared_batch.size(); ++p) {
+      run_cell(shared_batch[p], true);
     }
-  } else {
-    for (const std::size_t i : parallel_batch) run_cell(i, false);
-  }
-#else
-  for (const std::size_t i : parallel_batch) run_cell(i, false);
+  } else
 #endif
-  // Degraded phase: cells whose estimate does not fit next to siblings run
-  // alone, with their spec's own trial parallelism intact.
-  for (const std::size_t i : serial_batch) run_cell(i, false);
+  {
+    for (const std::size_t i : shared_batch) run_cell(i, false);
+  }
+  // Alone phase: each cell runs on its own thread plan.
+  for (const std::size_t i : alone_batch) run_cell(i, false);
 
   if (progress_thread.joinable()) {
     progress_stop.store(true, std::memory_order_release);

@@ -140,9 +140,11 @@ struct SweepOptions {
   /// (cell files get overwritten). Without resume or force, a populated
   /// out_dir is an error — results must never be clobbered silently.
   bool force = false;
-  /// Run cells across OpenMP threads (cells' own trial loops then run
-  /// sequentially). Off: cells run one at a time, trials parallel as the
-  /// spec says.
+  /// Share the OpenMP threads between cells. Cells with fewer trials than
+  /// threads then run side by side on a cell team, their own trials
+  /// sequentially; cells with at least as many trials as threads run one at
+  /// a time on their own trial team. Off: every cell runs one at a time on
+  /// its own thread plan (core/thread_plan.hpp).
   bool cells_in_parallel = true;
   /// CI shrink: override every cell's trial count (0 = use spec values).
   /// Applied BEFORE expansion, so the manifest and resume matching see the
@@ -160,7 +162,7 @@ struct SweepOptions {
   /// Deterministic fault injection (tests / torture CI). Empty = inert.
   FaultPlan fault_plan;
   /// Preflight memory budget in bytes; cells estimated over it are refused
-  /// (failed_spec), cells over budget/threads run in the serial phase.
+  /// (failed_spec), cells over budget/threads run alone.
   /// 0 = ~80% of physical RAM.
   std::uint64_t memory_budget_bytes = 0;
   /// Write wall_seconds as 0 everywhere (cell files, aggregate) so two

@@ -6,14 +6,11 @@
 #include <filesystem>
 #include <string>
 
+#include "core/thread_plan.hpp"
 #include "graph/graph_workspace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#endif
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
 #endif
 
 namespace plurality::sweep {
@@ -116,15 +113,11 @@ std::uint64_t graph_state_bytes_per_node(const scenario::ScenarioSpec& spec) {
 }
 
 /// Graph step workspaces alive at once: run_graph_trials builds one per
-/// thread of its trial team, and only threads that run a trial fill theirs.
+/// thread of the trial team its thread plan picks.
 std::uint64_t concurrent_workspaces(const scenario::ScenarioSpec& spec) {
-#if defined(PLURALITY_HAVE_OPENMP)
-  if (spec.parallel) {
-    return std::min<std::uint64_t>(spec.trials,
-                                   static_cast<std::uint64_t>(omp_get_max_threads()));
-  }
-#endif
-  return 1;
+  return plan_threads(spec.parallel ? spec.trials : 1, spec.n, available_threads(),
+                      /*team_rounds=*/true)
+      .trial_team;
 }
 
 }  // namespace

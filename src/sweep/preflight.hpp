@@ -10,8 +10,9 @@
 //   estimate > budget            the cell is refused up front (failed_spec;
 //                                it would be refused by the allocator
 //                                anyway, just less politely)
-//   estimate > budget / threads  the cell is forced onto the serial phase
-//                                (cells_in_parallel would multiply peaks)
+//   estimate > budget / threads  the cell runs alone, never next to
+//                                siblings on the cell team (which would
+//                                multiply peaks)
 //
 // Estimates are deliberately coarse upper bounds (±2x is fine); they only
 // have to rank "fits comfortably / fits alone / cannot fit".
@@ -27,8 +28,8 @@ namespace plurality::sweep {
 /// Upper-bound estimate of one cell's peak heap use in bytes, derived from
 /// the resolved backend, n, k, and — for arena-backed graph cells — the
 /// topology's edge count. Graph cells are billed one step workspace per
-/// thread of their trial team (min(trials, OpenMP threads) when
-/// spec.parallel, else one). Cells whose topology resolves to the implicit
+/// thread of the trial team their thread plan picks (core/thread_plan.hpp:
+/// min(trials, threads), or one when the trials run one after another). Cells whose topology resolves to the implicit
 /// backend are billed for the state arrays only (no CSR arena; the whole
 /// point of gossip/implicit cells at n = 1e9). All arithmetic saturates
 /// instead of wrapping, so a clique at n = 7e9 estimates "cannot fit"

@@ -71,5 +71,31 @@ TEST(ParallelInvariance, ParallelTrueAndFalseAgreeBitwise) {
   }
 }
 
+#if defined(PLURALITY_HAVE_OPENMP)
+TEST(ParallelInvariance, ResultsEchoTheThreadPlanTheyRanWith) {
+  ThreadCountGuard guard(4);
+  const auto plan_of = [](const std::string& text) {
+    const io::JsonValue doc = scenario_result_to_json(run_scenario(ScenarioSpec::parse(text)));
+    const io::JsonValue& plan = doc.at("plan");
+    return ThreadPlan{static_cast<unsigned>(plan.at("trial_team").as_uint()),
+                      static_cast<unsigned>(plan.at("round_team").as_uint())};
+  };
+  const std::string graph = "dynamics=3-majority workload=bias:2c k=2 max_rounds=50 "
+                            "backend=graph topology=ring n=8192 ";
+  EXPECT_EQ(plan_of(graph + "trials=1"), (ThreadPlan{1, 4}));
+  EXPECT_EQ(plan_of(graph + "trials=8"), (ThreadPlan{4, 1}));
+  EXPECT_EQ(plan_of(graph + "trials=8 parallel=false"), (ThreadPlan{1, 4}));
+  EXPECT_EQ(plan_of("dynamics=3-majority workload=bias:2c k=2 n=600 trials=3 "
+                    "backend=graph topology=ring max_rounds=50"),
+            (ThreadPlan{3, 1}));
+  EXPECT_EQ(plan_of("dynamics=3-majority workload=bias:2c k=2 n=100000 trials=3 "
+                    "backend=count"),
+            (ThreadPlan{3, 1}));
+  // Scenario::plan() is what run_scenario records.
+  const Scenario compiled = Scenario::compile(ScenarioSpec::parse(graph + "trials=2"));
+  EXPECT_EQ(compiled.plan(), (ThreadPlan{1, 4}));
+}
+#endif
+
 }  // namespace
 }  // namespace plurality::scenario

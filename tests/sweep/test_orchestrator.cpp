@@ -128,6 +128,8 @@ TEST(Orchestrator, CellFilesAndAggregateAreByteIdenticalWithCellsInParallelOnAnd
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_FALSE(cells[1][i].empty()) << "cell " << i;
     EXPECT_EQ(cells[1][i], cells[0][i]) << "cell " << i;
+    // The thread plan is a scheduling fact, so cell files never carry it.
+    EXPECT_EQ(cells[1][i].find("\"plan\""), std::string::npos) << "cell " << i;
   }
   EXPECT_FALSE(aggregate[1].empty());
   EXPECT_EQ(aggregate[1], aggregate[0]);

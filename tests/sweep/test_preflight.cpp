@@ -17,6 +17,7 @@
 #include <omp.h>
 #endif
 
+#include "core/thread_plan.hpp"
 #include "graph/implicit_topology.hpp"
 #include "scenario/spec.hpp"
 #include "sweep/preflight.hpp"
@@ -82,10 +83,11 @@ TEST(Preflight, ImplicitIsCheaperThanArenaForSameTopology) {
 
 #if defined(PLURALITY_HAVE_OPENMP)
 TEST(Preflight, ParallelGraphTrialsBillOneWorkspacePerThread) {
-  // run_graph_trials fills one step workspace per thread of its trial
-  // team, so a parallel gossip cell at n = 1e9 on 4 threads holds four
-  // ~2 GB byte arrays, not one. The team never outnumbers the trials, and
-  // a serial cell holds one.
+  // run_graph_trials fills one step workspace per thread of the trial team
+  // its thread plan picks, so a parallel gossip cell at n = 1e9 with 8
+  // trials on 4 threads holds four ~2 GB byte arrays, not one. With fewer
+  // trials than threads the trials run one after another (each round takes
+  // the team), and a serial cell holds one array too.
   const int saved = omp_get_max_threads();
   omp_set_num_threads(4);
   const std::uint64_t parallel =
@@ -96,10 +98,25 @@ TEST(Preflight, ParallelGraphTrialsBillOneWorkspacePerThread) {
       spec_of("topology=gossip n=1e9 k=2 trials=8 parallel=false"));
   omp_set_num_threads(saved);
   EXPECT_GE(parallel, std::uint64_t{8'000'000'000});  // 4 x 2n bytes
-  EXPECT_GE(two_trials, std::uint64_t{4'000'000'000});
-  EXPECT_LT(two_trials, std::uint64_t{6'000'000'000});
+  EXPECT_GE(two_trials, std::uint64_t{2'000'000'000});
+  EXPECT_LT(two_trials, std::uint64_t{3'000'000'000});
   EXPECT_GE(serial, std::uint64_t{2'000'000'000});
   EXPECT_LT(serial, std::uint64_t{3'000'000'000});
+
+  // Below the round-team crossover, rounds never take a team, so two
+  // trials keep a trial team of two and bill a second workspace.
+  omp_set_num_threads(4);
+  const auto bill = [](std::uint64_t n, int trials) {
+    return estimate_cell_memory_bytes(spec_of("topology=ring k=2 n=" + std::to_string(n) +
+                                              " trials=" + std::to_string(trials)));
+  };
+  const std::uint64_t small = kRoundTeamMinNodes - 1;
+  const std::uint64_t large = kRoundTeamMinNodes;
+  const std::uint64_t small_diff = bill(small, 2) - bill(small, 1);
+  const std::uint64_t large_diff = bill(large, 2) - bill(large, 1);
+  omp_set_num_threads(saved);
+  EXPECT_EQ(small_diff, 2 * small + 64 * 2 * 8);  // one byte-state workspace
+  EXPECT_EQ(large_diff, 0u);
 }
 #endif
 
