@@ -311,7 +311,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     const scenario::ScenarioSpec& spec = cell.requested;
     const ThreadPlan plan = plan_threads(spec.parallel ? spec.trials : 1, spec.n, threads,
                                          /*team_rounds=*/true);
-    const std::uint64_t estimate = estimate_cell_memory_bytes(cell.requested);
+    const std::uint64_t estimate = estimate_cell_memory_bytes(spec);
     if (estimate > budget) {
       cell.status = CellStatus::FailedSpec;
       cell.error = "preflight: estimated peak memory " + format_bytes(estimate) +
