@@ -27,6 +27,7 @@
 #include "core/majority.hpp"
 #include "core/median.hpp"
 #include "core/rule_table.hpp"
+#include "core/thread_plan.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
@@ -164,10 +165,13 @@ TEST(GraphBatched, ThreadCountNeverChangesResults) {
     }
     ~ThreadCountGuard() { omp_set_num_threads(saved); }
   };
+  // Above the crossover, so the tile pass runs on a real team of 2 and 4
+  // (below it every round steps on one thread whatever the team).
+  constexpr count_t n = kRoundTeamMinNodes + 904;
   ThreeMajority majority;
   rng::Xoshiro256pp topo_gen(6);
-  const AgentGraph graph = random_regular(1200, 8, topo_gen);
-  const Configuration start = workloads::additive_bias(1200, 3, 300);
+  const AgentGraph graph = random_regular(n, 8, topo_gen);
+  const Configuration start = workloads::additive_bias(n, 3, 1200);
 
   std::vector<std::vector<state_t>> baseline;
   {

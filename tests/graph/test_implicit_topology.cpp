@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/majority.hpp"
+#include "core/thread_plan.hpp"
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "graph/agent_graph.hpp"
@@ -145,9 +146,12 @@ TEST(ImplicitTopology, ThreadCountNeverChangesResults) {
     }
     ~ThreadCountGuard() { omp_set_num_threads(saved); }
   };
+  // 4800 nodes: above the crossover, so the rounds run on a real team of
+  // 2 and 4 (below it every round steps on one thread whatever the team).
+  static_assert(60 * 80 >= kRoundTeamMinNodes);
   ThreeMajority majority;
-  const AgentGraph graph = AgentGraph::implicit(ImplicitTopology::torus(30, 40));
-  const Configuration start = workloads::additive_bias(1200, 3, 300);
+  const AgentGraph graph = AgentGraph::implicit(ImplicitTopology::torus(60, 80));
+  const Configuration start = workloads::additive_bias(60 * 80, 3, 1200);
   for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
     std::vector<std::vector<state_t>> baseline;
     {
