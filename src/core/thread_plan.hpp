@@ -25,11 +25,15 @@
 namespace plurality {
 
 /// Graph nodes from which a round's chunk loop runs on a thread team. Below
-/// it, the graph round regions carry `if(n >= kRoundTeamMinNodes)` and step
-/// on one thread. Measured on a 4-vCPU host (docs/performance.md, "Thread
-/// plan"): under the default wait policy a 4-thread team wins from about
-/// 1000-2000 nodes, under passive waiting (ctest) from about 6000-8000.
+/// it, the graph round regions step on one thread. Measured on a 4-vCPU
+/// host (docs/performance.md, "Thread plan"): under the default wait policy
+/// a 4-thread team wins from about 1000-2000 nodes, under passive waiting
+/// (ctest) from about 6000-8000.
 inline constexpr std::uint64_t kRoundTeamMinNodes = 4096;
+
+/// Whether an n-node graph round runs its chunk loop on a thread team: the
+/// `if` clause of the three graph round regions.
+constexpr bool rounds_take_team(std::uint64_t n) { return n >= kRoundTeamMinNodes; }
 
 /// Thread-team sizes of one trial driver call. 1 means "no team".
 struct ThreadPlan {
@@ -47,8 +51,7 @@ struct ThreadPlan {
 constexpr ThreadPlan plan_threads(std::uint64_t trials, std::uint64_t n, unsigned threads,
                                   bool team_rounds) {
   threads = std::max(threads, 1u);
-  const bool rounds_take_team = team_rounds && n >= kRoundTeamMinNodes;
-  if (trials >= threads || !rounds_take_team) {
+  if (trials >= threads || !team_rounds || !rounds_take_team(n)) {
     const std::uint64_t team = std::clamp<std::uint64_t>(trials, 1, threads);
     return {static_cast<unsigned>(team), 1};
   }

@@ -173,7 +173,7 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGr
   const unsigned prefetch = tuning.prefetch_distance;
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) if (n >= kRoundTeamMinNodes)
+#pragma omp parallel for schedule(static) if (rounds_take_team(n))
 #endif
   for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
     const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
@@ -202,7 +202,7 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGr
 /// crossover (the regions' `if` clause) and inside a trial team, else the
 /// whole team.
 unsigned sweep_team_size(std::size_t n) {
-  return n >= kRoundTeamMinNodes ? available_threads() : 1;
+  return rounds_take_team(n) ? available_threads() : 1;
 }
 
 /// The strict lane kernel of (Rule, graph) in `ops`, or nullptr: lane
@@ -251,7 +251,7 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
   const unsigned prefetch = tuning.prefetch_distance;
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) if (n >= kRoundTeamMinNodes)
+#pragma omp parallel for schedule(static) if (rounds_take_team(n))
 #endif
   for (unsigned group = 0; group < kGraphChunks / lanes; ++group) {
     const unsigned chunk0 = group * lanes;

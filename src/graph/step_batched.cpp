@@ -194,7 +194,7 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
     }
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) if (n >= kRoundTeamMinNodes)
+#pragma omp parallel for schedule(static) if (rounds_take_team(n))
 #endif
     for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
       const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;

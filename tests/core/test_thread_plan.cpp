@@ -74,6 +74,8 @@ TEST(ThreadPlan, NeverUsesMoreThreadsThanItHas) {
 
 static_assert(plan_threads(2, kLarge, 4, true) == ThreadPlan{1, 4},
               "the rule is usable at compile time");
+static_assert(!rounds_take_team(kSmall) && rounds_take_team(kLarge),
+              "graph rounds take a team from the crossover on");
 
 }  // namespace
 }  // namespace plurality
