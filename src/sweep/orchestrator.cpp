@@ -300,17 +300,20 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
                                    : default_memory_budget_bytes();
   const unsigned threads = options.cells_in_parallel ? available_threads() : 1;
 
-  // A cell whose thread plan gives its trials every thread (at least
-  // `threads` trials, whatever the backend or n) runs alone, and so does a
-  // cell too big to run next to siblings. Only cells with fewer trials than
-  // threads share the cell team.
+  // A graph cell whose thread plan gives its trials every thread (at least
+  // `threads` trials) runs alone on that trial team, and so does a cell too
+  // big to run next to siblings. Every other cell shares the cell team,
+  // count cells whatever their trial count: their trials take micro- to
+  // milliseconds, less than a trial team's fork and join.
   std::vector<std::size_t> shared_batch;
   std::vector<std::size_t> alone_batch;
   for (const std::size_t i : pending) {
     CellOutcome& cell = out.cells[i];
     const scenario::ScenarioSpec& spec = cell.requested;
-    const ThreadPlan plan = plan_threads(spec.parallel ? spec.trials : 1, spec.n, threads,
-                                         /*team_rounds=*/true);
+    const bool graph_cell = cell_backend(spec) == "graph";
+    const ThreadPlan plan =
+        plan_threads(spec.parallel ? spec.trials : 1, spec.n, threads, graph_cell);
+    const bool own_team = graph_cell && plan.trial_team == threads;
     const std::uint64_t estimate = estimate_cell_memory_bytes(spec);
     if (estimate > budget) {
       cell.status = CellStatus::FailedSpec;
@@ -319,7 +322,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
                    " (raise memory_budget_bytes or shrink the cell)";
       ++done;
       if (options.on_cell) options.on_cell(cell, done, total);
-    } else if (threads > 1 && (plan.trial_team == threads || estimate > budget / threads)) {
+    } else if (threads > 1 && (own_team || estimate > budget / threads)) {
       alone_batch.push_back(i);
     } else {
       shared_batch.push_back(i);

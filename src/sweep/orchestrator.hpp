@@ -140,11 +140,11 @@ struct SweepOptions {
   /// (cell files get overwritten). Without resume or force, a populated
   /// out_dir is an error — results must never be clobbered silently.
   bool force = false;
-  /// Share the OpenMP threads between cells. Cells with fewer trials than
-  /// threads then run side by side on a cell team, their own trials
-  /// sequentially; cells with at least as many trials as threads run one at
-  /// a time on their own trial team. Off: every cell runs one at a time on
-  /// its own thread plan (core/thread_plan.hpp).
+  /// Share the OpenMP threads between cells. Graph cells with at least as
+  /// many trials as threads then run one at a time on their own trial
+  /// team; every other cell runs side by side with others on a cell team,
+  /// its own trials sequentially. Off: every cell runs one at a time on its
+  /// own thread plan (core/thread_plan.hpp).
   bool cells_in_parallel = true;
   /// CI shrink: override every cell's trial count (0 = use spec values).
   /// Applied BEFORE expansion, so the manifest and resume matching see the

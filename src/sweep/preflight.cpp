@@ -122,13 +122,16 @@ std::uint64_t concurrent_workspaces(const scenario::ScenarioSpec& spec) {
 
 }  // namespace
 
-std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
-  std::string backend;
+std::string cell_backend(const scenario::ScenarioSpec& spec) {
   try {
-    backend = spec.resolved_backend();
+    return spec.resolved_backend();
   } catch (...) {
-    backend = spec.backend == "auto" ? "graph" : spec.backend;
+    return spec.backend == "auto" ? "graph" : spec.backend;
   }
+}
+
+std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec) {
+  const std::string backend = cell_backend(spec);
   const std::uint64_t n = spec.n;
   const std::uint64_t k = spec.k;
   constexpr std::uint64_t kFixed = 1ull << 20;  // code, spec, summaries

@@ -38,6 +38,11 @@ namespace plurality::sweep {
 /// case (validation will reject the cell anyway).
 [[nodiscard]] std::uint64_t estimate_cell_memory_bytes(const scenario::ScenarioSpec& spec);
 
+/// The backend a cell's trials run on, "count" or "graph". A spec that
+/// does not resolve reads as its own backend field, with "auto" as
+/// "graph" (validation rejects the cell when it runs). Never throws.
+[[nodiscard]] std::string cell_backend(const scenario::ScenarioSpec& spec);
+
 /// The default sweep memory budget: ~80% of physical RAM, or 2 GiB when
 /// the platform won't say. SweepOptions::memory_budget_bytes overrides.
 [[nodiscard]] std::uint64_t default_memory_budget_bytes();
