@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -16,11 +17,13 @@ namespace plurality::graph {
 
 namespace {
 
-/// Set of undirected edge keys (min * n + max) for the random builders'
-/// duplicate check: one flat open-addressing table with linear probing,
-/// sized once to a power of two of at least `min_slots`. A simple edge's
-/// key is never 0 (max >= 1), so 0 marks an empty slot. Callers size it to
-/// twice the edge count, keeping the load at or below 1/2.
+/// Set of undirected edge keys (min * n + max) for the duplicate check of
+/// erdos_renyi, and of random_regular above kRowScanMaxDegree (up to it,
+/// random_regular scans the arena row instead): one flat open-addressing
+/// table with linear probing, sized once to a power of two of at least
+/// `min_slots`. A simple edge's key is never 0 (max >= 1), so 0 marks an
+/// empty slot. Callers size it to twice the edge count, keeping the load at
+/// or below 1/2.
 class EdgeKeySet {
  public:
   explicit EdgeKeySet(std::uint64_t min_slots)
@@ -57,8 +60,8 @@ class EdgeKeySet {
 };
 
 // Software pipelining of the random builders. Each accepted edge costs a
-// few dependent cache misses (stub reads, an edge-key probe, row and fill
-// writes), and a serial loop keeps only one in flight. A copy of the
+// few dependent cache misses (stub reads, a row scan or edge-key probe, row
+// and fill writes), and a serial loop keeps only one in flight. A copy of the
 // generator runs ahead of the real one and prefetches what later pairings
 // will touch. The real generator, its draws and every accept/reject
 // decision are untouched, so the graphs and the caller's next draw are
@@ -68,7 +71,12 @@ class EdgeKeySet {
 // small. Both distances were picked by timing regular:8 builds at n = 2e5
 // and 1e6 (docs/performance.md, "Pipelined draws").
 constexpr std::size_t kAheadPairs = 16;  // stub reads issued this far ahead
-constexpr std::size_t kNearPairs = 6;    // key, row and fill prefetches
+constexpr std::size_t kNearPairs = 6;    // row, fill (and key) prefetches
+
+/// Whether `v` is among the `len` ids already written to `row`.
+bool row_contains(const std::uint32_t* row, std::uint32_t len, std::uint32_t v) {
+  return std::find(row, row + len, v) != row + len;
+}
 
 }  // namespace
 
@@ -132,10 +140,18 @@ AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
   // Each accepted edge goes straight into its final arena slots (row u at
   // u*d + fill[u], in acceptance order) — the same rows from_edges would
   // pack from the accepted edge list, without holding that list.
+  //
+  // {u, v} is a parallel edge exactly when v is already in u's row of this
+  // attempt, so up to kRowScanMaxDegree the duplicate check scans that row
+  // (the cache line the accepted edge writes next) and no key table is
+  // allocated. Above it the O(d) scan costs more than a table probe. Both
+  // checks make the same decisions, so the graph and draws do not depend on
+  // which one ran.
   const std::uint64_t arcs = n * d;
   std::vector<std::uint32_t> stubs(arcs);
   std::vector<std::uint32_t> fill(n);
-  EdgeKeySet seen(arcs);
+  std::optional<EdgeKeySet> seen;
+  if (d > kRowScanMaxDegree) seen.emplace(arcs);
 
   // Look-ahead (see kAheadPairs): `ahead` replays the draws the real loop
   // would make if every pairing were accepted on its first try, and `ring`
@@ -160,7 +176,7 @@ AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
         std::fill_n(stubs.begin() + v * d, d, static_cast<std::uint32_t>(v));
       }
       std::fill(fill.begin(), fill.end(), 0);
-      if (attempt > 0) seen.clear();
+      if (attempt > 0 && seen) seen->clear();
       std::size_t free_stubs = stubs.size();
       reseed(free_stubs);
       std::size_t misses = 0;
@@ -183,7 +199,7 @@ AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
           if (ring_size > kNearPairs) {
             const auto [i, j] = ring[(ring_head + kNearPairs) % kAheadPairs];
             const count_t u = stubs[i], v = stubs[j];
-            seen.prefetch(std::min(u, v) * n + std::max(u, v));
+            if (seen) seen->prefetch(std::min(u, v) * n + std::max(u, v));
             __builtin_prefetch(&rows[u * d], 1);
             __builtin_prefetch(&rows[v * d], 1);
             __builtin_prefetch(&fill[u], 1);
@@ -197,7 +213,10 @@ AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen) {
           if (j >= i) ++j;
           const count_t u = stubs[i], v = stubs[j];
           if (u == v) continue;
-          if (!seen.insert(std::min(u, v) * n + std::max(u, v))) continue;
+          if (seen ? !seen->insert(std::min(u, v) * n + std::max(u, v))
+                   : row_contains(&rows[u * d], fill[u], static_cast<std::uint32_t>(v))) {
+            continue;
+          }
           rows[u * d + fill[u]++] = static_cast<std::uint32_t>(v);
           rows[v * d + fill[v]++] = static_cast<std::uint32_t>(u);
           // Swap-pop both stubs (larger index first keeps i/j valid).

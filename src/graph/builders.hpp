@@ -28,6 +28,13 @@ AgentGraph circulant_lattice(count_t n, count_t d);
 /// tests/graph/test_builders.cpp pins the rows and the draws consumed.
 AgentGraph random_regular(count_t n, count_t d, rng::Xoshiro256pp& gen);
 
+/// Largest degree at which random_regular finds parallel edges by scanning
+/// the node's arena row rather than in a table of edge keys (8 bytes per
+/// slot, bit_ceil(n*d) slots). The scan allocates nothing but costs O(d) per
+/// draw. Chosen by timing builds at d in {16, 32, 64, 96, 128}
+/// (docs/performance.md, "Graph build"). It changes no graph or draw.
+inline constexpr count_t kRowScanMaxDegree = 64;
+
 /// Erdős–Rényi G(n, m): m distinct edges (no self-loops) chosen uniformly.
 /// With `patch_isolated`, every degree-0 vertex is afterwards attached to a
 /// uniform random partner (adding a few edges beyond m) so that sampling

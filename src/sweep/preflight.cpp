@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/thread_plan.hpp"
+#include "graph/builders.hpp"
 #include "graph/graph_workspace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -82,11 +83,12 @@ std::uint64_t sat_bit_ceil(std::uint64_t v) {
 
 /// Bytes allocated while building an arena topology with m undirected
 /// edges (graph/builders.cpp, graph/agent_graph.cpp):
-///   builder scratch   regular: a u32 stub per arc, a u32 row cursor per
-///                     node and the flat edge-key table (a power of two of
-///                     at least 2m u64 slots); every other topology: the
-///                     16-byte edge pairs plus two u64 per node of slack,
-///                     and for er/gnm the same edge-key table
+///   builder scratch   regular: a u32 stub per arc and a u32 row cursor per
+///                     node, plus, above graph::kRowScanMaxDegree, the flat
+///                     edge-key table (a power of two of at least 2m u64
+///                     slots); every other topology: the 16-byte edge pairs
+///                     plus two u64 per node of slack, and for er/gnm the
+///                     same edge-key table
 ///   arena             u64 offsets + a u32 id per arc
 /// The builders write their rows straight into the arena while the
 /// scratch is live, so the two are billed as one sum.
@@ -98,7 +100,9 @@ std::uint64_t arena_build_bytes(const std::string& kind, std::uint64_t n,
   const std::uint64_t edge_table = sat_mul(sat_bit_ceil(arcs), 8);
   std::uint64_t scratch = sat_add(sat_mul(m, 16), sat_mul(n, 16));
   if (kind == "regular") {
-    scratch = sat_add(sat_add(sat_mul(arcs, 4), sat_mul(n, 4)), edge_table);
+    scratch = sat_add(sat_mul(arcs, 4), sat_mul(n, 4));
+    // arcs / n is the degree (estimate_edges rounds d*n up to even).
+    if (n == 0 || arcs / n > graph::kRowScanMaxDegree) scratch = sat_add(scratch, edge_table);
   } else if (kind == "er" || kind == "gnm") {
     scratch = sat_add(scratch, edge_table);
   }

@@ -5,7 +5,9 @@
 // that once workspaces are warm, neither the count-based stepper (sparse
 // and dense kernels alike) nor the graph engine's step touches the heap.
 // This is the property that keeps stepping hardware-bound instead of
-// allocator-bound at paper scale.
+// allocator-bound at paper scale. The same hook counts requested bytes,
+// which pins the sweep preflight's graph-build bill against what the
+// random_regular builder really allocates.
 //
 // The counter only sees C++ new/delete. That is the right scope: the
 // library's own buffers all go through std::vector, while OpenMP runtime
@@ -13,8 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adversary.hpp"
@@ -33,13 +38,21 @@
 #include "graph/step_batched.hpp"
 #include "obs/metrics_observer.hpp"
 #include "rng/philox.hpp"
+#include "scenario/spec.hpp"
+#include "sweep/preflight.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::uint64_t> g_largest{0};  // largest single request since reset
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (size > g_largest.load(std::memory_order_relaxed)) {
+    g_largest.store(size, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -62,6 +75,22 @@ std::uint64_t allocations_during(Fn&& fn) {
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   fn();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+struct HeapUse {
+  std::uint64_t bytes;    // requested by operator new, frees not subtracted
+  std::uint64_t largest;  // largest single request
+};
+
+/// Bytes `fn` asks operator new for (same single-threaded scope as
+/// allocations_during).
+template <typename Fn>
+HeapUse heap_use_during(Fn&& fn) {
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  g_largest.store(0, std::memory_order_relaxed);
+  fn();
+  return {g_bytes.load(std::memory_order_relaxed) - before,
+          g_largest.load(std::memory_order_relaxed)};
 }
 
 /// The scalar paths (nullptr) plus every SIMD kernel table the host runs.
@@ -437,6 +466,27 @@ TEST(ZeroAllocation, MetricsObservedGraphRounds) {
   EXPECT_EQ(registry.counter("engine_node_updates_total").value(), 51u * 2000u);
 }
 
+TEST(BuildMemory, RandomRegularStaysWithinPreflightBill) {
+  // The sweep preflight admits a cell only if its bill fits the budget, so
+  // the bill must cover every byte the builder asks for. Up to
+  // kRowScanMaxDegree the duplicate check scans arena rows, so no request
+  // is as large as the edge-key table (8 bytes per slot, bit_ceil(n*d)
+  // slots) above the bound; at d = 128 that table is back.
+  for (const auto [n, d] : {std::pair<count_t, count_t>{200'000, 8}, {10'000, 128}}) {
+    const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(
+        "topology=regular:" + std::to_string(d) + " n=" + std::to_string(n) + " trials=1");
+    rng::Xoshiro256pp gen(24);
+    const HeapUse use = heap_use_during([&] { (void)graph::random_regular(n, d, gen); });
+    const std::uint64_t table = 8 * std::bit_ceil(n * d);
+    EXPECT_LE(use.bytes, sweep::estimate_cell_memory_bytes(spec)) << "d=" << d;
+    if (d <= graph::kRowScanMaxDegree) {
+      EXPECT_LT(use.largest, table) << "d=" << d;
+    } else {
+      EXPECT_GE(use.largest, table) << "d=" << d;
+    }
+  }
+}
+
 TEST(SanityCheck, CounterSeesVectorAllocations) {
   // Guards the hook itself: if the counter went dead, the suite above
   // would pass vacuously.
@@ -445,6 +495,12 @@ TEST(SanityCheck, CounterSeesVectorAllocations) {
     ASSERT_EQ(v[0], 1);
   });
   EXPECT_GT(allocs, 0u);
+  const HeapUse use = heap_use_during([] {
+    std::vector<int> v(1024, 1);
+    ASSERT_EQ(v[0], 1);
+  });
+  EXPECT_EQ(use.largest, 1024 * sizeof(int));
+  EXPECT_GE(use.bytes, use.largest);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 // coarse ordering the orchestrator relies on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -18,6 +19,7 @@
 #endif
 
 #include "core/thread_plan.hpp"
+#include "graph/builders.hpp"
 #include "graph/implicit_topology.hpp"
 #include "scenario/spec.hpp"
 #include "sweep/preflight.hpp"
@@ -164,12 +166,30 @@ std::uint64_t builder_sum(std::uint64_t n, std::uint64_t edges, std::uint64_t st
   return stubs + 8 * table_slots + arena;
 }
 
-TEST(Preflight, RegularBillCoversStubsTableAndArena) {
-  const auto spec = spec_of("topology=regular:8 n=2e5");
+TEST(Preflight, RegularBillCoversStubsCursorsAndArena) {
+  // Up to kRowScanMaxDegree random_regular checks duplicates in the arena
+  // row and allocates no edge table: u32 stubs and row cursors, then the
+  // arena. One trial keeps the workspace term at one node-state array, far
+  // below the 16 MiB table the bill must no longer hold.
+  static_assert(8 <= graph::kRowScanMaxDegree);
+  const auto spec = spec_of("topology=regular:8 n=2e5 trials=1");
   const std::uint64_t n = 200'000, arcs = 8 * n;
-  const std::uint64_t sum = builder_sum(n, arcs / 2, 4 * arcs, std::uint64_t{1} << 21);
+  const std::uint64_t sum = builder_sum(n, arcs / 2, 4 * arcs + 4 * n, 0);
+  const std::uint64_t table = 8 * std::bit_ceil(arcs);
   EXPECT_GE(estimate_cell_memory_bytes(spec), sum);
-  EXPECT_GE(sum, std::uint64_t{29} << 20);  // ~30 MiB, not the old ~11 MiB
+  EXPECT_LT(estimate_cell_memory_bytes(spec), sum + table);
+  EXPECT_GE(sum, std::uint64_t{14} << 20);  // ~14.5 MiB, not the old ~11 MiB
+}
+
+TEST(Preflight, RegularAboveRowScanBoundBillsEdgeTable) {
+  // Above the bound the builder keeps its key table: a power of two of at
+  // least n*d u64 slots (2^21 at n = 1e4, d = 128).
+  static_assert(128 > graph::kRowScanMaxDegree);
+  const auto spec = spec_of("topology=regular:128 n=1e4 trials=1");
+  const std::uint64_t n = 10'000, arcs = 128 * n;
+  const std::uint64_t sum =
+      builder_sum(n, arcs / 2, 4 * arcs + 4 * n, std::uint64_t{1} << 21);
+  EXPECT_GE(estimate_cell_memory_bytes(spec), sum);
 }
 
 TEST(Preflight, GnmBillCoversEdgePairsTableAndArena) {
