@@ -15,6 +15,10 @@
 #include "graph/agent_graph.hpp"
 #include "scenario/scenario.hpp"
 
+#if defined(PLURALITY_HAVE_OPENMP)
+#include <omp.h>
+#endif
+
 namespace plurality {
 namespace {
 
@@ -105,7 +109,6 @@ void BM_FullRunToConsensus(benchmark::State& state) {
   spec.n = n;
   spec.k = 8;
   spec.trials = 1;
-  spec.parallel = false;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     spec.seed = seed++;
@@ -134,24 +137,36 @@ BENCHMARK(BM_ScenarioCompile)->Unit(benchmark::kMicrosecond);
 
 void BM_ParallelTrials(benchmark::State& state) {
   // Trial-level OpenMP parallelism (the experiment harness's axis) through
-  // the scenario API. The workload is a near-balanced k = 32 start, whose
+  // the scenario API, on range(0) threads: the 16 trials get a trial team
+  // of that size. The workload is a near-balanced k = 32 start, whose
   // ~k log n round count makes each trial heavy enough to amortize the
   // fork/join.
-  const bool parallel = state.range(0) != 0;
+#if defined(PLURALITY_HAVE_OPENMP)
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(static_cast<int>(state.range(0)));
+#endif
   scenario::ScenarioSpec spec;
   spec.workload = "near-balanced:0.25";
   spec.n = 200000;
   spec.k = 32;
   spec.trials = 16;
   spec.seed = 7;
-  spec.parallel = parallel;
   const scenario::Scenario compiled = scenario::Scenario::compile(spec);
   for (auto _ : state) {
     const TrialSummary summary = compiled.run();
     benchmark::DoNotOptimize(summary.plurality_wins);
   }
+#if defined(PLURALITY_HAVE_OPENMP)
+  omp_set_num_threads(saved_threads);
+#endif
 }
-BENCHMARK(BM_ParallelTrials)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParallelTrials)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace plurality

@@ -81,11 +81,6 @@ int run(int argc, const char* const* argv) {
   exp.cli().add_uint("perf-n", 0, "throughput-section nodes (0 = mode default)");
   exp.cli().add_string("json", "BENCH_graphs.json",
                        "write machine-readable throughput results to this JSON path");
-  exp.cli().add_uint("tile-nodes", 0,
-                     "batched-engine gather tile in nodes (0 = derive from the word "
-                     "budget; forwarded as StepTuning)");
-  exp.cli().add_uint("prefetch-distance", 16,
-                     "strict-engine software prefetch distance in nodes (0 = disable)");
   if (!exp.parse(argc, argv)) return 0;
 
   const count_t n = exp.cli().get_uint("n") != 0 ? exp.cli().get_uint("n")
@@ -207,10 +202,6 @@ int run(int argc, const char* const* argv) {
       static_cast<count_t>(std::ceil(std::sqrt(static_cast<double>(perf_n))));
   const count_t perf_n_grid = perf_side * perf_side;
   const double budget = exp.scaled(0.08, 0.4, 1.2);
-  graph::StepTuning tuning;
-  tuning.tile_nodes = static_cast<std::uint32_t>(exp.cli().get_uint("tile-nodes"));
-  tuning.prefetch_distance =
-      static_cast<std::uint32_t>(exp.cli().get_uint("prefetch-distance"));
 
   // Each graph is built once; the strict, batched and reference steppers
   // all sample the same packed AgentGraph over the same seeds.
@@ -262,11 +253,9 @@ int run(int argc, const char* const* argv) {
       const auto engine_rps = [&](graph::EngineMode mode) {
         return measure_sim_rounds_per_sec(
             [&] {
-              auto sim = std::make_unique<graph::GraphSimulation>(
+              return std::make_unique<graph::GraphSimulation>(
                   *dyn.dynamics, *entry.graph, *dyn.start, seed,
                   /*shuffle_layout=*/true, mode);
-              sim->set_tuning(tuning);
-              return sim;
             },
             budget);
       };
@@ -338,8 +327,6 @@ int run(int argc, const char* const* argv) {
   doc.set("n", std::uint64_t{perf_n_grid});
   doc.set("time_budget_seconds", budget);
   doc.set("rearm_period_rounds", kBlock);
-  doc.set("tile_nodes", std::uint64_t{tuning.tile_nodes});
-  doc.set("prefetch_distance", std::uint64_t{tuning.prefetch_distance});
   doc.set("count_based_clique_rounds_per_sec", count_based_rps);
   doc.set("count_based_clique_equivalent_node_updates_per_sec",
           count_based_rps * static_cast<double>(perf_n_grid));

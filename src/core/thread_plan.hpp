@@ -3,9 +3,11 @@
 //
 // Two OpenMP levels can use the cores: the trial drivers (run_trials,
 // graph::run_graph_trials) run trials on a team, and a graph round splits
-// its kGraphChunks chunks over a team. OpenMP runs only the outer one of
-// two nested regions on more than one thread, so the drivers pick the level
-// here, from the trial count, n and the threads available:
+// its kGraphChunks chunks over a team. Only one of them ever gets more
+// than one thread: a region opened inside another active region runs on
+// one thread, whatever the OpenMP nesting settings say (available_threads
+// below). The drivers pick the level here, from the trial count, n and
+// the threads available:
 //
 //  * at least as many trials as threads: a trial team of all the threads,
 //    and every round runs on the thread that owns its trial;
@@ -31,8 +33,7 @@ namespace plurality {
 /// (ctest) from about 6000-8000.
 inline constexpr std::uint64_t kRoundTeamMinNodes = 4096;
 
-/// Whether an n-node graph round runs its chunk loop on a thread team: the
-/// `if` clause of the three graph round regions.
+/// Whether an n-node graph round runs its chunk loop on a thread team.
 constexpr bool rounds_take_team(std::uint64_t n) { return n >= kRoundTeamMinNodes; }
 
 /// Thread-team sizes of one trial driver call. 1 means "no team".
@@ -43,8 +44,8 @@ struct ThreadPlan {
   friend bool operator==(const ThreadPlan&, const ThreadPlan&) = default;
 };
 
-/// The planning rule. `trials` is the number of trials the driver may run
-/// at once (1 when trial parallelism is off), `n` the node count,
+/// The planning rule. `trials` is the number of trials the driver runs,
+/// `n` the node count,
 /// `threads` the threads available to the driver, and `team_rounds`
 /// whether its rounds have a parallel region at all (graph rounds do,
 /// count rounds do not).
@@ -58,9 +59,16 @@ constexpr ThreadPlan plan_threads(std::uint64_t trials, std::uint64_t n, unsigne
   return {1, threads};
 }
 
-/// Threads a parallel region opened at this point would run on: the
-/// OpenMP team size, or 1 inside an active region when nesting is off
-/// (and in builds without OpenMP).
+/// Threads a parallel region opened at this point may run on: the OpenMP
+/// team size at the top level, and 1 inside any active region (and in
+/// builds without OpenMP). Nested teams would multiply the threads past
+/// the cores, so OMP_MAX_ACTIVE_LEVELS and OMP_NUM_THREADS lists never
+/// open one.
 unsigned available_threads();
+
+/// Threads the chunk loop of an n-node graph round runs on: the num_threads
+/// of the three graph round regions. 1 below the crossover and inside a
+/// trial team, else every available thread.
+unsigned round_team_size(std::uint64_t n);
 
 }  // namespace plurality

@@ -88,8 +88,7 @@ TrialSummary TrialOutcomes::summarize() const {
 
 ThreadPlan plan_trials(const CommonTrialOptions& options, std::uint64_t n,
                        bool team_rounds) {
-  return plan_threads(options.parallel ? options.trials : 1, n, available_threads(),
-                      team_rounds);
+  return plan_threads(options.trials, n, available_threads(), team_rounds);
 }
 
 TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,

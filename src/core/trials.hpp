@@ -55,9 +55,6 @@ struct TrialSummary {
 struct CommonTrialOptions {
   std::uint64_t trials = 100;
   std::uint64_t seed = 1;
-  /// false runs the trials one after another whatever the thread plan
-  /// would pick (graph rounds may still take a team). Scheduling only.
-  bool parallel = true;
   round_t max_rounds = 1'000'000;
   /// Stepping pipeline (see core/engine_mode.hpp). Count backend: Strict =
   /// xoshiro, Batched = PhiloxStream. Graph backend: Strict = fused
@@ -121,8 +118,8 @@ class TrialOutcomes {
 
 /// The thread plan a trial driver runs `options` with on `n`-node trials,
 /// from the threads available at the call: plan_threads over
-/// options.trials (1 when options.parallel is off). `team_rounds` is true
-/// for the graph driver, whose rounds have a parallel region.
+/// options.trials. `team_rounds` is true for the graph driver, whose
+/// rounds have a parallel region.
 [[nodiscard]] ThreadPlan plan_trials(const CommonTrialOptions& options, std::uint64_t n,
                                      bool team_rounds);
 

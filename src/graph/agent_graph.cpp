@@ -157,7 +157,7 @@ namespace {
 template <class Rule, typename TNode>
 void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGraph& graph,
                  state_t k, const rng::StreamFactory& streams, round_t round,
-                 GraphStepWorkspace& ws, const StepTuning& tuning) {
+                 GraphStepWorkspace& ws) {
   const std::size_t n = graph.num_nodes();
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
   count_t* partials = ws.partials.data();
@@ -170,10 +170,9 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGr
   const bool regular =
       !complete && !implicit && graph.min_degree() == graph.max_degree();
   const std::uint64_t uniform_degree = regular ? graph.min_degree() : 0;
-  const unsigned prefetch = tuning.prefetch_distance;
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) if (rounds_take_team(n))
+#pragma omp parallel for schedule(static) num_threads(round_team_size(n))
 #endif
   for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
     const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
@@ -183,38 +182,31 @@ void chunk_sweep(const Rule& rule, const TNode* nodes, TNode* out, const AgentGr
     if (lo < hi) {
       rng::Xoshiro256pp gen = streams.stream(round * kGraphChunks + chunk);
       if (complete) {
-        kernels::run_chunk_complete(rule, nodes, out, local, lo, hi, n, k, gen, prefetch);
+        kernels::run_chunk_complete(rule, nodes, out, local, lo, hi, n, k, gen);
       } else if (implicit) {
         kernels::run_chunk_implicit(rule, nodes, out, local, lo, hi,
-                                    graph.implicit_topology(), k, gen, prefetch);
+                                    graph.implicit_topology(), k, gen);
       } else if (regular) {
         kernels::run_chunk_regular(rule, nodes, out, local, lo, hi, neighbors,
-                                   uniform_degree, k, gen, prefetch);
+                                   uniform_degree, k, gen);
       } else {
         kernels::run_chunk_csr(rule, nodes, out, local, lo, hi, offsets, neighbors, k,
-                               gen, prefetch);
+                               gen);
       }
     }
   }
-}
-
-/// Threads the chunk loop of an n-node round runs with: 1 below the
-/// crossover (the regions' `if` clause) and inside a trial team, else the
-/// whole team.
-unsigned sweep_team_size(std::size_t n) {
-  return rounds_take_team(n) ? available_threads() : 1;
 }
 
 /// The strict lane kernel of (Rule, graph) in `ops`, or nullptr: lane
 /// kernels cover the majority, voter and undecided rules on the clique and
 /// degree-uniform CSR graphs, with every sample bound below 2^32. The lane
 /// path has only kGraphChunks / kStrictLanes work items per round, so a
-/// larger sweep team keeps chunk_sweep's kGraphChunks.
+/// larger round team keeps chunk_sweep's kGraphChunks.
 template <class Rule>
 auto lane_kernel_for(const simd::Ops* ops, const AgentGraph& graph)
     -> void (*)(const simd::LaneArgs&) {
   if (ops == nullptr || graph.is_implicit()) return nullptr;
-  if (sweep_team_size(graph.num_nodes()) > kGraphChunks / simd::kStrictLanes) return nullptr;
+  if (round_team_size(graph.num_nodes()) > kGraphChunks / simd::kStrictLanes) return nullptr;
   const bool complete = graph.is_complete();
   if (!complete && graph.min_degree() != graph.max_degree()) return nullptr;
   if ((complete ? graph.num_nodes() : graph.min_degree()) > 0xffffffffULL) return nullptr;
@@ -239,7 +231,7 @@ template <class Rule>
 void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
                 const simd::Ops& ops, const std::uint8_t* nodes, std::uint8_t* out,
                 const AgentGraph& graph, state_t k, const rng::StreamFactory& streams,
-                round_t round, GraphStepWorkspace& ws, const StepTuning& tuning) {
+                round_t round, GraphStepWorkspace& ws) {
   const std::size_t n = graph.num_nodes();
   const std::size_t chunk_size = (n + kGraphChunks - 1) / kGraphChunks;
   constexpr unsigned lanes = simd::kStrictLanes;
@@ -248,10 +240,9 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
   const bool complete = graph.is_complete();
   const std::uint32_t* neighbors = complete ? nullptr : graph.neighbors();
   const std::uint64_t bound = complete ? n : graph.min_degree();
-  const unsigned prefetch = tuning.prefetch_distance;
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) if (rounds_take_team(n))
+#pragma omp parallel for schedule(static) num_threads(round_team_size(n))
 #endif
   for (unsigned group = 0; group < kGraphChunks / lanes; ++group) {
     const unsigned chunk0 = group * lanes;
@@ -286,11 +277,10 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
       rng::Xoshiro256pp gen({state[l], state[lanes + l], state[2 * lanes + l],
                              state[3 * lanes + l]});
       if (complete) {
-        kernels::run_chunk_complete(rule, nodes, out, local, lo + steps, hi, n, k, gen,
-                                    prefetch);
+        kernels::run_chunk_complete(rule, nodes, out, local, lo + steps, hi, n, k, gen);
       } else {
         kernels::run_chunk_regular(rule, nodes, out, local, lo + steps, hi, neighbors,
-                                   bound, k, gen, prefetch);
+                                   bound, k, gen);
       }
     }
   }
@@ -299,7 +289,7 @@ void lane_sweep(const Rule& rule, void (*kernel)(const simd::LaneArgs&),
 template <class Rule>
 void step_all_chunks(const Rule& rule, const AgentGraph& graph, Configuration& config,
                      const rng::StreamFactory& streams, round_t round,
-                     GraphStepWorkspace& ws, const StepTuning& tuning) {
+                     GraphStepWorkspace& ws) {
   const state_t k = config.k();
   // One state array, at the width byte_states(k) picks; only the byte
   // states have strict lane kernels.
@@ -307,15 +297,13 @@ void step_all_chunks(const Rule& rule, const AgentGraph& graph, Configuration& c
     const simd::Ops* ops = simd::active();
     if (const auto kernel = lane_kernel_for<Rule>(ops, graph)) {
       lane_sweep(rule, kernel, *ops, ws.nodes8.data(), ws.scratch8.data(), graph, k,
-                 streams, round, ws, tuning);
+                 streams, round, ws);
     } else {
-      chunk_sweep(rule, ws.nodes8.data(), ws.scratch8.data(), graph, k, streams, round, ws,
-                  tuning);
+      chunk_sweep(rule, ws.nodes8.data(), ws.scratch8.data(), graph, k, streams, round, ws);
     }
     ws.nodes8.swap(ws.scratch8);
   } else {
-    chunk_sweep(rule, ws.nodes.data(), ws.scratch.data(), graph, k, streams, round, ws,
-                tuning);
+    chunk_sweep(rule, ws.nodes.data(), ws.scratch.data(), graph, k, streams, round, ws);
     ws.nodes.swap(ws.scratch);
   }
   std::fill(ws.counts.begin(), ws.counts.end(), count_t{0});
@@ -330,8 +318,7 @@ void step_all_chunks(const Rule& rule, const AgentGraph& graph, Configuration& c
 
 void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
                 Configuration& config, const rng::StreamFactory& streams,
-                round_t round, GraphStepWorkspace& ws, EngineMode mode,
-                const StepTuning& tuning) {
+                round_t round, GraphStepWorkspace& ws, EngineMode mode) {
   const count_t n = graph.num_nodes();
   PLURALITY_REQUIRE(config.n() == n, "step_graph: configuration has "
                                          << config.n() << " nodes but graph has " << n);
@@ -347,7 +334,7 @@ void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
   // consume generator randomness mid-node, which the stage-split layout
   // cannot address).
   if (mode == EngineMode::Batched && batched_has_kernel(dynamics)) {
-    step_graph_batched(dynamics, graph, config, streams, round, ws, tuning);
+    step_graph_batched(dynamics, graph, config, streams, round, ws);
     return;
   }
 
@@ -355,35 +342,32 @@ void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
   // kernel; everything inside the chunk loop is then fully inlined.
   if (const auto* d = dynamic_cast<const ThreeMajority*>(&dynamics)) {
     (void)d;
-    step_all_chunks(kernels::MajorityRule{}, graph, config, streams, round, ws, tuning);
+    step_all_chunks(kernels::MajorityRule{}, graph, config, streams, round, ws);
   } else if (const auto* v = dynamic_cast<const Voter*>(&dynamics)) {
     (void)v;
-    step_all_chunks(kernels::VoterRule{}, graph, config, streams, round, ws, tuning);
+    step_all_chunks(kernels::VoterRule{}, graph, config, streams, round, ws);
   } else if (const auto* t = dynamic_cast<const TwoChoices*>(&dynamics)) {
     (void)t;
-    step_all_chunks(kernels::TwoChoicesRule{}, graph, config, streams, round, ws,
-                    tuning);
+    step_all_chunks(kernels::TwoChoicesRule{}, graph, config, streams, round, ws);
   } else if (const auto* u = dynamic_cast<const UndecidedState*>(&dynamics)) {
     (void)u;
-    step_all_chunks(kernels::UndecidedRule{}, graph, config, streams, round, ws,
-                    tuning);
+    step_all_chunks(kernels::UndecidedRule{}, graph, config, streams, round, ws);
   } else if (const auto* m = dynamic_cast<const MedianDynamics*>(&dynamics)) {
     (void)m;
-    step_all_chunks(kernels::MedianRule{}, graph, config, streams, round, ws, tuning);
+    step_all_chunks(kernels::MedianRule{}, graph, config, streams, round, ws);
   } else if (const auto* m2 = dynamic_cast<const MedianOwnTwo*>(&dynamics)) {
     (void)m2;
-    step_all_chunks(kernels::MedianOwnTwoRule{}, graph, config, streams, round, ws,
-                    tuning);
+    step_all_chunks(kernels::MedianOwnTwoRule{}, graph, config, streams, round, ws);
   } else if (const auto* h = dynamic_cast<const HPlurality*>(&dynamics)) {
     PLURALITY_CHECK_MSG(h->sample_arity() <= 64,
                         "graph backend supports sample arity <= 64");
     step_all_chunks(kernels::HPluralityRule{h->sample_arity()}, graph, config, streams,
-                    round, ws, tuning);
+                    round, ws);
   } else {
     const unsigned arity = dynamics.sample_arity();
     PLURALITY_CHECK_MSG(arity <= 64, "graph backend supports sample arity <= 64");
     step_all_chunks(kernels::GenericRule{&dynamics, arity}, graph, config, streams,
-                    round, ws, tuning);
+                    round, ws);
   }
 }
 
@@ -418,7 +402,7 @@ void GraphSimulation::init(const Configuration& start, bool shuffle_layout) {
 }
 
 void GraphSimulation::step() {
-  step_graph(dynamics_, *graph_, config_, streams_, round_, ws_, mode_, tuning_);
+  step_graph(dynamics_, *graph_, config_, streams_, round_, ws_, mode_);
   ++round_;
 }
 

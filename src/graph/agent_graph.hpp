@@ -158,13 +158,10 @@ void load_nodes(const Configuration& start, bool shuffle_layout,
 /// node, draw) addressing — identical results for any thread count, chunk
 /// grid, or batch size; equivalent to Strict in distribution, not bitwise.
 /// Dynamics without a batched kernel (rule tables) silently run Strict.
-/// `tuning` carries the cache-behavior knobs (tile size, prefetch
-/// distance); it never changes results, only speed.
 void step_graph(const Dynamics& dynamics, const AgentGraph& graph,
                 Configuration& config, const rng::StreamFactory& streams,
                 round_t round, GraphStepWorkspace& ws,
-                EngineMode mode = EngineMode::Strict,
-                const StepTuning& tuning = {});
+                EngineMode mode = EngineMode::Strict);
 
 /// Convenience wrapper owning graph + workspace + round counter — the
 /// original GraphSimulation API, now backed by the CSR engine.
@@ -193,10 +190,6 @@ class GraphSimulation {
   /// One synchronous round of neighbor sampling + rule application.
   void step();
 
-  /// Installs cache-behavior tuning (tile size, prefetch distance) for all
-  /// subsequent steps. Performance-only: results are unaffected.
-  void set_tuning(const StepTuning& tuning) { tuning_ = tuning; }
-
   [[nodiscard]] const Configuration& configuration() const { return config_; }
   [[nodiscard]] round_t round() const { return round_; }
   /// Current node states (a view into the workspace, valid until the next
@@ -221,7 +214,6 @@ class GraphSimulation {
   rng::StreamFactory streams_;
   round_t round_ = 0;
   EngineMode mode_ = EngineMode::Strict;
-  StepTuning tuning_{};
 };
 
 }  // namespace plurality::graph

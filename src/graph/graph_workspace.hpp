@@ -47,24 +47,6 @@ inline constexpr unsigned kGraphChunks = 64;
 /// two).
 using plurality::EngineMode;
 
-/// Cache-behavior knobs of the stepping pipelines. Scenario runs step with
-/// the defaults; the one override is GraphSimulation::set_tuning, which
-/// `bench_graphs --tile-nodes/--prefetch-distance` and the tests use. Pure
-/// performance tuning: every setting produces bitwise-identical results
-/// per engine mode (tile addressing is counter-based; the strict window
-/// replays the exact draw order), pinned by the StepTuningKnobs battery in
-/// tests/graph/test_graph_batched.cpp, so they are not scenario spec fields.
-struct StepTuning {
-  /// Batched-pipeline tile size in nodes (0 = derive from
-  /// kernels_batched::kBatchedWordBudget; clamped to the word budget).
-  std::uint32_t tile_nodes = 0;
-  /// Software-prefetch distance of the gather loops: the batched pass-3
-  /// look-ahead, and the strict windowed drivers' window size (clamped to
-  /// kernels::kMaxPrefetchWindow). 0 disables prefetching entirely (the
-  /// strict path then runs the legacy per-node loop).
-  std::uint32_t prefetch_distance = 16;
-};
-
 /// True when a k-state trial stores its node states one byte each (the
 /// byte array is then the whole state; beyond 256 states they are u32).
 [[nodiscard]] constexpr bool byte_states(state_t k) { return k <= 256; }

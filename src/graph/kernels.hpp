@@ -302,58 +302,53 @@ inline constexpr bool is_windowable_rule = requires(const state_t* s) {
   { Rule::combine(state_t{}, state_t{}, s) } -> std::same_as<state_t>;
 };
 
-/// Largest per-window node count of the strict prefetch driver. The window
-/// lives in a stack address buffer (kMaxPrefetchWindow * kArity pointers,
-/// 1.5 KiB at arity 3); prefetch distances beyond it clamp here — by then
-/// every miss in the window is already in flight, so more buys nothing.
-inline constexpr unsigned kMaxPrefetchWindow = 64;
+/// Nodes per window of the strict prefetch driver. The window lives in a
+/// stack address buffer (kPrefetchWindow * kArity pointers, 384 B at
+/// arity 3); 16 nodes keep enough misses in flight to hide the gathers'
+/// latency.
+inline constexpr std::size_t kPrefetchWindow = 16;
 
-/// Shared windowed chunk body: per window of up to `prefetch` nodes, draw
-/// all gather addresses in the exact legacy order (issuing a software
+/// Shared windowed chunk body: per window of up to kPrefetchWindow nodes,
+/// draw all gather addresses in the exact legacy order (issuing a software
 /// prefetch per address), then load + combine + publish. The draw sequence
 /// against `gen` is untouched — uniform_below calls in the same order with
 /// the same bounds — and combine IS the rule's post-gather arithmetic, so
 /// results are bitwise-identical to the unwindowed loop for every
-/// windowable rule (pinned by the golden-trajectory suite, which runs at
-/// the default prefetch distance, and by the StepTuningKnobs prefetch=0
-/// cross in tests/graph/test_graph_batched.cpp).
+/// windowable rule (pinned by the golden-trajectory suite and by the
+/// frozen reference in tests/graph/test_graph_determinism.cpp, whose
+/// per-node loop draws in that order).
 /// `sampler_for(i)` yields the node's sampler (any of the three above).
 template <class Rule, typename TNode, class SamplerFor>
 inline void run_chunk_nodes(const Rule& rule, const TNode* __restrict nodes,
                             TNode* __restrict out, count_t* __restrict local,
                             std::size_t lo, std::size_t hi, state_t states,
-                            rng::Xoshiro256pp& gen, unsigned prefetch,
-                            SamplerFor&& sampler_for) {
+                            rng::Xoshiro256pp& gen, SamplerFor&& sampler_for) {
   if constexpr (is_windowable_rule<Rule>) {
-    if (prefetch > 0) {
-      const std::size_t window = std::min(prefetch, kMaxPrefetchWindow);
-      const TNode* addr[kMaxPrefetchWindow * Rule::kArity];
-      for (std::size_t base = lo; base < hi; base += window) {
-        const std::size_t nb = std::min(window, hi - base);
-        for (std::size_t i = 0; i < nb; ++i) {
-          const auto sample = sampler_for(base + i);
-          for (unsigned a = 0; a < Rule::kArity; ++a) {
-            const TNode* p = sample.addr(gen);
-            addr[i * Rule::kArity + a] = p;
-            __builtin_prefetch(p, 0, 3);
-          }
-        }
-        for (std::size_t i = 0; i < nb; ++i) {
-          state_t s[Rule::kArity];
-          for (unsigned a = 0; a < Rule::kArity; ++a) {
-            s[a] = static_cast<state_t>(*addr[i * Rule::kArity + a]);
-          }
-          publish(out, local, base + i,
-                  Rule::combine(static_cast<state_t>(nodes[base + i]), states, s));
+    const TNode* addr[kPrefetchWindow * Rule::kArity];
+    for (std::size_t base = lo; base < hi; base += kPrefetchWindow) {
+      const std::size_t nb = std::min(kPrefetchWindow, hi - base);
+      for (std::size_t i = 0; i < nb; ++i) {
+        const auto sample = sampler_for(base + i);
+        for (unsigned a = 0; a < Rule::kArity; ++a) {
+          const TNode* p = sample.addr(gen);
+          addr[i * Rule::kArity + a] = p;
+          __builtin_prefetch(p, 0, 3);
         }
       }
-      return;
+      for (std::size_t i = 0; i < nb; ++i) {
+        state_t s[Rule::kArity];
+        for (unsigned a = 0; a < Rule::kArity; ++a) {
+          s[a] = static_cast<state_t>(*addr[i * Rule::kArity + a]);
+        }
+        publish(out, local, base + i,
+                Rule::combine(static_cast<state_t>(nodes[base + i]), states, s));
+      }
     }
-  }
-  for (std::size_t i = lo; i < hi; ++i) {
-    const auto sample = sampler_for(i);
-    publish(out, local, i,
-            rule(static_cast<state_t>(nodes[i]), states, sample, gen));
+  } else {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto sample = sampler_for(i);
+      publish(out, local, i, rule(static_cast<state_t>(nodes[i]), states, sample, gen));
+    }
   }
 }
 
@@ -362,9 +357,8 @@ template <class Rule, typename TNode>
 inline void run_chunk_complete(const Rule& rule, const TNode* __restrict nodes,
                                TNode* __restrict out, count_t* __restrict local,
                                std::size_t lo, std::size_t hi, std::uint64_t n,
-                               state_t states,
-                               rng::Xoshiro256pp& gen, unsigned prefetch = 0) {
-  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen, prefetch,
+                               state_t states, rng::Xoshiro256pp& gen) {
+  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen,
                   [&](std::size_t) { return CompleteSampler<TNode>{nodes, n}; });
 }
 
@@ -375,8 +369,8 @@ inline void run_chunk_csr(const Rule& rule, const TNode* __restrict nodes,
                           std::size_t lo, std::size_t hi,
                           const std::uint64_t* __restrict offsets,
                           const std::uint32_t* __restrict neighbors, state_t states,
-                          rng::Xoshiro256pp& gen, unsigned prefetch = 0) {
-  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen, prefetch,
+                          rng::Xoshiro256pp& gen) {
+  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen,
                   [&](std::size_t i) {
                     const std::uint64_t off = offsets[i];
                     return CsrSampler<TNode>{nodes, neighbors + off,
@@ -393,9 +387,8 @@ inline void run_chunk_implicit(const Rule& rule, const TNode* __restrict nodes,
                                TNode* __restrict out, count_t* __restrict local,
                                std::size_t lo, std::size_t hi,
                                const ImplicitTopology& topo,
-                               state_t states, rng::Xoshiro256pp& gen,
-                               unsigned prefetch = 0) {
-  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen, prefetch,
+                               state_t states, rng::Xoshiro256pp& gen) {
+  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen,
                   [&](std::size_t i) { return ImplicitSampler<TNode>{nodes, &topo, i}; });
 }
 
@@ -410,8 +403,8 @@ inline void run_chunk_regular(const Rule& rule, const TNode* __restrict nodes,
                               std::size_t lo, std::size_t hi,
                               const std::uint32_t* __restrict neighbors,
                               std::uint64_t degree, state_t states,
-                              rng::Xoshiro256pp& gen, unsigned prefetch = 0) {
-  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen, prefetch,
+                              rng::Xoshiro256pp& gen) {
+  run_chunk_nodes(rule, nodes, out, local, lo, hi, states, gen,
                   [&](std::size_t i) {
                     return CsrSampler<TNode>{nodes, neighbors + i * degree, degree};
                   });

@@ -24,6 +24,10 @@ namespace {
 
 std::atomic<std::size_t> g_tile_override{0};
 
+/// Nodes pass 3 prefetches ahead of its gather: far enough to cover a
+/// random load's miss latency, short enough to stay in the tile.
+constexpr std::size_t kGatherPrefetchAhead = 16;
+
 /// Stack-resident tile arenas of the stage-split pipeline: bounded by
 /// kBatchedWordBudget, so they are cache-warm, per-thread by construction
 /// (each OpenMP chunk body owns its own), and contribute nothing to the
@@ -66,7 +70,7 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
                    const Sampler& sampler, const TNode* nodes, TNode* out,
                    state_t states, std::size_t lo, std::size_t hi,
                    const simd::Ops* ops, const simd::FusedArgs* fused_proto,
-                   count_t* local, state_t k, const StepTuning& tuning) {
+                   count_t* local, state_t k) {
   if constexpr (std::is_same_v<TNode, std::uint8_t>) {
     if (fused_proto != nullptr) {
       const auto fused = fused_kernel<Rule, Sampler, TNode>(ops);
@@ -87,15 +91,12 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
   }
 
   const std::size_t wpn = arity + tie_words;
-  // Tile-size precedence: spec/CLI tuning, then the test override, then the
-  // word-budget derivation. Any value yields the same results (the word
-  // addressing is per-node, not per-tile).
-  std::size_t tile = tuning.tile_nodes;
-  if (tile == 0) tile = g_tile_override.load(std::memory_order_relaxed);
+  // The test override, else the word-budget derivation. Any value yields
+  // the same results (the word addressing is per-node, not per-tile).
+  std::size_t tile = g_tile_override.load(std::memory_order_relaxed);
   if (tile == 0) tile = kb::tile_nodes_for(static_cast<unsigned>(wpn));
   tile = std::min(tile, kb::kBatchedWordBudget / wpn);
   PLURALITY_CHECK(tile >= 1);
-  const std::size_t prefetch_ahead = tuning.prefetch_distance;
 
   const auto fill = (ops != nullptr && ops->fill_words != nullptr)
                         ? ops->fill_words
@@ -120,9 +121,9 @@ void batched_chunk(const Rule& rule, unsigned arity, unsigned tie_words,
       }
       // Pass 3: gather sampled states, prefetching ahead of the random loads.
       for (std::size_t i = 0; i < nb; ++i) {
-        if (prefetch_ahead != 0 && i + prefetch_ahead < nb) {
-          __builtin_prefetch(sampler.prefetch_target(base + i + prefetch_ahead,
-                                                     plane_index[i + prefetch_ahead]),
+        if (i + kGatherPrefetchAhead < nb) {
+          __builtin_prefetch(sampler.prefetch_target(base + i + kGatherPrefetchAhead,
+                                                     plane_index[i + kGatherPrefetchAhead]),
                              0, 3);
         }
         plane_states[i] = sampler.state(base + i, plane_index[i]);
@@ -154,7 +155,7 @@ template <class Rule>
 void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
                       const AgentGraph& graph, Configuration& config,
                       const rng::StreamFactory& streams, round_t round,
-                      GraphStepWorkspace& ws, const StepTuning& tuning) {
+                      GraphStepWorkspace& ws) {
   const std::size_t n = graph.num_nodes();
   const state_t k = config.k();
   const std::uint64_t n_pad = kb::pad64(n);
@@ -194,7 +195,7 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
     }
 
 #if defined(PLURALITY_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) if (rounds_take_team(n))
+#pragma omp parallel for schedule(static) num_threads(round_team_size(n))
 #endif
     for (unsigned chunk = 0; chunk < kGraphChunks; ++chunk) {
       const std::size_t lo = static_cast<std::size_t>(chunk) * chunk_size;
@@ -205,22 +206,22 @@ void step_batched_all(const Rule& rule, unsigned arity, unsigned tie_words,
       if (complete) {
         const kb::BatchedCompleteSampler<TNode> sampler{nodes_ptr, n};
         batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out, k,
-                      lo, hi, ops, fused_proto, local, k, tuning);
+                      lo, hi, ops, fused_proto, local, k);
       } else if (implicit) {
         const kb::BatchedImplicitSampler<TNode> sampler{nodes_ptr,
                                                         graph.implicit_topology()};
         batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out, k,
-                      lo, hi, ops, fused_proto, local, k, tuning);
+                      lo, hi, ops, fused_proto, local, k);
       } else if (regular) {
         const kb::BatchedRegularSampler<TNode> sampler{nodes_ptr, graph.neighbors(),
                                                        uniform_degree};
         batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out, k,
-                      lo, hi, ops, fused_proto, local, k, tuning);
+                      lo, hi, ops, fused_proto, local, k);
       } else {
         const kb::BatchedCsrSampler<TNode> sampler{nodes_ptr, graph.offsets(),
                                                    graph.neighbors()};
         batched_chunk(rule, arity, tie_words, key, round, n_pad, sampler, nodes_ptr, out, k,
-                      lo, hi, ops, fused_proto, local, k, tuning);
+                      lo, hi, ops, fused_proto, local, k);
       }
     }
   };
@@ -254,8 +255,7 @@ bool batched_has_kernel(const Dynamics& dynamics) {
 
 void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
                         Configuration& config, const rng::StreamFactory& streams,
-                        round_t round, GraphStepWorkspace& ws,
-                        const StepTuning& tuning) {
+                        round_t round, GraphStepWorkspace& ws) {
   const count_t n = graph.num_nodes();
   PLURALITY_REQUIRE(config.n() == n, "step_graph_batched: configuration has "
                                          << config.n() << " nodes but graph has " << n);
@@ -278,7 +278,7 @@ void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
   // the dispatch.
   const auto run = [&]<class Rule>(const Rule& rule) {
     step_batched_all(rule, Rule::kArity, Rule::kTieWords, graph, config, streams, round,
-                     ws, tuning);
+                     ws);
   };
   if (const auto* d = dynamic_cast<const ThreeMajority*>(&dynamics)) {
     (void)d;
@@ -302,8 +302,7 @@ void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
     const unsigned arity = h->sample_arity();
     PLURALITY_CHECK_MSG(arity <= 64, "graph backend supports sample arity <= 64");
     step_batched_all(kb::BatchedHPlurality{arity}, arity,
-                     kb::BatchedHPlurality::kTieWords, graph, config, streams, round, ws,
-                     tuning);
+                     kb::BatchedHPlurality::kTieWords, graph, config, streams, round, ws);
   } else {
     PLURALITY_CHECK_MSG(false, "step_graph_batched: dynamics '"
                                    << dynamics.name()

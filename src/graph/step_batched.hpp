@@ -28,17 +28,15 @@ class AgentGraph;
 /// the strict step (reads/advances ws.nodes, publishes counts into config)
 /// but randomness is Philox keyed by streams.master_seed() with `round` as
 /// the counter domain — bitwise identical results for any thread count,
-/// chunking, or tile size (so `tuning` never changes results, only speed).
-/// Requires batched_has_kernel(dynamics).
+/// chunking, or tile size. Requires batched_has_kernel(dynamics).
 void step_graph_batched(const Dynamics& dynamics, const AgentGraph& graph,
                         Configuration& config, const rng::StreamFactory& streams,
-                        round_t round, GraphStepWorkspace& ws,
-                        const StepTuning& tuning = {});
+                        round_t round, GraphStepWorkspace& ws);
 
 // --- Test hooks (single-threaded setup only). ---------------------------
 
-/// Overrides the pipeline tile size (0 = derive from kBatchedWordBudget).
-/// Exists to pin tile-size invariance by test.
+/// Overrides the pipeline tile size (0 = kernels_batched::tile_nodes_for,
+/// the only other source). Exists to pin tile-size invariance by test.
 void set_batched_tile_nodes_override(std::size_t tile_nodes);
 
 }  // namespace plurality::graph

@@ -55,7 +55,6 @@ Scenario Scenario::compile(const ScenarioSpec& spec) {
   CommonTrialOptions& options = compiled.options_;
   options.trials = spec.trials;
   options.seed = spec.seed;
-  options.parallel = spec.parallel;
   options.max_rounds = spec.max_rounds;
   options.mode = spec.engine == "batched" ? EngineMode::Batched : EngineMode::Strict;
   options.adversary = compiled.adversary_.get();

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -40,11 +41,17 @@ std::uint64_t parse_spec_uint(const std::string& key, const std::string& text) {
   }
 }
 
-bool parse_spec_bool(const std::string& key, const std::string& text) {
+/// The string form's spellings of a boolean, or nullopt.
+std::optional<bool> bool_text(const std::string& text) {
   if (text == "true" || text == "1") return true;
   if (text == "false" || text == "0") return false;
-  PLURALITY_REQUIRE(false, "scenario: '" << key << "' must be true/false, got '" << text << "'");
-  return false;  // unreachable
+  return std::nullopt;
+}
+
+bool parse_spec_bool(const std::string& key, const std::string& text) {
+  const std::optional<bool> value = bool_text(text);
+  PLURALITY_REQUIRE(value, "scenario: '" << key << "' must be true/false, got '" << text << "'");
+  return *value;
 }
 
 /// Applies one key=value assignment to `spec` (shared by the string and
@@ -81,6 +88,13 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
                       "scenario: field 'graph_layout' was removed; graphs step in "
                       "builder order (only 'identity', which names that, is still "
                       "accepted) — drop the field");
+  } else if (key == "parallel") {
+    // Removed field: the thread plan decides whether trials share a team,
+    // and results never depended on it, so both old values are dropped.
+    const bool legacy = value.is_bool() || (value.is_string() && bool_text(value.as_string()));
+    PLURALITY_REQUIRE(legacy, "scenario: field 'parallel' was removed; the thread plan "
+                              "picks how trials share the threads (only the old values "
+                              "true and false are still accepted) — drop the field");
   } else if (key == "tile_nodes" || key == "prefetch_distance") {
     // Removed fields: results never depended on them, so their defaults
     // (tile_nodes 0, prefetch_distance 16) are dropped like
@@ -102,8 +116,6 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
     spec.seed = value.as_uint();
   } else if (key == "max_rounds") {
     spec.max_rounds = value.as_uint();
-  } else if (key == "parallel") {
-    spec.parallel = value.as_bool();
   } else if (key == "shuffle_layout") {
     spec.shuffle_layout = value.as_bool();
   } else {
@@ -111,7 +123,7 @@ void assign_field(ScenarioSpec& spec, const std::string& key, const io::JsonValu
                       "scenario: unknown field '"
                           << key << "'; known: dynamics, workload, topology, adversary, "
                           << "backend, engine, stop, n, k, trials, seed, max_rounds, "
-                          << "parallel, shuffle_layout");
+                          << "shuffle_layout");
   }
 }
 
@@ -150,7 +162,7 @@ void ScenarioSpec::set_field(const std::string& key, const std::string& value) {
   if (key == "n" || key == "k" || key == "trials" || key == "seed" ||
       key == "max_rounds" || key == "tile_nodes" || key == "prefetch_distance") {
     assign_field(*this, key, io::JsonValue(parse_spec_uint(key, value)));
-  } else if (key == "parallel" || key == "shuffle_layout") {
+  } else if (key == "shuffle_layout") {
     assign_field(*this, key, io::JsonValue(parse_spec_bool(key, value)));
   } else {
     assign_field(*this, key, io::JsonValue(value));
@@ -205,7 +217,6 @@ io::JsonValue ScenarioSpec::to_json() const {
   doc.set("trials", trials);
   doc.set("seed", seed);
   doc.set("max_rounds", std::uint64_t{max_rounds});
-  doc.set("parallel", parallel);
   doc.set("shuffle_layout", shuffle_layout);
   return doc;
 }
@@ -216,7 +227,6 @@ std::string ScenarioSpec::to_spec_string() const {
      << " adversary=" << adversary << " backend=" << backend << " engine=" << engine
      << " stop=" << stop << " n=" << n << " k=" << k << " trials=" << trials
      << " seed=" << seed << " max_rounds=" << max_rounds
-     << " parallel=" << (parallel ? "true" : "false")
      << " shuffle_layout=" << (shuffle_layout ? "true" : "false");
   return os.str();
 }

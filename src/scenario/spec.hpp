@@ -14,16 +14,16 @@
 //   backend    auto | count | graph
 //   engine     strict | batched         (core/engine_mode.hpp)
 //   stop       consensus | m-plurality:<M> | any-reaches:<T>
-//   n, k, trials, seed, max_rounds, parallel, shuffle_layout
+//   n, k, trials, seed, max_rounds, shuffle_layout
 //
-// The graph engine's cache knobs (graph::StepTuning) never change
-// results, so they are not spec fields: the removed `tile_nodes` and
-// `prefetch_distance` are still accepted at their defaults (0 and 16) and
-// dropped, so old result echoes re-parse. The same goes for the topology
-// store (CSR arena or implicit neighborhoods): compile picks it from the
-// topology and n (resolved_topology_backend), and the removed
-// `topology_backend` field still accepts its old values auto, arena and
-// implicit, and drops them.
+// How a run spreads over threads is not part of the model and never
+// changes results, so no spec field names it: the thread plan
+// (core/thread_plan.hpp) picks it. Removed execution fields are still
+// accepted at their old values and dropped, so old result echoes
+// re-parse: `parallel` (true or false), `tile_nodes` and
+// `prefetch_distance` at their defaults (0 and 16), and `topology_backend`
+// (auto, arena, implicit) — compile picks the topology store from the
+// topology and n (resolved_topology_backend).
 //
 // Specs parse from "key=value" strings or JSON files, validate with
 // actionable errors, compile (scenario.hpp) into the right backend, and
@@ -62,7 +62,6 @@ struct ScenarioSpec {
   std::uint64_t trials = 20;
   std::uint64_t seed = 1;
   round_t max_rounds = 1'000'000;
-  bool parallel = true;
   /// Graph backend only: shuffle the node layout per trial.
   bool shuffle_layout = true;
 

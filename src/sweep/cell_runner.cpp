@@ -275,14 +275,6 @@ void run_cell_to_verdict(CellOutcome& cell, const CellRunContext& ctx) {
   const bool probes_on = ctx.observe.m_plurality || ctx.observe.trajectory > 0;
   const std::size_t i = cell.index;
 
-  scenario::ScenarioSpec run_spec = cell.requested;
-  if (ctx.force_serial_trials) {
-    // Cells are the parallel unit here; nested trial teams would
-    // oversubscribe. Trial results are thread-count invariant, so this
-    // changes scheduling only.
-    run_spec.parallel = false;
-  }
-
   CancellationToken local_token;
   CancellationToken* token = ctx.token != nullptr ? ctx.token : &local_token;
 
@@ -345,7 +337,8 @@ void run_cell_to_verdict(CellOutcome& cell, const CellRunContext& ctx) {
 
       std::unique_ptr<ProbeObserver> probe;
       if (probes_on) {
-        probe = std::make_unique<ProbeObserver>(probe_options(ctx.observe, run_spec.trials));
+        probe = std::make_unique<ProbeObserver>(
+            probe_options(ctx.observe, cell.requested.trials));
       }
       // Metrics stack ON TOP of the probes: the MetricsObserver forwards
       // every callback, so probe products are untouched and the drivers
@@ -357,7 +350,7 @@ void run_cell_to_verdict(CellOutcome& cell, const CellRunContext& ctx) {
         observer = metrics_observer.get();
       }
       const scenario::ScenarioResult result =
-          scenario::run_scenario(run_spec, observer, token);
+          scenario::run_scenario(cell.requested, observer, token);
       if (probe != nullptr) probe->finalize();
       cell.resolved_backend = result.resolved.backend;
       cell.summary = result.summary;

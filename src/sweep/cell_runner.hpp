@@ -101,9 +101,6 @@ struct CellRunContext {
   /// Commit via link(2) first-write-wins instead of rename (see header
   /// comment) — the multi-writer service mode.
   bool first_write_wins = false;
-  /// Force run_spec.parallel = false (cells-in-parallel phase: cells are
-  /// the parallel unit, nested trial teams would oversubscribe).
-  bool force_serial_trials = false;
   /// Attempts burned by earlier processes (from the ledger); counted
   /// against max_retries before the first local attempt.
   std::uint32_t prior_attempts = 0;

@@ -311,8 +311,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     CellOutcome& cell = out.cells[i];
     const scenario::ScenarioSpec& spec = cell.requested;
     const bool graph_cell = cell_backend(spec) == "graph";
-    const ThreadPlan plan =
-        plan_threads(spec.parallel ? spec.trials : 1, spec.n, threads, graph_cell);
+    const ThreadPlan plan = plan_threads(spec.trials, spec.n, threads, graph_cell);
     const bool own_team = graph_cell && plan.trial_team == threads;
     const std::uint64_t estimate = estimate_cell_memory_bytes(spec);
     if (estimate > budget) {
@@ -378,7 +377,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     });
   }
 
-  const auto run_cell = [&](std::size_t i, bool in_cell_team) {
+  const auto run_cell = [&](std::size_t i) {
     CellOutcome& cell = out.cells[i];
     if (shutdown_requested()) return;  // skipped cells stay Pending (resumable)
 
@@ -389,7 +388,6 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     ctx.cell_timeout_seconds = options.cell_timeout_seconds;
     ctx.max_retries = options.max_retries;
     ctx.retry_backoff_seconds = options.retry_backoff_seconds;
-    ctx.force_serial_trials = in_cell_team;
     ctx.prior_attempts = prior_attempts[i];
     ctx.injector = &injector;
     ctx.watchdog = &watchdog;
@@ -407,17 +405,15 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
 
 #if defined(PLURALITY_HAVE_OPENMP)
   if (threads > 1) {
-#pragma omp parallel for schedule(dynamic, 1)
-    for (std::size_t p = 0; p < shared_batch.size(); ++p) {
-      run_cell(shared_batch[p], true);
-    }
+#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
+    for (std::size_t p = 0; p < shared_batch.size(); ++p) run_cell(shared_batch[p]);
   } else
 #endif
   {
-    for (const std::size_t i : shared_batch) run_cell(i, false);
+    for (const std::size_t i : shared_batch) run_cell(i);
   }
   // Alone phase: each cell runs on its own thread plan.
-  for (const std::size_t i : alone_batch) run_cell(i, false);
+  for (const std::size_t i : alone_batch) run_cell(i);
 
   if (progress_thread.joinable()) {
     progress_stop.store(true, std::memory_order_release);

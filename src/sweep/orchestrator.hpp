@@ -1,14 +1,16 @@
 // Sweep orchestrator — runs a SweepSpec's whole grid as one resumable,
 // fault-tolerant job.
 //
-// Execution model: cells are the parallel unit. The expanded grid is
+// Execution model: cells are the parallel unit. Cells share a cell team,
 // scheduled work-stealing across OpenMP threads (schedule(dynamic, 1)), and
-// each cell runs its trials sequentially inside its thread (the cell spec's
-// `parallel` flag is forced off while cells run in parallel — nested teams
-// would oversubscribe, and trial results are thread-count invariant by
-// construction, so this changes nothing but the schedule). Every cell's
-// randomness derives from its own spec's seed, so WHICH thread runs WHICH
-// cell — or how many times a cell is retried — can never affect any result.
+// each runs its trials one after another on its own thread: a parallel
+// region opened inside the cell team gets one thread (core/thread_plan.hpp).
+// A graph cell whose thread plan gives its trials every thread, or one too
+// big to run beside its siblings, runs after the team on its own plan.
+// Trial results are thread-count invariant by construction, and every
+// cell's randomness derives from its own spec's seed, so WHICH thread runs
+// WHICH cell — or how many times a cell is retried — can never affect any
+// result.
 //
 // Checkpointing: with an out_dir, the orchestrator writes
 //

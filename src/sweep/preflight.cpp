@@ -119,8 +119,7 @@ std::uint64_t graph_state_bytes_per_node(const scenario::ScenarioSpec& spec) {
 /// Graph step workspaces alive at once: run_graph_trials builds one per
 /// thread of the trial team its thread plan picks.
 std::uint64_t concurrent_workspaces(const scenario::ScenarioSpec& spec) {
-  return plan_threads(spec.parallel ? spec.trials : 1, spec.n, available_threads(),
-                      /*team_rounds=*/true)
+  return plan_threads(spec.trials, spec.n, available_threads(), /*team_rounds=*/true)
       .trial_team;
 }
 

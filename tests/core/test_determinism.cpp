@@ -26,6 +26,7 @@
 #include "core/voter.hpp"
 #include "graph/agent_graph.hpp"
 #include "support/check.hpp"
+#include "thread_count_guard.hpp"
 
 #if defined(PLURALITY_HAVE_OPENMP)
 #include <omp.h>
@@ -188,12 +189,12 @@ TEST(GoldenTrajectories, CliqueSamplerDigests) {
 }
 
 TEST(GoldenTrajectories, TrialSummaries) {
+  const ThreadCountGuard guard(1);
   {
     ThreeMajority dyn;
     CommonTrialOptions options;
     options.trials = 32;
     options.seed = 99;
-    options.parallel = false;
     const TrialSummary s = run_trials(dyn, Configuration({4000, 3500, 2500}), options);
     EXPECT_EQ(s.consensus_count, 32u);
     EXPECT_EQ(s.plurality_wins, 32u);
@@ -204,7 +205,6 @@ TEST(GoldenTrajectories, TrialSummaries) {
     CommonTrialOptions options;
     options.trials = 24;
     options.seed = 7;
-    options.parallel = false;
     const TrialSummary s = run_trials(
         dyn, UndecidedState::extend_with_undecided(Configuration({4000, 3500, 2500})),
         options);
@@ -285,20 +285,11 @@ TEST(WorkspaceReuse, SharedAcrossRunsMatchesFresh) {
 
 #if defined(PLURALITY_HAVE_OPENMP)
 
-struct ThreadCountGuard {
-  explicit ThreadCountGuard(int threads) : saved(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved); }
-  int saved;
-};
-
-TrialSummary majority_trials(bool parallel) {
+TrialSummary majority_trials() {
   ThreeMajority dyn;
   CommonTrialOptions options;
   options.trials = 48;
   options.seed = 2026;
-  options.parallel = parallel;
   return run_trials(dyn, Configuration({2000, 1800, 1200}), options);
 }
 
@@ -311,10 +302,14 @@ void expect_same_summary(const TrialSummary& a, const TrialSummary& b) {
 }
 
 TEST(ThreadInvariance, TrialSummaryIdenticalAcrossThreadCounts) {
-  const TrialSummary serial = majority_trials(false);
-  for (const int threads : {1, 4, omp_get_max_threads()}) {
-    ThreadCountGuard guard(threads);
-    expect_same_summary(majority_trials(true), serial);
+  TrialSummary serial;
+  {
+    const ThreadCountGuard guard(1);
+    serial = majority_trials();
+  }
+  for (const int threads : {2, 4, omp_get_max_threads()}) {
+    const ThreadCountGuard guard(threads);
+    expect_same_summary(majority_trials(), serial);
   }
 }
 

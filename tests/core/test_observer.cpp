@@ -21,6 +21,7 @@
 #include "core/workloads.hpp"
 #include "graph/graph_trials.hpp"
 #include "graph/topology_registry.hpp"
+#include "thread_count_guard.hpp"
 
 namespace plurality {
 namespace {
@@ -130,21 +131,28 @@ TEST(ObserverEquivalence, GraphGrid) {
 }
 
 TEST(ObserverEquivalence, ThreadCountInvariantWithObserver) {
-  // Parallel vs serial trials with an observer attached: same summary, and
-  // the observer's per-trial products are identical too (disjoint slots).
+  // A 4-thread trial team vs one thread with an observer attached: same
+  // summary, and the observer's per-trial products are identical too
+  // (disjoint slots).
   ThreeMajority dyn;
   const Configuration start = workloads::additive_bias(3000, 3, 300);
   CommonTrialOptions options = base_options(12, 17);
 
   ProbeObserver parallel_probe = make_probe(options.trials);
   options.observer = &parallel_probe;
-  options.parallel = true;
-  const TrialSummary parallel_summary = run_trials(dyn, start, options);
+  TrialSummary parallel_summary;
+  {
+    const ThreadCountGuard guard(4);
+    parallel_summary = run_trials(dyn, start, options);
+  }
 
   ProbeObserver serial_probe = make_probe(options.trials);
   options.observer = &serial_probe;
-  options.parallel = false;
-  const TrialSummary serial_summary = run_trials(dyn, start, options);
+  TrialSummary serial_summary;
+  {
+    const ThreadCountGuard guard(1);
+    serial_summary = run_trials(dyn, start, options);
+  }
 
   expect_same_summary(parallel_summary, serial_summary);
   for (std::uint64_t t = 0; t < options.trials; ++t) {
@@ -204,12 +212,12 @@ class SequenceObserver final : public RoundObserver {
 TEST(Observer, CallbackSequenceOnAllDrivers) {
   ThreeMajority dyn;
   const Configuration start = workloads::additive_bias(2000, 3, 200);
-  // Serial trials: the sequence observer asserts from inside callbacks and
+  // One thread: the sequence observer asserts from inside callbacks and
   // gtest expectation recording is not thread-safe.
+  const ThreadCountGuard guard(1);
   {
     SequenceObserver seq(5);
     CommonTrialOptions options = base_options(5, 3);
-    options.parallel = false;
     options.observer = &seq;
     (void)run_trials(dyn, start, options);
     EXPECT_TRUE(seq.all_complete());
@@ -219,7 +227,6 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
     rng::Xoshiro256pp topo_gen(4);
     const graph::AgentGraph graph = graph::make_topology("regular:6", 2000, topo_gen);
     CommonTrialOptions options = base_options(5, 3);
-    options.parallel = false;
     options.observer = &seq;
     (void)run_graph_trials(dyn, graph, start, options);
     EXPECT_TRUE(seq.all_complete());

@@ -1,9 +1,16 @@
 // The thread planning rule on its own: a pure function of (trials, n,
 // threads, whether rounds can take a team), so it is checked as a table,
-// with no OpenMP involved.
+// with no OpenMP involved. Then the one rule against nested teams, which
+// is checked inside a real OpenMP region.
 #include "core/thread_plan.hpp"
 
 #include <gtest/gtest.h>
+
+#include "thread_count_guard.hpp"
+
+#if defined(PLURALITY_HAVE_OPENMP)
+#include <omp.h>
+#endif
 
 namespace plurality {
 namespace {
@@ -71,6 +78,37 @@ TEST(ThreadPlan, NeverUsesMoreThreadsThanItHas) {
     }
   }
 }
+
+#if defined(PLURALITY_HAVE_OPENMP)
+TEST(ThreadPlan, RegionsInsideAnActiveRegionGetOneThread) {
+  // Even when the OpenMP settings allow nested teams, a region opened
+  // inside a trial (or cell) team must run on one thread: a nested team of
+  // the full size would multiply the threads past the cores.
+  const ThreadCountGuard guard(4);
+  const int saved_levels = omp_get_max_active_levels();
+  omp_set_max_active_levels(2);
+  int team = 0;
+  unsigned inner_available = 0;
+  unsigned inner_round_team = 0;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    {
+      team = omp_get_num_threads();
+      inner_available = available_threads();
+      inner_round_team = round_team_size(1'000'000);
+    }
+  }
+  omp_set_max_active_levels(saved_levels);
+  // At the top level, rounds below the crossover stay on one thread and
+  // rounds above it take the whole team.
+  EXPECT_EQ(round_team_size(kSmall), 1u);
+  EXPECT_EQ(round_team_size(1'000'000), 4u);
+  if (team < 2) GTEST_SKIP() << "the runtime gave the outer region one thread";
+  EXPECT_EQ(inner_available, 1u);
+  EXPECT_EQ(inner_round_team, 1u);
+}
+#endif
 
 static_assert(plan_threads(2, kLarge, 4, true) == ThreadPlan{1, 4},
               "the rule is usable at compile time");

@@ -6,6 +6,7 @@
 #include "core/voter.hpp"
 #include "core/workloads.hpp"
 #include "support/check.hpp"
+#include "thread_count_guard.hpp"
 
 namespace plurality {
 namespace {
@@ -39,18 +40,24 @@ TEST(Trials, HeavyBiasWinsEssentiallyAlways) {
 
 TEST(Trials, ParallelAndSequentialAgreeExactly) {
   // Per-trial streams are keyed by trial index, so thread scheduling must
-  // not change any trial's outcome.
+  // not change any trial's outcome: 32 trials on a 4-thread trial team
+  // against the same 32 on one thread.
   ThreeMajority dynamics;
   const Configuration start = workloads::additive_bias(3000, 3, 900);
-  CommonTrialOptions parallel_options;
-  parallel_options.trials = 32;
-  parallel_options.seed = 3;
-  parallel_options.parallel = true;
-  CommonTrialOptions serial_options = parallel_options;
-  serial_options.parallel = false;
+  CommonTrialOptions options;
+  options.trials = 32;
+  options.seed = 3;
 
-  const TrialSummary parallel_summary = run_trials(dynamics, start, parallel_options);
-  const TrialSummary serial_summary = run_trials(dynamics, start, serial_options);
+  TrialSummary parallel_summary;
+  TrialSummary serial_summary;
+  {
+    const ThreadCountGuard guard(4);
+    parallel_summary = run_trials(dynamics, start, options);
+  }
+  {
+    const ThreadCountGuard guard(1);
+    serial_summary = run_trials(dynamics, start, options);
+  }
   EXPECT_EQ(parallel_summary.plurality_wins, serial_summary.plurality_wins);
   EXPECT_EQ(parallel_summary.consensus_count, serial_summary.consensus_count);
   ASSERT_EQ(parallel_summary.round_samples.size(), serial_summary.round_samples.size());
@@ -65,7 +72,6 @@ TEST(Trials, FactoryReceivesTrialIndexAndStream) {
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 4;
-  options.parallel = false;
   const TrialSummary summary = run_trials(
       dynamics,
       [&seen](std::uint64_t trial, rng::Xoshiro256pp& gen) {

@@ -13,8 +13,6 @@
 //    the same Markov chain with different generators, so their
 //    consensus-time distributions must agree (two-sample chi-square on
 //    shared quantile bins) on clique + ring + random-regular scenarios.
-//
-// Plus the StepTuning knobs pinned bitwise inert in both modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,10 +36,7 @@
 #include "graph/step_batched.hpp"
 #include "stats/chi_square.hpp"
 #include "stats/quantile.hpp"
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
+#include "thread_count_guard.hpp"
 
 namespace plurality::graph {
 namespace {
@@ -57,10 +52,8 @@ std::vector<std::vector<state_t>> trajectory(const Dynamics& dynamics,
                                              const AgentGraph& graph,
                                              const Configuration& start,
                                              std::uint64_t seed, EngineMode mode,
-                                             int rounds,
-                                             const StepTuning& tuning = {}) {
+                                             int rounds) {
   GraphSimulation sim(dynamics, graph, start, seed, /*shuffle_layout=*/true, mode);
-  sim.set_tuning(tuning);
   std::vector<std::vector<state_t>> out;
   for (int r = 0; r < rounds; ++r) {
     sim.step();
@@ -158,13 +151,6 @@ TEST(GraphBatched, TileSizeNeverChangesResults) {
 
 #if defined(PLURALITY_HAVE_OPENMP)
 TEST(GraphBatched, ThreadCountNeverChangesResults) {
-  struct ThreadCountGuard {
-    int saved;
-    explicit ThreadCountGuard(int threads) : saved(omp_get_max_threads()) {
-      omp_set_num_threads(threads);
-    }
-    ~ThreadCountGuard() { omp_set_num_threads(saved); }
-  };
   // Above the crossover, so the tile pass runs on a real team of 2 and 4
   // (below it every round steps on one thread whatever the team).
   constexpr count_t n = kRoundTeamMinNodes + 904;
@@ -300,47 +286,6 @@ TEST(GraphBatched, RuleTableFallsBackToStrict) {
     batched.step();
     ASSERT_EQ(strict.states().to_vector(), batched.states().to_vector())
         << "round " << r;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Tuning knobs (StepTuning, set through GraphSimulation::set_tuning).
-
-// Tuning is performance-only: tile size and prefetch distance (strict AND
-// batched) never change a single bit of the trajectory.
-
-TEST(StepTuningKnobs, StrictPrefetchWindowIsBitwiseInert) {
-  // prefetch_distance=0 runs the legacy per-node loop; the default windowed
-  // path must reproduce it exactly (same draw order, same states).
-  const ThreeMajority majority;
-  const UndecidedState undecided;
-  const AgentGraph graph = test_regular(1500, 8, 51);
-  const Configuration start3 = workloads::parse_workload("bias:40", 1500, 3);
-  const Configuration startu =
-      UndecidedState::extend_with_undecided(workloads::parse_workload("bias:40", 1500, 3));
-  for (const std::uint32_t distance : {0u, 4u, 16u, 300u}) {
-    const StepTuning tuning{0, distance};
-    EXPECT_EQ(trajectory(majority, graph, start3, 61, EngineMode::Strict, 4, tuning),
-              trajectory(majority, graph, start3, 61, EngineMode::Strict, 4))
-        << "prefetch " << distance;
-    EXPECT_EQ(trajectory(undecided, graph, startu, 62, EngineMode::Strict, 4, tuning),
-              trajectory(undecided, graph, startu, 62, EngineMode::Strict, 4))
-        << "prefetch " << distance;
-  }
-}
-
-TEST(StepTuningKnobs, BatchedTileAndPrefetchAreBitwiseInert) {
-  const ThreeMajority majority;
-  const AgentGraph graph = test_regular(1500, 8, 52);
-  const Configuration start = workloads::parse_workload("bias:40", 1500, 3);
-  const auto reference = trajectory(majority, graph, start, 63, EngineMode::Batched, 4);
-  for (const std::uint32_t tile : {0u, 64u, 777u, 8192u}) {
-    for (const std::uint32_t distance : {0u, 16u}) {
-      const StepTuning tuning{tile, distance};
-      EXPECT_EQ(trajectory(majority, graph, start, 63, EngineMode::Batched, 4, tuning),
-                reference)
-          << "tile " << tile << " prefetch " << distance;
-    }
   }
 }
 

@@ -9,7 +9,7 @@
 //     on sparse explicit graphs and on the implicit clique.
 //  3. Thread-count independence: GraphSimulation trajectories and
 //     run_graph_trials summaries are identical under 1, 4, and max OpenMP
-//     threads (and with parallel trials disabled).
+//     threads.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -30,7 +30,9 @@
 #include "graph/agent_graph.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
+#include "graph/kernels.hpp"
 #include "graph/reference_sim.hpp"
+#include "thread_count_guard.hpp"
 
 #if defined(PLURALITY_HAVE_OPENMP)
 #include <omp.h>
@@ -195,6 +197,44 @@ TEST(EngineVsReferenceWide, BitwiseEqualBeyondByteMirror) {
   }
 }
 
+TEST(EngineVsReferenceLongChunks, WindowedDriverMatchesPerNodeLoop) {
+  // n = 1500 gives 24-node chunks: longer than kernels::kPrefetchWindow, so
+  // the windowed strict driver runs a full window and a ragged one per
+  // chunk (the cases above have 4-node chunks, one partial window). The
+  // frozen reference steps node by node, so equality pins that the window
+  // keeps the per-node draw order. The ring with chords is not
+  // degree-uniform, so the scalar CSR driver runs on every host; the
+  // random-regular graph takes the lane kernels where the host has them.
+  constexpr count_t n = 1500;
+  static_assert((n + kGraphChunks - 1) / kGraphChunks > kernels::kPrefetchWindow);
+  std::vector<std::pair<count_t, count_t>> edges;
+  for (count_t v = 0; v < n; ++v) {
+    edges.emplace_back(v, (v + 1) % n);
+    if (v % 3 == 0) edges.emplace_back(v, (v + 7) % n);
+  }
+  const AgentGraph chords = AgentGraph::from_edges(n, edges);
+  ASSERT_NE(chords.min_degree(), chords.max_degree());
+  rng::Xoshiro256pp topo_gen(51);
+  const AgentGraph regular = random_regular(n, 8, topo_gen);
+  const Configuration start = workloads::parse_workload("bias:40", n, 3);
+  const Configuration start_undecided = UndecidedState::extend_with_undecided(start);
+  for (const AgentGraph* graph : {&chords, &regular}) {
+    for (const auto& [dynamics, from] :
+         {std::pair<const Dynamics*, const Configuration*>{&kMajority, &start},
+          {&kUndecided, &start_undecided}}) {
+      ReferenceGraphSimulation ref(*dynamics, *graph, *from, 61);
+      GraphSimulation engine(*dynamics, *graph, *from, 61);
+      for (int round = 0; round < 4; ++round) {
+        ref.step();
+        engine.step();
+        ASSERT_EQ(ref.states(), engine.states().to_vector())
+            << dynamics->name() << (graph == &chords ? " chords" : " regular:8")
+            << " node states diverged at round " << round;
+      }
+    }
+  }
+}
+
 TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
   // One workspace carried across different dynamics and k values (the
   // run_graph_trials reuse pattern) must reproduce fresh-workspace runs:
@@ -240,13 +280,13 @@ TEST(EngineWorkspaceReuse, SharedAcrossTrialsMatchesFresh) {
 //     plumbing: per-trial families, layout stream, outcome filters). ------
 
 TEST(GoldenGraphTrajectories, GraphTrialSummary) {
+  const ThreadCountGuard guard(1);
   ThreeMajority dyn;
   rng::Xoshiro256pp topo_gen(8);
   const AgentGraph graph = random_regular(300, 8, topo_gen);
   CommonTrialOptions options;
   options.trials = 24;
   options.seed = 31;
-  options.parallel = false;
   options.max_rounds = 4000;
   const TrialSummary s =
       run_graph_trials(dyn, graph, workloads::additive_bias(300, 3, 90), options);
@@ -344,7 +384,6 @@ TEST(GoldenGraphTrajectories, AdversaryDigests) {
     CommonTrialOptions options;
     options.trials = 3;
     options.seed = seed++;
-    options.parallel = false;
     options.max_rounds = 30;
     options.mode = c.mode;
     options.adversary = adversary.get();
@@ -377,14 +416,6 @@ TEST(GoldenGraphTrajectories, AdversaryDigests) {
 
 #if defined(PLURALITY_HAVE_OPENMP)
 
-struct ThreadCountGuard {
-  explicit ThreadCountGuard(int threads) : saved(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved); }
-  int saved;
-};
-
 TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
   UndecidedState dyn;
   // 128x128 gives chunks long enough for the strict lane kernels (on hosts
@@ -416,13 +447,12 @@ TEST(GraphThreadInvariance, TrajectoryIdenticalAcrossThreadCounts) {
   }
 }
 
-TrialSummary torus_trials(bool parallel) {
+TrialSummary torus_trials() {
   ThreeMajority dyn;
   const AgentGraph graph = torus(10, 10);
   CommonTrialOptions options;
   options.trials = 16;
   options.seed = 2026;
-  options.parallel = parallel;
   options.max_rounds = 3000;
   return run_graph_trials(dyn, graph, workloads::additive_bias(100, 2, 40), options);
 }
@@ -436,10 +466,14 @@ void expect_same_summary(const TrialSummary& a, const TrialSummary& b) {
 }
 
 TEST(GraphThreadInvariance, TrialSummaryIdenticalAcrossThreadCounts) {
-  const TrialSummary serial = torus_trials(false);
-  for (const int threads : {1, 4, omp_get_max_threads()}) {
-    ThreadCountGuard guard(threads);
-    expect_same_summary(torus_trials(true), serial);
+  TrialSummary serial;
+  {
+    const ThreadCountGuard guard(1);
+    serial = torus_trials();
+  }
+  for (const int threads : {2, 4, omp_get_max_threads()}) {
+    const ThreadCountGuard guard(threads);
+    expect_same_summary(torus_trials(), serial);
   }
 }
 

@@ -24,24 +24,10 @@
 #include "graph/builders.hpp"
 #include "graph/kernels.hpp"
 
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
+#include "thread_count_guard.hpp"
 
 namespace plurality::graph {
 namespace {
-
-/// Runs the enclosing scope on one OpenMP thread. The battery compares
-/// kernel tables, not thread counts (GraphThreadInvariance's 128x128 torus
-/// pins those on the lane path); one thread keeps it fast under
-/// ThreadSanitizer, which slows libgomp's barriers by orders of magnitude.
-struct SingleThread {
-#if defined(PLURALITY_HAVE_OPENMP)
-  SingleThread() : saved(omp_get_max_threads()) { omp_set_num_threads(1); }
-  ~SingleThread() { omp_set_num_threads(saved); }
-  int saved;
-#endif
-};
 
 /// n nodes spread over k colors, color 0 ahead by a few nodes.
 Configuration spread(count_t n, state_t k) {
@@ -73,7 +59,11 @@ TEST(GraphStrict, SimdMatchesScalarBitwise) {
   if (simd::supported().empty()) {
     GTEST_SKIP() << "no SIMD kernels on this host; scalar path is the only path";
   }
-  const SingleThread single_thread;
+  // One thread: the battery compares kernel tables, not thread counts
+  // (GraphThreadInvariance's 128x128 torus pins those on the lane path),
+  // and one thread keeps it fast under ThreadSanitizer, which slows
+  // libgomp's barriers by orders of magnitude.
+  const ThreadCountGuard single_thread(1);
   ThreeMajority majority;
   Voter voter;
   UndecidedState undecided;

@@ -16,6 +16,7 @@
 #include "graph/builders.hpp"
 #include "graph/graph_trials.hpp"
 #include "support/check.hpp"
+#include "thread_count_guard.hpp"
 
 namespace plurality::graph {
 namespace {
@@ -88,12 +89,12 @@ TEST(GraphTrials, MPluralityPredicateStopsTrials) {
 }
 
 TEST(GraphTrials, FactoryReceivesTrialIndex) {
+  const ThreadCountGuard guard(1);
   ThreeMajority dyn;
   const AgentGraph graph = cycle(60);
   CommonTrialOptions options;
   options.trials = 6;
   options.seed = 3;
-  options.parallel = false;
   options.max_rounds = 1;
   std::vector<std::uint8_t> seen(6, 0);
   const TrialSummary s = run_graph_trials(

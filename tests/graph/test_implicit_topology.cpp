@@ -30,10 +30,7 @@
 #include "graph/implicit_topology.hpp"
 #include "scenario/scenario.hpp"
 #include "stats/chi_square.hpp"
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
+#include "thread_count_guard.hpp"
 
 namespace plurality::graph {
 namespace {
@@ -139,13 +136,6 @@ TEST(ImplicitTopology, GossipMatchesCliqueBitwise) {
 
 #if defined(PLURALITY_HAVE_OPENMP)
 TEST(ImplicitTopology, ThreadCountNeverChangesResults) {
-  struct ThreadCountGuard {
-    int saved;
-    explicit ThreadCountGuard(int threads) : saved(omp_get_max_threads()) {
-      omp_set_num_threads(threads);
-    }
-    ~ThreadCountGuard() { omp_set_num_threads(saved); }
-  };
   // 4800 nodes: above the crossover, so the rounds run on a real team of
   // 2 and 4 (below it every round steps on one thread whatever the team).
   static_assert(60 * 80 >= kRoundTeamMinNodes);

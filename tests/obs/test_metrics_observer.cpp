@@ -20,6 +20,7 @@
 #include "graph/graph_trials.hpp"
 #include "graph/topology_registry.hpp"
 #include "obs/metrics.hpp"
+#include "thread_count_guard.hpp"
 
 namespace plurality::obs {
 namespace {
@@ -94,12 +95,15 @@ TEST(MetricsObserver, CountsAreExact) {
   const count_t n = 3000;
   const Configuration start = workloads::additive_bias(n, 3, 300);
   CommonTrialOptions options = base_options(6, 17);
-  options.parallel = false;
 
   MetricsRegistry registry;
   MetricsObserver observer(registry);
   options.observer = &observer;
-  const TrialSummary summary = run_trials(dyn, start, options);
+  TrialSummary summary;
+  {
+    const ThreadCountGuard guard(1);
+    summary = run_trials(dyn, start, options);
+  }
 
   const EngineMetrics em(registry);
   EXPECT_EQ(em.trials_started_total.value(), summary.trials);
@@ -161,18 +165,22 @@ TEST(MetricsObserver, SharedRegistryAcrossParallelTrialsStaysExact) {
   const count_t n = 2000;
   const Configuration start = workloads::additive_bias(n, 3, 200);
   CommonTrialOptions serial = base_options(12, 7);
-  serial.parallel = false;
   MetricsRegistry serial_registry;
   MetricsObserver serial_observer(serial_registry);
   serial.observer = &serial_observer;
-  (void)run_trials(dyn, start, serial);
+  {
+    const ThreadCountGuard guard(1);
+    (void)run_trials(dyn, start, serial);
+  }
 
   CommonTrialOptions parallel = base_options(12, 7);
-  parallel.parallel = true;
   MetricsRegistry parallel_registry;
   MetricsObserver parallel_observer(parallel_registry);
   parallel.observer = &parallel_observer;
-  (void)run_trials(dyn, start, parallel);
+  {
+    const ThreadCountGuard guard(4);
+    (void)run_trials(dyn, start, parallel);
+  }
 
   const EngineMetrics s(serial_registry);
   const EngineMetrics p(parallel_registry);

@@ -55,7 +55,6 @@ TrialSummary legacy_count_run(const ScenarioSpec& spec, const Adversary* adversa
   CommonTrialOptions options;
   options.trials = spec.trials;
   options.seed = spec.seed;
-  options.parallel = spec.parallel;
   options.max_rounds = spec.max_rounds;
   options.mode = engine;
   options.adversary = adversary;
@@ -80,7 +79,6 @@ TrialSummary legacy_graph_run(const ScenarioSpec& spec, const Adversary* adversa
   CommonTrialOptions options;
   options.trials = spec.trials;
   options.seed = spec.seed;
-  options.parallel = spec.parallel;
   options.shuffle_layout = spec.shuffle_layout;
   options.max_rounds = spec.max_rounds;
   options.adversary = adversary;

@@ -37,8 +37,8 @@ TEST(ScenarioSpec, DefaultsValidate) {
 TEST(ScenarioSpec, ParseStringForm) {
   const ScenarioSpec spec = ScenarioSpec::parse(
       "dynamics=undecided topology=regular:8 workload=bias:2c n=1e6 k=5 "
-      "engine=batched trials=32 seed=9 max_rounds=5000 parallel=false "
-      "shuffle_layout=true adversary=random:100 backend=graph");
+      "engine=batched trials=32 seed=9 max_rounds=5000 "
+      "shuffle_layout=false adversary=random:100 backend=graph");
   EXPECT_EQ(spec.dynamics, "undecided");
   EXPECT_EQ(spec.topology, "regular:8");
   EXPECT_EQ(spec.workload, "bias:2c");
@@ -48,8 +48,7 @@ TEST(ScenarioSpec, ParseStringForm) {
   EXPECT_EQ(spec.trials, 32u);
   EXPECT_EQ(spec.seed, 9u);
   EXPECT_EQ(spec.max_rounds, 5000u);
-  EXPECT_FALSE(spec.parallel);
-  EXPECT_TRUE(spec.shuffle_layout);
+  EXPECT_FALSE(spec.shuffle_layout);
   EXPECT_EQ(spec.adversary, "random:100");
   EXPECT_EQ(spec.backend, "graph");
   EXPECT_NO_THROW(spec.validate());
@@ -78,7 +77,7 @@ TEST(ScenarioSpec, MalformedStringsThrow) {
   EXPECT_THROW(ScenarioSpec::parse("n=12 n=13"), CheckError);         // duplicate
   EXPECT_THROW(ScenarioSpec::parse("n=abc"), CheckError);             // bad number
   EXPECT_THROW(ScenarioSpec::parse("n=1.5"), CheckError);             // non-integral
-  EXPECT_THROW(ScenarioSpec::parse("parallel=maybe"), CheckError);    // bad bool
+  EXPECT_THROW(ScenarioSpec::parse("shuffle_layout=maybe"), CheckError);  // bad bool
 }
 
 TEST(ScenarioSpec, JsonRoundTrips) {
@@ -92,7 +91,7 @@ TEST(ScenarioSpec, JsonRoundTrips) {
   spec.n = 2000;
   spec.k = 4;
   spec.trials = 3;
-  spec.parallel = false;
+  spec.shuffle_layout = false;
 
   const io::JsonValue emitted = spec.to_json();
   const ScenarioSpec reparsed =
@@ -105,7 +104,8 @@ TEST(ScenarioSpec, JsonUnknownOrMistypedFieldsThrow) {
   EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"dynamic": "voter"})")),
                CheckError);  // typo'd key must not silently run defaults
   EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"n": "many"})")), CheckError);
-  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"parallel": 3.7})")), CheckError);
+  EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"({"shuffle_layout": 3.7})")),
+               CheckError);
   EXPECT_THROW(ScenarioSpec::from_json(io::parse_json(R"([1, 2])")), CheckError);
 }
 
@@ -265,6 +265,40 @@ TEST(ScenarioSpec, TuningFieldsWereRemoved) {
                CheckError);
 }
 
+TEST(ScenarioSpec, ParallelFieldWasRemoved) {
+  // The thread plan decides how trials share the threads, and results never
+  // depended on it, so every old value is accepted and dropped in both
+  // forms (old result echoes still re-parse)...
+  const ScenarioSpec plain = ScenarioSpec::parse("topology=regular:8 trials=8");
+  for (const char* value : {"true", "false", "1", "0"}) {
+    const ScenarioSpec legacy =
+        ScenarioSpec::parse(std::string("topology=regular:8 trials=8 parallel=") + value);
+    EXPECT_NO_THROW(legacy.validate()) << value;
+    EXPECT_EQ(legacy.to_spec_string(), plain.to_spec_string()) << value;
+  }
+  for (const char* json : {R"({"topology": "regular:8", "trials": 8, "parallel": true})",
+                           R"({"topology": "regular:8", "trials": 8, "parallel": false})"}) {
+    EXPECT_EQ(ScenarioSpec::from_json(io::parse_json(json)).to_json().to_string(),
+              plain.to_json().to_string())
+        << json;
+  }
+  // ...the spec never names it...
+  EXPECT_EQ(plain.to_spec_string().find("parallel"), std::string::npos);
+  EXPECT_FALSE(plain.to_json().contains("parallel"));
+  // ...and any other value fails, naming the removal.
+  expect_rejects("parallel=maybe", "removed");
+  expect_rejects("parallel=yes", "removed");
+  for (const char* json : {R"({"parallel": 3.7})", R"({"parallel": 1})",
+                           R"({"parallel": "maybe"})"}) {
+    try {
+      (void)ScenarioSpec::from_json(io::parse_json(json));
+      FAIL() << "expected " << json << " to be rejected";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(ScenarioSpec, GraphLayoutFieldWasRemoved) {
   // Every value but "identity" fails at parse, naming the removal.
   for (const char* text : {"topology=regular:8 graph_layout=rcm",
@@ -310,7 +344,8 @@ TEST(ScenarioSpec, SweepsOverRemovedSurfacesFailBeforeAnyCellRuns) {
   // Axis values that land on the same spec (old topology stores, which are
   // dropped on parse, or two spellings of one n) fail too: they would only
   // rerun one cell under new seeds.
-  for (const char* axis : {"topology_backend=arena,implicit", "n=1e6,1000000"}) {
+  for (const char* axis :
+       {"topology_backend=arena,implicit", "n=1e6,1000000", "parallel=true,false"}) {
     EXPECT_THROW(sweep::SweepSpec::parse(std::string("topology=ring ") + axis), CheckError)
         << axis;
   }
@@ -320,6 +355,9 @@ TEST(ScenarioSpec, SweepsOverRemovedSurfacesFailBeforeAnyCellRuns) {
                CheckError);
   EXPECT_THROW(sweep::SweepSpec::from_json(io::parse_json(
                    R"({"base": {"topology": "ring"}, "axes": {"n": ["1e6", 1000000]}})")),
+               CheckError);
+  EXPECT_THROW(sweep::SweepSpec::from_json(io::parse_json(
+                   R"({"base": {"topology": "ring"}, "axes": {"parallel": [true, false]}})")),
                CheckError);
   // An engine axis naming push fails the up-front per-cell validation.
   const sweep::SweepSpec push = sweep::SweepSpec::from_json(io::parse_json(

@@ -14,6 +14,7 @@
 #include "support/check.hpp"
 #include "sweep/orchestrator.hpp"
 #include "sweep/watchdog.hpp"
+#include "thread_count_guard.hpp"
 
 namespace plurality::sweep {
 namespace {
@@ -265,13 +266,14 @@ TEST(Faults, CorruptWriteIsQuarantinedAndRetriedToDone) {
 /// Process-crash faults need a real process death: gtest death tests with
 /// the threadsafe style re-exec the binary, the CHILD runs the sweep until
 /// _Exit(86), and the PARENT then resumes the same out_dir. Sequential
-/// cells + no trial parallelism keep the child free of OpenMP regions. One
+/// cells on one OpenMP thread keep the child free of thread teams. One
 /// TEST per crash point: a threadsafe child re-runs its test body from the
 /// start, so the body must contain exactly one death statement and no
 /// state-changing code before it (fresh_dir only clears a dir the parent
 /// has not yet populated).
 void run_crash_case(const std::string& point, CrashPoint crash_point) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ThreadCountGuard single_thread(1);
   const fs::path dir = fresh_dir("crash_" + point);
 
   SweepOptions options;
@@ -285,15 +287,14 @@ void run_crash_case(const std::string& point, CrashPoint crash_point) {
   fault.point = crash_point;
   options.fault_plan.faults.push_back(fault);
 
-  SweepSpec spec = small_sweep();
-  spec.base.parallel = false;
+  const SweepSpec spec = small_sweep();
 
   EXPECT_EXIT((void)run_sweep(spec, options), ::testing::ExitedWithCode(86), "");
 
   // The fired marker persisted before the _Exit, so the resume runs the
   // cell CLEAN (no re-crash). Retries reuse the trial seed, so the final
-  // aggregate is the golden one — the parallel flag is not an aggregate
-  // column and results are schedule-invariant by construction.
+  // aggregate is the golden one — results are schedule-invariant by
+  // construction.
   options.resume = true;
   const SweepOutcome resumed = run_sweep(spec, options);
   EXPECT_EQ(resumed.failed, 0u) << resumed.cells[2].error;

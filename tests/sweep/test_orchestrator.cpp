@@ -12,10 +12,7 @@
 #include "io/checkpoint.hpp"
 #include "scenario/scenario.hpp"
 #include "support/check.hpp"
-
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
+#include "thread_count_guard.hpp"
 
 namespace plurality::sweep {
 namespace {
@@ -84,16 +81,6 @@ TEST(Orchestrator, SchedulingModeCannotChangeResults) {
   }
 }
 
-#if defined(PLURALITY_HAVE_OPENMP)
-struct ThreadCountGuard {
-  explicit ThreadCountGuard(int threads) : saved(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved); }
-  int saved;
-};
-#endif
-
 std::string file_bytes(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
@@ -103,9 +90,7 @@ TEST(Orchestrator, CellFilesAndAggregateAreByteIdenticalWithCellsInParallelOnAnd
   // Cells with more trials than threads and cells with fewer, on both
   // backends and engines: however the cells and their trials share the
   // team, every cell file and the aggregate must come out byte-identical.
-#if defined(PLURALITY_HAVE_OPENMP)
-  ThreadCountGuard guard(4);
-#endif
+  const ThreadCountGuard guard(4);
   const SweepSpec sweep = SweepSpec::parse(
       "dynamics=3-majority workload=bias:2c n=3000 max_rounds=5000 seed=3 "
       "trials=2,6 k=2,4 backend=count,graph engine=strict,batched");

@@ -14,15 +14,12 @@
 #include <cstdint>
 #include <string>
 
-#if defined(PLURALITY_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 #include "core/thread_plan.hpp"
 #include "graph/builders.hpp"
 #include "graph/implicit_topology.hpp"
 #include "scenario/spec.hpp"
 #include "sweep/preflight.hpp"
+#include "thread_count_guard.hpp"
 
 namespace plurality::sweep {
 namespace {
@@ -89,16 +86,19 @@ TEST(Preflight, ParallelGraphTrialsBillOneWorkspacePerThread) {
   // its thread plan picks, so a parallel gossip cell at n = 1e9 with 8
   // trials on 4 threads holds four ~2 GB byte arrays, not one. With fewer
   // trials than threads the trials run one after another (each round takes
-  // the team), and a serial cell holds one array too.
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(4);
-  const std::uint64_t parallel =
-      estimate_cell_memory_bytes(spec_of("topology=gossip n=1e9 k=2 trials=8"));
-  const std::uint64_t two_trials =
-      estimate_cell_memory_bytes(spec_of("topology=gossip n=1e9 k=2 trials=2"));
-  const std::uint64_t serial = estimate_cell_memory_bytes(
-      spec_of("topology=gossip n=1e9 k=2 trials=8 parallel=false"));
-  omp_set_num_threads(saved);
+  // the team), and on one thread the cell holds one array too.
+  std::uint64_t parallel = 0;
+  std::uint64_t two_trials = 0;
+  std::uint64_t serial = 0;
+  {
+    const ThreadCountGuard guard(4);
+    parallel = estimate_cell_memory_bytes(spec_of("topology=gossip n=1e9 k=2 trials=8"));
+    two_trials = estimate_cell_memory_bytes(spec_of("topology=gossip n=1e9 k=2 trials=2"));
+  }
+  {
+    const ThreadCountGuard guard(1);
+    serial = estimate_cell_memory_bytes(spec_of("topology=gossip n=1e9 k=2 trials=8"));
+  }
   EXPECT_GE(parallel, std::uint64_t{8'000'000'000});  // 4 x 2n bytes
   EXPECT_GE(two_trials, std::uint64_t{2'000'000'000});
   EXPECT_LT(two_trials, std::uint64_t{3'000'000'000});
@@ -107,7 +107,7 @@ TEST(Preflight, ParallelGraphTrialsBillOneWorkspacePerThread) {
 
   // Below the round-team crossover, rounds never take a team, so two
   // trials keep a trial team of two and bill a second workspace.
-  omp_set_num_threads(4);
+  const ThreadCountGuard guard(4);
   const auto bill = [](std::uint64_t n, int trials) {
     return estimate_cell_memory_bytes(spec_of("topology=ring k=2 n=" + std::to_string(n) +
                                               " trials=" + std::to_string(trials)));
@@ -116,7 +116,6 @@ TEST(Preflight, ParallelGraphTrialsBillOneWorkspacePerThread) {
   const std::uint64_t large = kRoundTeamMinNodes;
   const std::uint64_t small_diff = bill(small, 2) - bill(small, 1);
   const std::uint64_t large_diff = bill(large, 2) - bill(large, 1);
-  omp_set_num_threads(saved);
   EXPECT_EQ(small_diff, 2 * small + 64 * 2 * 8);  // one byte-state workspace
   EXPECT_EQ(large_diff, 0u);
 }
@@ -129,7 +128,7 @@ TEST(Preflight, GraphStateBillIsOneByteArrayPairWheneverKFitsAByte) {
   const auto bill = [](const std::string& text) {
     return estimate_cell_memory_bytes(spec_of(text));
   };
-  const std::string regular = "topology=regular:8 n=1e6 trials=4 parallel=false";
+  const std::string regular = "topology=regular:8 n=1e6 trials=1";
   const std::uint64_t n = 1'000'000;
   const std::uint64_t bytes = bill(regular + " k=4 adversary=boost-runner-up:5");
   EXPECT_EQ(bytes, bill(regular + " k=4"));
@@ -139,7 +138,7 @@ TEST(Preflight, GraphStateBillIsOneByteArrayPairWheneverKFitsAByte) {
   // An implicit ring bills no build: the fixed 1 MiB plus the state alone.
   const std::uint64_t ring_n = graph::kImplicitAutoThreshold;
   EXPECT_EQ(bill("topology=ring n=" + std::to_string(ring_n) +
-                 " k=4 adversary=boost-runner-up:5 trials=4 parallel=false"),
+                 " k=4 adversary=boost-runner-up:5 trials=1"),
             (std::uint64_t{1} << 20) + 2 * ring_n + 64 * 4 * 8);
 }
 
