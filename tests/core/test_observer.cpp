@@ -233,6 +233,68 @@ TEST(Observer, CallbackSequenceOnAllDrivers) {
   }
 }
 
+/// Observer keeping each trial's end_trial arguments.
+class StopRecorder final : public RoundObserver {
+ public:
+  explicit StopRecorder(std::uint64_t trials)
+      : reasons_(trials, StopReason::Cancelled), rounds_(trials, 0) {}
+
+  void begin_trial(std::uint64_t, const Configuration&, state_t) override {}
+  void observe_round(std::uint64_t, round_t, const Configuration&, state_t) override {}
+  void end_trial(std::uint64_t trial, StopReason reason, round_t rounds,
+                 const Configuration&, state_t) override {
+    reasons_[trial] = reason;
+    rounds_[trial] = rounds;
+  }
+
+  std::vector<StopReason> reasons_;
+  std::vector<round_t> rounds_;
+};
+
+TEST(Observer, AllUndecidedStartStopsNonColorAbsorbedOnAllDrivers) {
+  // Nobody holds a color, so nobody can ever adopt one: the first round is
+  // already absorbing, and the stop is no consensus, limit or predicate.
+  UndecidedState dyn;
+  const Configuration start({0, 0, 5000});
+  const std::uint64_t trials = 4;
+  const auto check = [&](const TrialSummary& summary, const StopRecorder& stops,
+                         const char* label) {
+    SCOPED_TRACE(label);
+    EXPECT_EQ(summary.trials, trials);
+    EXPECT_EQ(summary.consensus_count, 0u);
+    EXPECT_EQ(summary.plurality_wins, 0u);
+    EXPECT_EQ(summary.round_limit_hits, 0u);
+    EXPECT_EQ(summary.predicate_stops, 0u);
+    EXPECT_EQ(summary.rounds.count(), 0u);
+    for (std::uint64_t t = 0; t < trials; ++t) {
+      EXPECT_EQ(stops.reasons_[t], StopReason::NonColorAbsorbed) << "trial " << t;
+      EXPECT_EQ(stops.rounds_[t], 1u) << "trial " << t;
+    }
+  };
+  rng::Xoshiro256pp topo_gen(8);
+  const graph::AgentGraph clique = graph::AgentGraph::complete(start.n());
+  const graph::AgentGraph regular = graph::make_topology("regular:8", start.n(), topo_gen);
+  for (const EngineMode mode : {EngineMode::Strict, EngineMode::Batched}) {
+    CommonTrialOptions options = base_options(trials, 5);
+    options.mode = mode;
+    {
+      StopRecorder stops(trials);
+      options.observer = &stops;
+      check(run_trials(dyn, start, options), stops, "count");
+    }
+    {
+      StopRecorder stops(trials);
+      options.observer = &stops;
+      check(run_graph_trials(dyn, clique, start, options), stops, "implicit clique");
+    }
+    {
+      StopRecorder stops(trials);
+      options.observer = &stops;
+      check(run_graph_trials(dyn, regular, start, options), stops, "regular:8");
+    }
+  }
+}
+
 TEST(ProbeObserver, TimeToMPluralityMatchesStopPredicateDriver) {
   // Ground truth: the m-plurality STOP predicate halts a trial at the
   // first round where all but M nodes hold color 0. With the plurality
