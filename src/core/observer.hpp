@@ -4,9 +4,9 @@
 // bias decay round by round, the monochromatic-distance trajectory of [4],
 // Corollary 4's time-to-m-plurality. Before this layer the only per-round
 // window was RunOptions::record_trajectory — count-path only, allocating,
-// and invisible to run_trials. A RoundObserver threads through both
-// drivers (count via run_dynamics, graph via run_graph_trials) and
-// sees every materialized round of every trial.
+// and invisible to run_trials. A RoundObserver (declared next to the
+// round loop in core/runner.hpp) threads through both drivers' shared
+// run_rounds and sees every materialized round of every trial.
 //
 // The contract that keeps observation free of side effects:
 //
@@ -34,27 +34,6 @@
 #include "stats/summary.hpp"
 
 namespace plurality {
-
-class RoundObserver {
- public:
-  virtual ~RoundObserver() = default;
-
-  /// Trial `trial` is about to run from `start` (the round-0 state, already
-  /// in the dynamics' state space).
-  virtual void begin_trial(std::uint64_t trial, const Configuration& start,
-                           state_t num_colors) = 0;
-
-  /// Round `round` of trial `trial` is fully materialized: protocol step
-  /// and adversary move (when wired) applied. Called before the driver's
-  /// own stop checks, so the absorbing round is observed too.
-  virtual void observe_round(std::uint64_t trial, round_t round,
-                             const Configuration& config, state_t num_colors) = 0;
-
-  /// Trial `trial` stopped after `rounds` rounds with `final` as its last
-  /// configuration (for StopReason::RoundLimit, `rounds` is the round cap).
-  virtual void end_trial(std::uint64_t trial, StopReason reason, round_t rounds,
-                         const Configuration& final, state_t num_colors) = 0;
-};
 
 /// One recorded trajectory point of ProbeObserver (colors only).
 struct ProbeRow {

@@ -1,12 +1,15 @@
-// Single-run driver: advances a dynamics from an initial configuration
-// until color consensus (or another absorbing/stop condition), optionally
-// recording the per-round trajectory the phase-structure analysis (E8)
-// needs and applying an F-bounded adversary after each protocol step
-// (Section 3.1's  Random -> Adversary  round split).
+// The round loop of every run: advances a configuration until color
+// consensus (or another absorbing/stop condition), optionally recording
+// the per-round trajectory the phase-structure analysis (E8) needs. Each
+// round is one protocol step plus the F-bounded adversary's move (Section
+// 3.1's  Random -> Adversary  round split). run_rounds holds the loop once
+// for every backend; run_dynamics is its count-based instance and
+// graph::run_graph_trials steps a node array through it.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/adversary.hpp"
@@ -19,8 +22,6 @@
 #include "support/types.hpp"
 
 namespace plurality {
-
-class RoundObserver;  // core/observer.hpp
 
 /// One sampled point of a run's trajectory (colors only; auxiliary states
 /// count toward minority_mass).
@@ -39,6 +40,29 @@ enum class StopReason {
   PredicateMet,     // caller's stop_predicate returned true
   RoundLimit,       // max_rounds exhausted without absorption
   Cancelled,        // RunOptions::cancel fired — result must be discarded
+};
+
+/// Per-round probe of the round loop (contract and implementations in
+/// core/observer.hpp).
+class RoundObserver {
+ public:
+  virtual ~RoundObserver() = default;
+
+  /// Trial `trial` is about to run from `start` (the round-0 state, already
+  /// in the dynamics' state space).
+  virtual void begin_trial(std::uint64_t trial, const Configuration& start,
+                           state_t num_colors) = 0;
+
+  /// Round `round` of trial `trial` is fully materialized: protocol step
+  /// and adversary move (when wired) applied. Called before the driver's
+  /// own stop checks, so the absorbing round is observed too.
+  virtual void observe_round(std::uint64_t trial, round_t round,
+                             const Configuration& config, state_t num_colors) = 0;
+
+  /// Trial `trial` stopped after `rounds` rounds with `final` as its last
+  /// configuration (for StopReason::RoundLimit, `rounds` is the round cap).
+  virtual void end_trial(std::uint64_t trial, StopReason reason, round_t rounds,
+                         const Configuration& final, state_t num_colors) = 0;
 };
 
 struct RunResult {
@@ -78,8 +102,8 @@ struct RunOptions {
   /// and draw no RNG, so wiring one in never changes the run's results
   /// (pinned by tests/core/test_observer.cpp).
   RoundObserver* observer = nullptr;
-  /// Trial index forwarded to the observer's callbacks (run_trials sets it;
-  /// standalone runs default to 0).
+  /// Trial index forwarded to the observer's callbacks by run_dynamics'
+  /// five-argument form (the trial drivers pass theirs to run_rounds).
   std::uint64_t observer_trial = 0;
   /// Cooperative cancellation (support/cancellation.hpp): checked between
   /// rounds (one relaxed atomic load). A fired token stops the run at the
@@ -90,12 +114,86 @@ struct RunOptions {
   const CancellationToken* cancel = nullptr;
 };
 
+/// The trajectory point of `config` at `round`.
+TrajectoryPoint trajectory_point(const Configuration& config, state_t num_colors,
+                                 round_t round);
+
+/// The round loop: runs `config` (the round-0 state) until a stop, with
+/// observer callbacks tagged `trial`. step(config, round) plays round
+/// `round` (1, 2, ...) in place: the protocol step, then the adversary's
+/// move. Between rounds the loop checks options.cancel; after each round
+/// it records the trajectory point, calls the observer, and stops on color
+/// consensus, on non-color absorption, then on options.stop_predicate. The
+/// round-0 state is checked for consensus and the predicate first. `step`
+/// is a template parameter so a cheap count round inlines into the loop.
+template <typename Step>
+RunResult run_rounds(Configuration config, state_t num_colors, const RunOptions& options,
+                     std::uint64_t trial, Step&& step) {
+  RunResult result;
+  result.initial_plurality = config.plurality(num_colors);
+  RoundObserver* const observer = options.observer;
+  if (options.record_trajectory) {
+    result.trajectory.push_back(trajectory_point(config, num_colors, 0));
+  }
+  if (observer != nullptr) observer->begin_trial(trial, config, num_colors);
+
+  const auto finish = [&](round_t rounds, StopReason reason) {
+    result.rounds = rounds;
+    result.reason = reason;
+    if (reason == StopReason::ColorConsensus) {
+      result.winner = config.plurality(num_colors);
+      result.plurality_won = (result.winner == result.initial_plurality);
+    }
+    if (observer != nullptr) observer->end_trial(trial, reason, rounds, config, num_colors);
+    result.final_config = std::move(config);
+    return std::move(result);
+  };
+
+  // Round 0: a start that is already absorbed/stopping.
+  if (config.color_consensus(num_colors)) return finish(0, StopReason::ColorConsensus);
+  if (options.stop_predicate && options.stop_predicate(config, 0)) {
+    return finish(0, StopReason::PredicateMet);
+  }
+
+  for (round_t round = 1; round <= options.max_rounds; ++round) {
+    if (options.cancel != nullptr && options.cancel->stop_requested()) {
+      // Between-rounds cooperative stop (one relaxed load); every caller
+      // that sees Cancelled discards the partially advanced state.
+      return finish(round - 1, StopReason::Cancelled);
+    }
+    step(config, round);
+    if (options.record_trajectory) {
+      result.trajectory.push_back(trajectory_point(config, num_colors, round));
+    }
+    if (observer != nullptr) observer->observe_round(trial, round, config, num_colors);
+    if (config.color_consensus(num_colors)) {
+      return finish(round, StopReason::ColorConsensus);
+    }
+    if (config.monochromatic()) {
+      // All mass in one non-color state (e.g. all-undecided): absorbing but
+      // not a consensus on any color.
+      return finish(round, StopReason::NonColorAbsorbed);
+    }
+    if (options.stop_predicate && options.stop_predicate(config, round)) {
+      return finish(round, StopReason::PredicateMet);
+    }
+  }
+  return finish(options.max_rounds, StopReason::RoundLimit);
+}
+
 /// Runs `dynamics` from `start` (already in the dynamics' state space —
 /// use UndecidedState::extend_with_undecided for protocols with auxiliary
-/// states). Advances `gen` as its randomness source. `ws` is the stepping
-/// scratch; callers running many runs (run_trials) pass one workspace per
-/// thread so steady-state rounds allocate nothing. Workspace sharing never
-/// affects results (it is pure scratch — see step_workspace.hpp).
+/// states): the count-based instance of run_rounds, with observer
+/// callbacks tagged `trial`. Advances `gen` as its randomness source. `ws`
+/// is the stepping scratch; callers running many runs (run_trials) pass
+/// one workspace per thread so steady-state rounds allocate nothing.
+/// Workspace sharing never affects results (it is pure scratch — see
+/// step_workspace.hpp).
+RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
+                       const RunOptions& options, std::uint64_t trial,
+                       rng::Xoshiro256pp& gen, StepWorkspace& ws);
+
+/// As above, with the observer callbacks tagged options.observer_trial.
 RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
                        const RunOptions& options, rng::Xoshiro256pp& gen,
                        StepWorkspace& ws);

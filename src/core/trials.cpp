@@ -1,6 +1,5 @@
 #include "core/trials.hpp"
 
-#include "core/observer.hpp"
 #include "support/check.hpp"
 
 namespace plurality {
@@ -91,66 +90,28 @@ ThreadPlan plan_trials(const CommonTrialOptions& options, std::uint64_t n,
   return plan_threads(options.trials, n, available_threads(), team_rounds);
 }
 
-TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
-                        const CommonTrialOptions& options) {
-  PLURALITY_REQUIRE(options.trials > 0, "run_trials: need at least one trial");
+RunOptions trial_run_options(const CommonTrialOptions& options) {
   RunOptions run_options;
   run_options.max_rounds = options.max_rounds;
-  run_options.record_trajectory = false;  // trajectories cost memory x trials
   run_options.engine = options.mode;
   run_options.adversary = options.adversary;
   run_options.stop_predicate = options.stop_predicate;
   run_options.observer = options.observer;
   run_options.cancel = options.cancel;
+  return run_options;
+}
 
+TrialSummary run_trials(const Dynamics& dynamics, const ConfigFactory& factory,
+                        const CommonTrialOptions& options) {
+  PLURALITY_REQUIRE(options.trials > 0, "run_trials: need at least one trial");
   const rng::StreamFactory streams(options.seed);
-  TrialOutcomes outcomes(options.trials, options.exact_round_samples);
-
-  // One StepWorkspace per executing thread, reused across every round of
-  // every trial that thread runs. The workspace is pure scratch, so which
-  // thread runs which trial (schedule(dynamic)) cannot affect results —
-  // each trial's randomness comes only from its own hash-derived stream.
-  const auto body = [&](std::uint64_t trial, StepWorkspace& ws) {
-    rng::Xoshiro256pp gen = streams.stream(trial);
-    const Configuration start = factory(trial, gen);
-    RunResult result;
-    if (options.observer != nullptr) {
-      // Per-trial copy carries the trial index to the observer callbacks
-      // (one options copy per TRIAL, never per round; the shared object
-      // cannot hold a mutating index under parallel trials).
-      RunOptions run = run_options;
-      run.observer_trial = trial;
-      result = run_dynamics(dynamics, start, run, gen, ws);
-    } else {
-      result = run_dynamics(dynamics, start, run_options, gen, ws);
-    }
-    outcomes.record(trial, result.reason, result.plurality_won, result.rounds);
-  };
-
   // Count rounds have no parallel region, so n never moves the plan.
-  const ThreadPlan plan = plan_trials(options, 0, /*team_rounds=*/false);
-#if defined(PLURALITY_HAVE_OPENMP)
-  if (plan.trial_team > 1) {
-#pragma omp parallel num_threads(plan.trial_team)
-    {
-      StepWorkspace ws;
-#pragma omp for schedule(dynamic)
-      for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
-    }
-  } else
-#endif
-  {
-    StepWorkspace ws;
-    for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
-  }
-
-  // Unwinding is only safe here, outside the OpenMP region. Any token that
-  // fired poisons the whole run: partial summaries are not reproducible.
-  if (options.cancel != nullptr && options.cancel->stop_requested()) {
-    throw CancelledError(options.cancel->reason());
-  }
-
-  return outcomes.summarize();
+  return run_trial_team<StepWorkspace>(
+      options, plan_trials(options, 0, /*team_rounds=*/false),
+      [&](std::uint64_t trial, const RunOptions& run_options, StepWorkspace& ws) {
+        rng::Xoshiro256pp gen = streams.stream(trial);
+        return run_dynamics(dynamics, factory(trial, gen), run_options, trial, gen, ws);
+      });
 }
 
 TrialSummary run_trials(const Dynamics& dynamics, const Configuration& start,

@@ -1,7 +1,10 @@
-// Multi-trial experiment driver: R independent runs of a dynamics,
-// OpenMP-parallel over trials when the thread plan (core/thread_plan.hpp)
-// says so, each trial on its own hash-derived RNG stream so results are
-// identical no matter how many threads execute them.
+// Multi-trial experiment drivers: R independent runs of a dynamics, each
+// trial on its own hash-derived RNG stream so results are identical no
+// matter how many threads execute them. run_trial_team is the scaffold
+// both drivers share: the trial team the thread plan
+// (core/thread_plan.hpp) asks for, one workspace per thread, the outcome
+// reduction and the cancellation check. run_trials is its count-based
+// instance; graph::run_graph_trials is the graph one.
 #pragma once
 
 #include <functional>
@@ -90,11 +93,10 @@ struct CommonTrialOptions {
   const CancellationToken* cancel = nullptr;
 };
 
-/// Per-trial outcome flags with the shared reduction into a TrialSummary.
-/// Factored out of run_trials so every trial driver (the clique driver
-/// below, graph::run_graph_trials) classifies stop reasons and filters
-/// round samples identically. record() writes disjoint slots, so parallel
-/// trial bodies may call it concurrently without synchronization.
+/// Per-trial outcome flags with the shared reduction into a TrialSummary,
+/// so every trial driver classifies stop reasons and filters round samples
+/// identically. record() writes disjoint slots, so parallel trial bodies
+/// may call it concurrently without synchronization.
 class TrialOutcomes {
  public:
   explicit TrialOutcomes(std::uint64_t trials,
@@ -122,6 +124,51 @@ class TrialOutcomes {
 /// rounds have a parallel region.
 [[nodiscard]] ThreadPlan plan_trials(const CommonTrialOptions& options, std::uint64_t n,
                                      bool team_rounds);
+
+/// The RunOptions every trial of `options` runs with (no trajectory).
+[[nodiscard]] RunOptions trial_run_options(const CommonTrialOptions& options);
+
+/// The trial-team scaffold of both trial drivers. Calls
+/// body(trial, run_options, ws) -> RunResult for every trial, with
+/// run_options = trial_run_options(options) shared by all of them: on a
+/// team of plan.trial_team threads under schedule(dynamic) when the plan
+/// asks for one, else on the calling thread. Each executing thread owns
+/// one Workspace, reused across all of its trials; it is pure scratch and
+/// each trial draws only from its own streams, so which thread runs which
+/// trial never changes results. A fired options.cancel throws
+/// CancelledError after the team joins: a cancelled run never returns a
+/// partial summary.
+template <typename Workspace, typename Body>
+TrialSummary run_trial_team(const CommonTrialOptions& options, const ThreadPlan& plan,
+                            Body&& body) {
+  const RunOptions run_options = trial_run_options(options);
+  TrialOutcomes outcomes(options.trials, options.exact_round_samples);
+  const auto run = [&](std::uint64_t trial, Workspace& ws) {
+    const RunResult result = body(trial, run_options, ws);
+    outcomes.record(trial, result.reason, result.plurality_won, result.rounds);
+  };
+#if defined(PLURALITY_HAVE_OPENMP)
+  if (plan.trial_team > 1) {
+#pragma omp parallel num_threads(plan.trial_team)
+    {
+      Workspace ws;
+#pragma omp for schedule(dynamic)
+      for (std::uint64_t trial = 0; trial < options.trials; ++trial) run(trial, ws);
+    }
+  } else
+#endif
+  {
+    Workspace ws;
+    for (std::uint64_t trial = 0; trial < options.trials; ++trial) run(trial, ws);
+  }
+
+  // Unwinding is only safe here, outside the OpenMP region. Any token that
+  // fired poisons the whole run: partial summaries are not reproducible.
+  if (options.cancel != nullptr && options.cancel->stop_requested()) {
+    throw CancelledError(options.cancel->reason());
+  }
+  return outcomes.summarize();
+}
 
 /// Runs `options.trials` independent runs from factory-generated starts —
 /// the count-path trial driver (clique model; for sparse topologies see

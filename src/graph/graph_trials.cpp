@@ -1,8 +1,8 @@
 #include "graph/graph_trials.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "core/observer.hpp"
 #include "rng/distributions.hpp"
 #include "support/check.hpp"
 
@@ -88,103 +88,34 @@ TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,
                     "run_graph_trials: isolated vertices cannot sample");
 
   const rng::StreamFactory streams(options.seed);
-  TrialOutcomes outcomes(options.trials, options.exact_round_samples);
-
-  const auto body = [&](std::uint64_t trial, GraphStepWorkspace& ws) {
-    // Trial stream family: `gen` feeds the start factory and the adversary;
-    // the child factory feeds layout + stepping (so wiring an adversary in
-    // never perturbs the protocol's own randomness).
-    rng::Xoshiro256pp gen = streams.stream(trial);
-    const rng::StreamFactory trial_streams = streams.child(trial);
-
-    Configuration config = factory(trial, gen);
-    PLURALITY_REQUIRE(config.n() == graph.num_nodes(),
-                      "run_graph_trials: factory configuration has "
-                          << config.n() << " nodes but graph has "
-                          << graph.num_nodes());
-    const state_t num_colors = dynamics.num_colors(config.k());
-    const state_t initial_plurality = config.plurality(num_colors);
-
-    load_nodes(config, options.shuffle_layout, trial_streams, ws);
-
-    RoundObserver* const observer = options.observer;
-    if (observer != nullptr) observer->begin_trial(trial, config, num_colors);
-
-    StopReason reason = StopReason::RoundLimit;
-    round_t rounds = 0;
-    bool won = false;
-    const auto& stop = options.stop_predicate;
-    if (config.color_consensus(num_colors)) {
-      reason = StopReason::ColorConsensus;
-      won = initial_plurality == config.plurality(num_colors);
-    } else if (stop && stop(config, 0)) {
-      reason = StopReason::PredicateMet;
-    } else {
-      for (round_t r = 1; r <= options.max_rounds; ++r) {
-        if (options.cancel != nullptr && options.cancel->stop_requested()) {
-          // Cooperative between-rounds stop; the driver throws after the
-          // parallel region joins, so this trial's record is discarded.
-          reason = StopReason::Cancelled;
-          rounds = r - 1;
-          break;
-        }
-        step_graph(dynamics, graph, config, trial_streams, r - 1, ws, options.mode);
-        if (options.adversary != nullptr) {
-          corrupt_nodes(*options.adversary, config, num_colors, r, gen, ws);
-        }
-        if (observer != nullptr) observer->observe_round(trial, r, config, num_colors);
-        if (config.color_consensus(num_colors)) {
-          reason = StopReason::ColorConsensus;
-          rounds = r;
-          won = config.plurality(num_colors) == initial_plurality;
-          break;
-        }
-        if (config.monochromatic()) {
-          // All mass in one non-color state (e.g. all-undecided).
-          reason = StopReason::NonColorAbsorbed;
-          rounds = r;
-          break;
-        }
-        if (stop && stop(config, r)) {
-          reason = StopReason::PredicateMet;
-          rounds = r;
-          break;
-        }
-      }
-    }
-    if (observer != nullptr) {
-      observer->end_trial(trial, reason,
-                          reason == StopReason::RoundLimit ? options.max_rounds : rounds,
-                          config, num_colors);
-    }
-    outcomes.record(trial, reason, won, rounds);
-  };
-
   // Fewer trials than threads: trials run one after another and each
   // round's chunk loop takes the team (agent_graph.cpp).
-  const ThreadPlan plan = plan_trials(options, graph.num_nodes(), /*team_rounds=*/true);
-#if defined(PLURALITY_HAVE_OPENMP)
-  if (plan.trial_team > 1) {
-#pragma omp parallel num_threads(plan.trial_team)
-    {
-      GraphStepWorkspace ws;
-#pragma omp for schedule(dynamic)
-      for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
-    }
-  } else
-#endif
-  {
-    GraphStepWorkspace ws;
-    for (std::uint64_t trial = 0; trial < options.trials; ++trial) body(trial, ws);
-  }
+  return run_trial_team<GraphStepWorkspace>(
+      options, plan_trials(options, graph.num_nodes(), /*team_rounds=*/true),
+      [&](std::uint64_t trial, const RunOptions& run_options, GraphStepWorkspace& ws) {
+        // Trial stream family: `gen` feeds the start factory and the
+        // adversary; the child factory feeds layout + stepping (so wiring an
+        // adversary in never perturbs the protocol's own randomness).
+        rng::Xoshiro256pp gen = streams.stream(trial);
+        const rng::StreamFactory trial_streams = streams.child(trial);
 
-  // Outside the OpenMP region, where throwing is safe: a fired token means
-  // at least one trial stopped mid-run, so the whole summary is invalid.
-  if (options.cancel != nullptr && options.cancel->stop_requested()) {
-    throw CancelledError(options.cancel->reason());
-  }
-
-  return outcomes.summarize();
+        Configuration config = factory(trial, gen);
+        PLURALITY_REQUIRE(config.n() == graph.num_nodes(),
+                          "run_graph_trials: factory configuration has "
+                              << config.n() << " nodes but graph has "
+                              << graph.num_nodes());
+        const state_t num_colors = dynamics.num_colors(config.k());
+        load_nodes(config, options.shuffle_layout, trial_streams, ws);
+        return run_rounds(std::move(config), num_colors, run_options, trial,
+                          [&](Configuration& state, round_t round) {
+                            step_graph(dynamics, graph, state, trial_streams, round - 1, ws,
+                                       options.mode);
+                            if (options.adversary != nullptr) {
+                              corrupt_nodes(*options.adversary, state, num_colors, round,
+                                            gen, ws);
+                            }
+                          });
+      });
 }
 
 TrialSummary run_graph_trials(const Dynamics& dynamics, const AgentGraph& graph,

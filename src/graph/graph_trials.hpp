@@ -1,7 +1,8 @@
 // Multi-trial experiment driver for graph scenarios — the sparse-topology
-// counterpart of core's run_trials, producing the same TrialSummary so the
-// experiment binaries can sweep (topology x dynamics x k x adversary) grids
-// with one reporting path.
+// counterpart of core's run_trials. It runs through the same trial-team
+// scaffold (run_trial_team, core/trials.hpp) and the same round loop
+// (run_rounds, core/runner.hpp); only its round differs: step_graph on the
+// trial's node array, then corrupt_nodes for the adversary's move.
 //
 // Each trial gets its own hash-derived stream family (layout, stepping, and
 // factory/adversary randomness all derive from the trial index), so results

@@ -83,12 +83,6 @@ ThreadPlan Scenario::plan() const {
 
 TrialSummary Scenario::run(RoundObserver* observer,
                            const CancellationToken* cancel) const {
-  if (observer == nullptr && cancel == nullptr) {
-    if (use_graph_) {
-      return graph::run_graph_trials(*dynamics_, graph_, start_, options_);
-    }
-    return run_trials(*dynamics_, start_, options_);
-  }
   CommonTrialOptions extended = options_;
   extended.observer = observer;
   extended.cancel = cancel;

@@ -266,11 +266,11 @@ void ScenarioSpec::validate() const {
                                            << " but the spec says k = " << k
                                            << "; set k accordingly");
 
+  PLURALITY_REQUIRE(engine != "push",
+                    "scenario: engine 'push' was removed; engine 'batched' reproduces "
+                    "push runs bitwise and 'strict' steps fastest");
   PLURALITY_REQUIRE(engine == "strict" || engine == "batched",
-                    "scenario: engine must be strict/batched, got '"
-                        << engine
-                        << "' (engine 'push' was removed; engine 'batched' gives "
-                           "bitwise-identical results and 'strict' steps fastest)");
+                    "scenario: engine must be strict/batched, got '" << engine << "'");
   PLURALITY_REQUIRE(backend == "auto" || backend == "count" || backend == "graph",
                     "scenario: backend must be auto/count/graph, got '"
                         << backend
