@@ -102,8 +102,8 @@ struct RunOptions {
   /// and draw no RNG, so wiring one in never changes the run's results
   /// (pinned by tests/core/test_observer.cpp).
   RoundObserver* observer = nullptr;
-  /// Trial index forwarded to the observer's callbacks by run_dynamics'
-  /// five-argument form (the trial drivers pass theirs to run_rounds).
+  /// Trial index forwarded to the observer's callbacks by the run_dynamics
+  /// forms without a `trial` argument (the trial drivers pass their own).
   std::uint64_t observer_trial = 0;
   /// Cooperative cancellation (support/cancellation.hpp): checked between
   /// rounds (one relaxed atomic load). A fired token stops the run at the

@@ -7,6 +7,7 @@
 #include "core/hplurality.hpp"
 #include "core/majority.hpp"
 #include "core/median.hpp"
+#include "core/runner.hpp"
 #include "core/thread_plan.hpp"
 #include "core/undecided.hpp"
 #include "core/voter.hpp"
@@ -407,12 +408,17 @@ void GraphSimulation::step() {
 }
 
 round_t GraphSimulation::run_to_consensus(round_t max_rounds) {
+  RunOptions options;
+  options.max_rounds = max_rounds;
   const state_t num_colors = dynamics_.num_colors(config_.k());
-  for (round_t r = 1; r <= max_rounds; ++r) {
-    step();
-    if (config_.color_consensus(num_colors)) return r;
-  }
-  return max_rounds;
+  RunResult result = run_rounds(std::move(config_), num_colors, options, 0,
+                                [&](Configuration& config, round_t) {
+                                  step_graph(dynamics_, *graph_, config, streams_, round_,
+                                             ws_, mode_);
+                                  ++round_;
+                                });
+  config_ = std::move(result.final_config);
+  return result.rounds;
 }
 
 }  // namespace plurality::graph

@@ -197,8 +197,9 @@ class GraphSimulation {
   [[nodiscard]] NodeStates states() const { return ws_.states(config_.k()); }
   [[nodiscard]] const AgentGraph& graph() const { return *graph_; }
 
-  /// Runs until color consensus or `max_rounds`; returns rounds used, or
-  /// max_rounds if no consensus was reached.
+  /// Runs the shared round loop (run_rounds, core/runner.hpp) until color
+  /// consensus, non-color absorption or `max_rounds`; returns rounds used
+  /// (0 for a start already at consensus), or max_rounds at the limit.
   round_t run_to_consensus(round_t max_rounds);
 
   static constexpr unsigned kChunks = kGraphChunks;
