@@ -23,6 +23,7 @@
 
 #include "io/checkpoint.hpp"
 #include "net/socket.hpp"
+#include "support/check.hpp"
 #include "sweep/cell_runner.hpp"
 #include "sweep/orchestrator.hpp"
 #include "sweep/watchdog.hpp"
@@ -831,6 +832,82 @@ TEST_F(ServiceTest, LateWorkerExitsCompleteAfterFinishedGrid) {
   const auto retried = std::chrono::steady_clock::now();
   EXPECT_THROW(run_worker(late), net::NetError);
   EXPECT_GE(seconds_since(retried), 0.3);
+}
+
+// --- out-dir rules (the same as run_sweep's) ------------------------------
+
+/// Runs a master and one worker over `options` to the end; the master's
+/// exit code. A finished run's port file is cleared first, or the worker
+/// would read it as "grid finished" and leave before the master binds.
+int run_service(const MasterOptions& options) {
+  const fs::path dir(options.out_dir);
+  fs::remove(dir / "port");
+  int master_exit = -1;
+  std::thread master([&] { master_exit = run_master(options); });
+  int worker_exit = -1;
+  std::thread worker = worker_thread(dir, "w", worker_exit);
+  master.join();
+  worker.join();
+  EXPECT_EQ(worker_exit, kExitComplete);
+  return master_exit;
+}
+
+TEST_F(ServiceTest, ResumeRefusesAChangedSweep) {
+  const fs::path dir = fresh_dir("changed");
+  MasterOptions options = fast_master(dir);
+  ASSERT_EQ(run_service(options), kExitComplete);
+
+  options.spec.base.trials = 5;  // a different grid
+  options.resume = true;
+  EXPECT_THROW((void)run_master(options), CheckError);
+}
+
+TEST_F(ServiceTest, PopulatedOutDirNeedsResumeOrForce) {
+  const fs::path dir = fresh_dir("clobber");
+  MasterOptions options = fast_master(dir);
+  ASSERT_EQ(run_service(options), kExitComplete);
+  EXPECT_THROW((void)run_master(options), CheckError);
+  options.force = true;
+  EXPECT_EQ(run_service(options), kExitComplete);
+  EXPECT_EQ(count_lines(dir / "aggregate.csv"), 3u);
+}
+
+TEST_F(ServiceTest, TrialsOverrideShrinksEveryCell) {
+  const fs::path dir = fresh_dir("override");
+  MasterOptions options = fast_master(dir);
+  options.trials_override = 1;
+  ASSERT_EQ(run_service(options), kExitComplete);
+  for (const char* id : {"cell_00000", "cell_00001"}) {
+    const io::JsonValue doc =
+        io::read_checkpoint_file((dir / "cells" / (std::string(id) + ".json")).string());
+    EXPECT_EQ(doc.at("summary").at("trials").as_uint(), 1u) << id;
+  }
+
+  MasterOptions axis = fast_master(
+      fresh_dir("override_axis"),
+      "dynamics=3-majority workload=bias:2c n=500 trials=1,2 max_rounds=5000 k=2 seed=21");
+  axis.trials_override = 1;
+  EXPECT_THROW((void)run_master(axis), CheckError);
+}
+
+TEST_F(ServiceTest, OverBudgetCellsAreRefusedAsFailedSpec) {
+  // Every cell is refused before any worker asks: the master finishes the
+  // grid on its own.
+  const fs::path dir = fresh_dir("budget");
+  MasterOptions options = fast_master(dir);
+  options.memory_budget_bytes = 1024;  // 1 KiB: nothing fits
+  EXPECT_EQ(run_master(options), kExitFailedCells);
+  const io::JsonValue manifest = io::read_checkpoint_file((dir / "manifest.json").string());
+  const io::JsonValue& cells = manifest.at("cells");
+  ASSERT_EQ(cells.size(), 2u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cells.item(i).at("status").as_string(), "failed_spec");
+    EXPECT_NE(cells.item(i).at("error").as_string().find("preflight"), std::string::npos);
+  }
+  const std::string failures = read_file(dir / "failures.csv");
+  EXPECT_NE(failures.find("failed_spec"), std::string::npos);
+  EXPECT_NE(failures.find("preflight"), std::string::npos);
+  EXPECT_FALSE(fs::exists(dir / "aggregate.csv"));
 }
 
 }  // namespace
