@@ -36,7 +36,7 @@ int run(int argc, char** argv) {
                  "checkpoint directory (manifest.json, cells/, aggregate.csv); empty "
                  "runs in memory only");
   cli.add_flag("resume", "skip cells whose result file already matches the grid");
-  cli.add_flag("force", "start over inside a populated out-dir (overwrites cell files)");
+  cli.add_flag("force", "start over inside a populated out-dir (deletes its cell files)");
   cli.add_uint("trials", 0, "override every cell's trial count (0 = spec values)");
   cli.add_flag("seq-cells",
                "run cells one at a time, each on its own thread plan");

@@ -25,13 +25,13 @@
 #include "sweep/cell_runner.hpp"
 #include "sweep/orchestrator.hpp"
 #include "sweep/preflight.hpp"
+#include "sweep/sweep_dir.hpp"
 #include "sweep/watchdog.hpp"
 
 namespace plurality::service {
 
 namespace fs = std::filesystem;
 using sweep::CellOutcome;
-using sweep::CellScan;
 using sweep::CellStatus;
 
 namespace {
@@ -101,27 +101,13 @@ class Master {
     return opt_.lease_seconds > 0 ? opt_.lease_seconds
                                   : kLeaseExpiryHeartbeats * opt_.heartbeat_seconds;
   }
-  [[nodiscard]] fs::path cell_path(const CellOutcome& cell) const {
-    return cells_dir_ / (cell.id + ".json");
-  }
-  [[nodiscard]] double backoff_seconds(const CellOutcome& cell, std::uint32_t attempt) const {
-    const double jitter =
-        static_cast<double>(sweep::retry_stream_word(cell.requested.seed, attempt, 1) %
-                            1000) /
-        1000.0;
-    const std::uint32_t doublings = attempt - 1 < 20 ? attempt - 1 : 20;
-    return opt_.retry_backoff_seconds *
-           static_cast<double>(std::uint64_t{1} << doublings) * (1.0 + jitter);
-  }
-
-  void prepare_out_dir();
   void reconcile_from_disk();
   void mark_done(std::size_t i, const char* how);
   void mark_terminal(std::size_t i, CellStatus status, const std::string& error);
   void revoke_lease(std::size_t i, const char* why);
   [[nodiscard]] std::size_t pending_count() const;
   [[nodiscard]] std::size_t leased_count() const;
-  void write_outputs(bool allow_aggregate);
+  void write_outputs();
 
   io::JsonValue welcome_message();
   std::optional<io::JsonValue> lease_reply(std::size_t conn_key, const std::string& worker);
@@ -142,9 +128,8 @@ class Master {
   std::vector<LeaseState> leases_;
   std::vector<CellProgress> progress_;
   std::unordered_map<std::string, std::size_t> index_by_id_;
-  fs::path cells_dir_;
-  fs::path quarantine_dir_;
-  fs::path manifest_;
+  std::optional<sweep::SweepDir> dir_;
+  std::uint64_t budget_ = 0;  ///< preflight budget, split across compute peers
   std::map<std::size_t, Conn> conns_;
   /// Keys of the connections whose `request` is parked, oldest first.
   std::deque<std::size_t> parked_;
@@ -166,78 +151,26 @@ void Master::log(const char* fmt, ...) {
   std::fprintf(stderr, "\n");
 }
 
-void Master::prepare_out_dir() {
-  PLURALITY_REQUIRE(!opt_.out_dir.empty(), "sweepd: --out is required (workers share it)");
-  const fs::path dir(opt_.out_dir);
-  cells_dir_ = dir / "cells";
-  quarantine_dir_ = cells_dir_ / "quarantine";
-  fs::create_directories(cells_dir_);
-  manifest_ = dir / "manifest.json";
-  const std::string sweep_json = opt_.spec.to_json().to_string();
-  if (fs::exists(manifest_)) {
-    if (opt_.resume) {
-      const io::JsonValue stored = io::read_checkpoint_file(manifest_.string());
-      PLURALITY_REQUIRE(stored.at("sweep").to_string() == sweep_json,
-                        "sweep: manifest at " << manifest_.string()
-                            << " records a DIFFERENT sweep (spec or trial override "
-                               "changed); refusing to resume a mixed grid — use a "
-                               "fresh out_dir");
-    } else {
-      PLURALITY_REQUIRE(opt_.force,
-                        "sweep: " << manifest_.string()
-                            << " already exists; pass resume to continue that sweep "
-                               "or force to start over (cell files get overwritten)");
-    }
-  }
-  if (fs::exists(manifest_) && !opt_.resume) {
-    // Fresh (force) start: delete stale cell files. Workers commit with
-    // link(2) first-write-wins, which would otherwise PRESERVE the old
-    // results instead of recomputing them (rename overwrites; link does
-    // not).
-    for (const CellOutcome& cell : cells_) {
-      std::error_code ec;
-      fs::remove(cell_path(cell), ec);
-      fs::remove(sweep::ledger_path(cells_dir_, cell.id), ec);
-    }
-  }
-  sweep::remove_stray_tmp_files(dir);
-  sweep::remove_stray_tmp_files(cells_dir_);
-  io::write_checkpoint_file(manifest_.string(), sweep::manifest_to_json(opt_.spec, cells_));
-}
-
+/// Startup pass over the freshly opened out_dir: resume trust, then the
+/// result cache, then the memory preflight for what is left.
 void Master::reconcile_from_disk() {
-  const std::uint64_t budget = opt_.memory_budget_bytes > 0
-                                   ? opt_.memory_budget_bytes
-                                   : sweep::default_memory_budget_bytes();
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     CellOutcome& cell = cells_[i];
-    if (opt_.resume &&
-        sweep::scan_cell_file(cell_path(cell), quarantine_dir_, cell) == CellScan::Trusted) {
-      cell.status = CellStatus::Resumed;
-      cell.resumed = true;
-      fs::remove(sweep::ledger_path(cells_dir_, cell.id));  // stale crash ledger
+    if (opt_.resume && dir_->resume(cell)) {
       ++done_count_;
       continue;
     }
     // Result cache: a hit installs the payload as this cell's checkpoint
     // file, then earns trust through the SAME disk-scan path as any other
     // result — the cache never bypasses CRC verification.
-    if (cache_.fetch(cell, cell_path(cell)) &&
-        sweep::scan_cell_file(cell_path(cell), quarantine_dir_, cell) == CellScan::Trusted) {
-      cell.status = CellStatus::Resumed;
-      cell.resumed = true;
-      fs::remove(sweep::ledger_path(cells_dir_, cell.id));
+    if (cache_.fetch(cell, dir_->cell_path(cell)) && dir_->resume(cell)) {
       ++done_count_;
       log("%s satisfied from result cache", cell.id.c_str());
       continue;
     }
-    const std::uint64_t estimate = sweep::estimate_cell_memory_bytes(cell.requested);
-    if (estimate > budget) {
-      mark_terminal(i, CellStatus::FailedSpec,
-                    "preflight: estimated peak memory " + sweep::format_bytes(estimate) +
-                        " exceeds the sweep budget " + sweep::format_bytes(budget) +
-                        " (raise memory_budget_bytes or shrink the cell)");
-    }
+    const std::string refusal =
+        sweep::preflight_refusal(sweep::estimate_cell_memory_bytes(cell.requested), budget_);
+    if (!refusal.empty()) mark_terminal(i, CellStatus::FailedSpec, refusal);
   }
 }
 
@@ -246,8 +179,8 @@ void Master::mark_done(std::size_t i, const char* how) {
   cell.status = CellStatus::Done;
   cell.error.clear();
   if (cell.attempts < leases_[i].attempt) cell.attempts = leases_[i].attempt;
-  fs::remove(sweep::ledger_path(cells_dir_, cell.id));  // its story is over
-  cache_.store(cell, cell_path(cell));
+  fs::remove(dir_->ledger(cell));  // its story is over
+  cache_.store(cell, dir_->cell_path(cell));
   ++done_count_;
   log("%s done (%s) [%zu/%zu]", cell.id.c_str(), how, done_count_, cells_.size());
 }
@@ -260,7 +193,7 @@ void Master::mark_terminal(std::size_t i, CellStatus status, const std::string& 
   if (cell.attempts > 1) {
     cell.retry_tag = sweep::retry_tag_hex(cell.requested.seed, cell.attempts);
   }
-  fs::remove(sweep::ledger_path(cells_dir_, cell.id));  // a future resume starts fresh
+  fs::remove(dir_->ledger(cell));  // a future resume starts fresh
   ++done_count_;
   log("%s %s: %s [%zu/%zu]", cell.id.c_str(), sweep::cell_status_name(status),
       error.c_str(), done_count_, cells_.size());
@@ -276,7 +209,7 @@ void Master::revoke_lease(std::size_t i, const char* why) {
   if (cell.status != CellStatus::Pending) return;
   log("%s lease (attempt %u, worker %s) revoked: %s", cell.id.c_str(), st.attempt,
       st.holder.c_str(), why);
-  if (sweep::scan_cell_file(cell_path(cell), quarantine_dir_, cell) == CellScan::Trusted) {
+  if (dir_->scan(cell)) {
     mark_done(i, "reconciled from disk after lease loss");
     return;
   }
@@ -286,7 +219,8 @@ void Master::revoke_lease(std::size_t i, const char* why) {
                       " attempt(s) (" + why + "); retry budget exhausted");
     return;
   }
-  st.next_eligible = now_s() + backoff_seconds(cell, st.attempt);
+  st.next_eligible = now_s() + sweep::retry_backoff_seconds(opt_.retry_backoff_seconds,
+                                                            cell.requested.seed, st.attempt);
 }
 
 std::size_t Master::pending_count() const {
@@ -315,26 +249,8 @@ std::size_t Master::compute_conn_count() const {
   return n;
 }
 
-void Master::write_outputs(bool allow_aggregate) {
-  // Prune ledgers whose cells reached a clean verdict (covers workers that
-  // died between committing the cell file and removing their ledger).
-  for (const CellOutcome& cell : cells_) {
-    if (cell.status == CellStatus::Done || cell.status == CellStatus::Resumed) {
-      fs::remove(sweep::ledger_path(cells_dir_, cell.id));
-    }
-  }
-  sweep::write_failures_csv((fs::path(opt_.out_dir) / "failures.csv").string(), cells_);
-  io::write_checkpoint_file(manifest_.string(), sweep::manifest_to_json(opt_.spec, cells_));
-  bool complete = true;
-  for (const CellOutcome& cell : cells_) {
-    if (cell.status != CellStatus::Done && cell.status != CellStatus::Resumed) {
-      complete = false;
-      break;
-    }
-  }
-  if (allow_aggregate && complete) {
-    sweep::write_aggregate_csv((fs::path(opt_.out_dir) / "aggregate.csv").string(),
-                               opt_.spec, cells_, opt_.zero_wall_times);
+void Master::write_outputs() {
+  if (dir_->finish(cells_, opt_.zero_wall_times)) {
     log("aggregate.csv written (%zu cells)", cells_.size());
   }
 }
@@ -360,15 +276,12 @@ std::optional<io::JsonValue> Master::lease_reply(std::size_t conn_key,
                                                  const std::string& worker) {
   if (draining_) return make_message("drain");
   const double now = now_s();
-  const std::uint64_t budget = opt_.memory_budget_bytes > 0
-                                   ? opt_.memory_budget_bytes
-                                   : sweep::default_memory_budget_bytes();
   // Preflight share: the budget is a HOST property, divided across the
   // workers that will run cells concurrently on it — i.e. peers that hold
   // or request leases, NOT every open connection (an idle monitor like
   // plurality_sweep_top must not shrink everyone's budget).
   const std::uint64_t share =
-      budget / std::max<std::uint64_t>(1, static_cast<std::uint64_t>(compute_conn_count()));
+      budget_ / std::max<std::uint64_t>(1, static_cast<std::uint64_t>(compute_conn_count()));
 
   bool any_pending = false;
   for (std::size_t i = 0; i < cells_.size(); ++i) {
@@ -380,8 +293,7 @@ std::optional<io::JsonValue> Master::lease_reply(std::size_t conn_key,
     // The shared ledger is the cross-process attempts truth: a cell that
     // burned its budget killing OTHER workers must not run again.
     const std::uint32_t prior =
-        std::max(sweep::read_attempts_ledger(sweep::ledger_path(cells_dir_, cell.id)),
-                 st.attempt);
+        std::max(sweep::read_attempts_ledger(dir_->ledger(cell)), st.attempt);
     if (prior > opt_.max_retries) {
       mark_terminal(i, CellStatus::FailedCrash,
                     "process died during " + std::to_string(prior) +
@@ -476,7 +388,7 @@ void Master::handle_complete(std::size_t conn_key, const io::JsonValue& msg) {
 
   // NEVER trust the message: the disk is the result channel, and only a
   // CRC-verified checkpoint that matches this cell's spec counts.
-  if (sweep::scan_cell_file(cell_path(cell), quarantine_dir_, cell) == CellScan::Trusted) {
+  if (dir_->scan(cell)) {
     if (cell.attempts < attempts) {
       cell.attempts = attempts;
       if (attempts > 1) cell.retry_tag = sweep::retry_tag_hex(cell.requested.seed, attempts);
@@ -504,7 +416,8 @@ void Master::handle_complete(std::size_t conn_key, const io::JsonValue& msg) {
     mark_terminal(i, failure_status_from_name(status), error);
     return;
   }
-  st.next_eligible = now_s() + backoff_seconds(cell, attempts);
+  st.next_eligible = now_s() + sweep::retry_backoff_seconds(opt_.retry_backoff_seconds,
+                                                            cell.requested.seed, attempts);
   log("%s attempt %u %s: %s (requeued)", cell.id.c_str(), attempts, status.c_str(),
       error.c_str());
 }
@@ -777,27 +690,17 @@ void Master::drop_conn(std::size_t key) {
 }
 
 int Master::run() {
-  // Effective spec: trials_override applies BEFORE expansion, exactly like
-  // run_sweep, so resume matching and worker-side expansion see one grid.
-  if (opt_.trials_override > 0) {
-    for (const sweep::SweepAxis& axis : opt_.spec.axes) {
-      PLURALITY_REQUIRE(axis.field != "trials",
-                        "sweep: trials_override cannot combine with a 'trials' axis");
-    }
-    opt_.spec.base.trials = opt_.trials_override;
-  }
-  const std::vector<scenario::ScenarioSpec> expanded = opt_.spec.expand();
-  cells_.resize(expanded.size());
-  leases_.resize(expanded.size());
-  progress_.resize(expanded.size());
-  for (std::size_t i = 0; i < expanded.size(); ++i) {
-    cells_[i].index = i;
-    cells_[i].id = sweep::cell_id(i);
-    cells_[i].requested = expanded[i];
-    index_by_id_[cells_[i].id] = i;
-  }
+  PLURALITY_REQUIRE(!opt_.out_dir.empty(), "sweepd: --out is required (workers share it)");
+  // The effective grid is run_sweep's, so resume matching and the workers'
+  // expansion of the welcome spec see one grid.
+  cells_ = sweep::effective_grid(opt_.spec, opt_.trials_override);
+  leases_.resize(cells_.size());
+  progress_.resize(cells_.size());
+  for (const CellOutcome& cell : cells_) index_by_id_[cell.id] = cell.index;
+  budget_ = opt_.memory_budget_bytes > 0 ? opt_.memory_budget_bytes
+                                         : sweep::default_memory_budget_bytes();
 
-  prepare_out_dir();
+  dir_.emplace(opt_.out_dir, opt_.spec, cells_, opt_.resume, opt_.force);
   reconcile_from_disk();
   log("grid: %zu cells, %zu already satisfied", cells_.size(), done_count_);
 
@@ -846,17 +749,14 @@ int Master::run() {
         // drain window but could not report still counts.
         for (std::size_t i = 0; i < cells_.size(); ++i) {
           if (cells_[i].status != CellStatus::Pending) continue;
-          if (sweep::scan_cell_file(cell_path(cells_[i]), quarantine_dir_, cells_[i]) ==
-              CellScan::Trusted) {
-            mark_done(i, "reconciled from disk at drain");
-          }
+          if (dir_->scan(cells_[i])) mark_done(i, "reconciled from disk at drain");
         }
-        write_outputs(/*allow_aggregate=*/true);
+        write_outputs();
         log("drained; out_dir is resumable (exit %d)", kExitDrained);
         return kExitDrained;
       }
     } else if (!finished && pending_count() == 0) {
-      write_outputs(/*allow_aggregate=*/true);
+      write_outputs();
       finished = true;
       if (!opt_.port_file.empty()) {
         io::atomic_write_text(opt_.port_file, std::to_string(listener.port()) + " " +

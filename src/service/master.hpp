@@ -18,8 +18,10 @@
 // A lease carries the attempt number (continuing the shared on-disk
 // attempts ledger, so crash loops are bounded ACROSS workers) and the
 // per-worker memory share (preflight budget / connected workers).
-// Reassignment applies the same exponential backoff + seeded jitter as the
-// in-process orchestrator — same Philox retry stream, same doubling cap.
+// Reassignment waits sweep::retry_backoff_seconds (sweep/cell_runner.hpp),
+// the backoff the in-process orchestrator sleeps between attempts. The
+// out_dir itself is opened, resumed and finished through sweep::SweepDir
+// (sweep/sweep_dir.hpp), exactly as run_sweep does.
 //
 // A `request` that finds every pending cell leased or backing off is
 // PARKED (protocol.hpp), not answered with a polling `wait`: the master

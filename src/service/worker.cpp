@@ -215,16 +215,15 @@ LeaseEnd Worker::run_lease(const io::JsonValue& lease, sweep::FaultInjector& inj
   // Preflight against the PER-WORKER share the master computed (total
   // budget / connected workers): N workers run cells concurrently on one
   // host, so each may only claim its slice.
-  const std::uint64_t estimate = sweep::estimate_cell_memory_bytes(cell.requested);
-  if (estimate > memory_share) {
+  const std::string refusal = sweep::preflight_refusal(
+      sweep::estimate_cell_memory_bytes(cell.requested), memory_share, /*worker_share=*/true);
+  if (!refusal.empty()) {
     io::JsonValue msg = make_message("complete");
     msg.set("worker", opt_.name);
     msg.set("cell", id);
     msg.set("status", "failed_spec");
     msg.set("attempts", std::uint64_t{attempt});
-    msg.set("error", "preflight: estimated peak memory " + sweep::format_bytes(estimate) +
-                         " exceeds this worker's share " + sweep::format_bytes(memory_share) +
-                         " of the sweep budget (fewer workers or a larger budget)");
+    msg.set("error", refusal);
     try {
       (void)exchange(msg);
     } catch (const net::NetError&) {

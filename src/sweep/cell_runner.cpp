@@ -18,6 +18,7 @@
 #include "rng/philox.hpp"
 #include "scenario/scenario.hpp"
 #include "support/check.hpp"
+#include "support/format.hpp"
 
 namespace plurality::sweep {
 
@@ -30,10 +31,11 @@ namespace {
 /// first-attempt results bitwise.
 constexpr std::uint64_t kRetryStreamTag = 0x7265747279ull;  // "retry"
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+/// Retry-scoped Philox word. Keys backoff jitter and the audit tag ONLY.
+std::uint64_t retry_stream_word(std::uint64_t cell_seed, std::uint32_t attempt,
+                                std::uint64_t w) {
+  return rng::Philox4x32::word(rng::Philox4x32::key_from_seed(cell_seed, kRetryStreamTag),
+                               attempt, w);
 }
 
 ProbeOptions probe_options(const ObserveSpec& observe, std::uint64_t trials) {
@@ -90,9 +92,9 @@ void write_trajectory_csv(const fs::path& path, const ProbeObserver& probe) {
     for (std::uint64_t trial = 0; trial < probe.options().trials; ++trial) {
       for (const ProbeRow& row : probe.trajectory(trial)) {
         csv.add_row({std::to_string(trial), std::to_string(row.round),
-                     fmt_double(row.plurality_fraction),
+                     format_sig(row.plurality_fraction, 12),
                      std::to_string(static_cast<std::uint64_t>(row.support)),
-                     fmt_double(row.mono_distance)});
+                     format_sig(row.mono_distance, 12)});
       }
     }
   }
@@ -145,10 +147,11 @@ void commit_first_write_wins(const fs::path& tmp, const fs::path& target,
 
 }  // namespace
 
-std::uint64_t retry_stream_word(std::uint64_t cell_seed, std::uint32_t attempt,
-                                std::uint64_t w) {
-  return rng::Philox4x32::word(rng::Philox4x32::key_from_seed(cell_seed, kRetryStreamTag),
-                               attempt, w);
+double retry_backoff_seconds(double base, std::uint64_t cell_seed, std::uint32_t attempt) {
+  const double jitter =
+      static_cast<double>(retry_stream_word(cell_seed, attempt, 1) % 1000) / 1000.0;
+  const std::uint32_t doublings = attempt - 1 < 20 ? attempt - 1 : 20;
+  return base * static_cast<double>(std::uint64_t{1} << doublings) * (1.0 + jitter);
 }
 
 std::string retry_tag_hex(std::uint64_t cell_seed, std::uint32_t attempt) {
@@ -252,15 +255,6 @@ CellScan scan_cell_file(const fs::path& path, const fs::path& quarantine_dir,
     std::fprintf(stderr, "sweep: quarantined corrupt checkpoint %s -> %s\n",
                  path.string().c_str(), moved.c_str());
     return CellScan::Quarantined;
-  }
-}
-
-void remove_stray_tmp_files(const fs::path& dir) {
-  if (!fs::exists(dir)) return;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".tmp") {
-      fs::remove(entry.path());
-    }
   }
 }
 
@@ -444,14 +438,8 @@ void run_cell_to_verdict(CellOutcome& cell, const CellRunContext& ctx) {
       if (files) fs::remove(ledger);  // a future resume starts fresh
       break;
     }
-    // Exponential backoff with a jitter drawn from the retry stream (the
-    // ONLY consumer of retry-derived randomness).
-    const double jitter =
-        static_cast<double>(retry_stream_word(cell.requested.seed, attempt, 1) % 1000) /
-        1000.0;
-    const std::uint32_t doublings = attempt - 1 < 20 ? attempt - 1 : 20;
-    backoff_sleep(ctx.retry_backoff_seconds *
-                  static_cast<double>(std::uint64_t{1} << doublings) * (1.0 + jitter));
+    backoff_sleep(
+        retry_backoff_seconds(ctx.retry_backoff_seconds, cell.requested.seed, attempt));
   }
 
   if (ctx.metrics != nullptr) {

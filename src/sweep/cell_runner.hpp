@@ -36,11 +36,15 @@
 
 namespace plurality::sweep {
 
-/// Retry-scoped Philox word (stream family "retry"). Keys backoff jitter
-/// and the audit tag ONLY — trial streams never derive from it, so a
-/// retried cell reproduces its first-attempt results bitwise.
-[[nodiscard]] std::uint64_t retry_stream_word(std::uint64_t cell_seed,
-                                              std::uint32_t attempt, std::uint64_t w);
+/// The wait before retrying after failed attempt `attempt` (1-based):
+/// base * 2^min(attempt-1, 20) * (1 + jitter), the jitter in [0, 1) drawn
+/// from the cell's retry stream (Philox stream family "retry"). That stream
+/// keys backoff jitter and the audit tag ONLY — trial streams never derive
+/// from it, so a retried cell reproduces its first-attempt results bitwise.
+/// The orchestrator sleeps it in-process; the service master gates the
+/// cell's next lease on it.
+[[nodiscard]] double retry_backoff_seconds(double base, std::uint64_t cell_seed,
+                                           std::uint32_t attempt);
 
 /// The "0x%016x" audit tag recorded in cell files when attempts > 1.
 [[nodiscard]] std::string retry_tag_hex(std::uint64_t cell_seed, std::uint32_t attempt);
@@ -82,10 +86,6 @@ enum class CellScan {
 /// may trust a result it did not just compute: always the disk, never memory.
 CellScan scan_cell_file(const std::filesystem::path& path,
                         const std::filesystem::path& quarantine_dir, CellOutcome& cell);
-
-/// Deletes stray "*.tmp" staging files in `dir` (a killed writer leaves
-/// only those — commits are atomic).
-void remove_stray_tmp_files(const std::filesystem::path& dir);
 
 /// Everything run_cell_to_verdict needs besides the cell itself. The
 /// injector and watchdog are borrowed, not owned; both must outlive the

@@ -4,32 +4,22 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <thread>
 
 #include "core/thread_plan.hpp"
-#include "io/checkpoint.hpp"
-#include "io/csv.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
 #include "sweep/cell_runner.hpp"
 #include "sweep/preflight.hpp"
+#include "sweep/sweep_dir.hpp"
 #include "sweep/watchdog.hpp"
 
 namespace plurality::sweep {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-}  // namespace
 
 const char* cell_status_name(CellStatus status) {
   switch (status) {
@@ -102,169 +92,20 @@ io::JsonValue cell_result_to_json(const CellOutcome& outcome) {
   return doc;
 }
 
-std::vector<std::string> aggregate_columns(const SweepSpec& spec) {
-  std::vector<std::string> columns = {
-      "cell",        "dynamics",       "workload",   "topology",   "adversary",
-      "backend",     "engine",         "stop",       "n",          "k",
-      "trials",      "seed",           "max_rounds", "consensus_rate",
-      "win_rate",    "rounds_mean",    "rounds_p50", "rounds_p95", "rounds_min",
-      "rounds_max",  "round_limit_hits", "predicate_stops", "wall_seconds"};
-  const bool probes = spec.observe.m_plurality || spec.observe.trajectory > 0;
-  if (spec.observe.m_plurality) {
-    columns.insert(columns.end(), {"ttm_hits", "ttm_p50", "ttm_p95"});
-  }
-  if (probes) {
-    columns.insert(columns.end(),
-                   {"final_fraction_mean", "final_support_mean", "final_mono_mean"});
-  }
-  return columns;
-}
-
-std::vector<std::string> aggregate_row(const SweepSpec& spec, const CellOutcome& outcome) {
-  const scenario::ScenarioSpec& s = outcome.requested;
-  const CellMetrics& m = outcome.metrics;
-  std::vector<std::string> row = {
-      outcome.id,
-      s.dynamics,
-      s.workload,
-      s.topology,
-      s.adversary,
-      outcome.resolved_backend,
-      s.engine,
-      s.stop,
-      std::to_string(s.n),
-      std::to_string(s.k),
-      std::to_string(m.trials),
-      std::to_string(s.seed),
-      std::to_string(s.max_rounds),
-      fmt_double(m.consensus_rate),
-      fmt_double(m.win_rate),
-      fmt_double(m.rounds_mean),
-      fmt_double(m.rounds_p50),
-      fmt_double(m.rounds_p95),
-      fmt_double(m.rounds_min),
-      fmt_double(m.rounds_max),
-      std::to_string(m.round_limit_hits),
-      std::to_string(m.predicate_stops),
-      fmt_double(m.wall_seconds)};
-  const bool probes = spec.observe.m_plurality || spec.observe.trajectory > 0;
-  if (spec.observe.m_plurality) {
-    row.push_back(fmt_double(m.ttm_hits));
-    row.push_back(fmt_double(m.ttm_p50));
-    row.push_back(fmt_double(m.ttm_p95));
-  }
-  if (probes) {
-    row.push_back(fmt_double(m.final_fraction_mean));
-    row.push_back(fmt_double(m.final_support_mean));
-    row.push_back(fmt_double(m.final_mono_mean));
-  }
-  return row;
-}
-
-io::JsonValue manifest_to_json(const SweepSpec& spec,
-                               const std::vector<CellOutcome>& cells) {
-  io::JsonValue doc = io::JsonValue::object();
-  doc.set("schema_version", std::uint64_t{io::kCheckpointSchema});
-  doc.set("sweep", spec.to_json());
-  io::JsonValue& cell_list = doc.set("cells", io::JsonValue::array());
-  for (const CellOutcome& cell : cells) {
-    io::JsonValue& entry = cell_list.push(io::JsonValue::object());
-    entry.set("index", std::uint64_t{cell.index});
-    entry.set("id", cell.id);
-    entry.set("spec", cell.requested.to_spec_string());
-    entry.set("status", cell_status_name(cell.status));
-    if (cell.attempts > 0) entry.set("attempts", std::uint64_t{cell.attempts});
-    if (!cell.error.empty()) entry.set("error", cell.error);
-  }
-  return doc;
-}
-
-void write_failures_csv(const std::string& path, const std::vector<CellOutcome>& cells) {
-  const fs::path tmp = path + ".tmp";
-  {
-    io::CsvWriter csv(tmp.string(), {"cell", "status", "attempts", "retry_tag", "error"});
-    for (const CellOutcome& cell : cells) {
-      if (!cell_status_failed(cell.status)) continue;
-      csv.add_row({cell.id, cell_status_name(cell.status),
-                   std::to_string(cell.attempts), cell.retry_tag, cell.error});
-    }
-  }
-  fs::rename(tmp, path);
-}
-
-void write_aggregate_csv(const std::string& path, const SweepSpec& spec,
-                         std::vector<CellOutcome>& cells, bool zero_wall_times) {
-  const fs::path tmp = path + ".tmp";
-  {
-    io::CsvWriter csv(tmp.string(), aggregate_columns(spec));
-    for (CellOutcome& cell : cells) {
-      if (zero_wall_times) cell.metrics.wall_seconds = 0.0;
-      csv.add_row(aggregate_row(spec, cell));
-    }
-  }
-  fs::rename(tmp, path);
-}
-
 SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
   WallTimer timer;
   SweepSpec spec = spec_in;
-  if (options.trials_override > 0) {
-    for (const SweepAxis& axis : spec.axes) {
-      PLURALITY_REQUIRE(axis.field != "trials",
-                        "sweep: trials_override cannot combine with a 'trials' axis");
-    }
-    spec.base.trials = options.trials_override;
-  }
-
-  const std::vector<scenario::ScenarioSpec> expanded = spec.expand();
-  const std::size_t total = expanded.size();
-
   SweepOutcome out;
-  out.cells.resize(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    out.cells[i].index = i;
-    out.cells[i].id = cell_id(i);
-    out.cells[i].requested = expanded[i];
-  }
+  out.cells = effective_grid(spec, options.trials_override);
+  const std::size_t total = out.cells.size();
 
-  // --- checkpoint directory + manifest -----------------------------------
-  const bool files = !options.out_dir.empty();
-  PLURALITY_REQUIRE(files || !options.resume, "sweep: resume requires an out_dir");
-  fs::path cells_dir;
-  fs::path quarantine_dir;
-  fs::path manifest;
-  if (files) {
-    const fs::path dir(options.out_dir);
-    cells_dir = dir / "cells";
-    quarantine_dir = cells_dir / "quarantine";
-    fs::create_directories(cells_dir);
-    manifest = dir / "manifest.json";
-    const std::string sweep_json = spec.to_json().to_string();
-    if (fs::exists(manifest)) {
-      if (options.resume) {
-        // Schema skew and corruption both surface here with their own
-        // actionable errors (a corrupt manifest means the cell table's
-        // provenance is unverifiable — use a fresh out_dir).
-        const io::JsonValue stored = io::read_checkpoint_file(manifest.string());
-        PLURALITY_REQUIRE(stored.at("sweep").to_string() == sweep_json,
-                          "sweep: manifest at " << manifest.string()
-                              << " records a DIFFERENT sweep (spec or trial override "
-                                 "changed); refusing to resume a mixed grid — use a "
-                                 "fresh out_dir");
-      } else {
-        PLURALITY_REQUIRE(options.force,
-                          "sweep: " << manifest.string()
-                              << " already exists; pass resume to continue that sweep "
-                                 "or force to start over (cell files get overwritten)");
-      }
-    }
-    // A killed run can leave *.tmp staging files (never partial results —
-    // the rename is atomic). Sweep them before writing anything new.
-    remove_stray_tmp_files(dir);
-    remove_stray_tmp_files(cells_dir);
-    io::write_checkpoint_file(manifest.string(), manifest_to_json(spec, out.cells));
-    out.manifest_path = manifest.string();
-    out.failures_path = (dir / "failures.csv").string();
+  PLURALITY_REQUIRE(!options.out_dir.empty() || !options.resume,
+                    "sweep: resume requires an out_dir");
+  std::optional<SweepDir> dir;
+  if (!options.out_dir.empty()) {
+    dir.emplace(options.out_dir, spec, out.cells, options.resume, options.force);
+    out.manifest_path = dir->manifest_path().string();
+    out.failures_path = dir->failures_path().string();
   }
 
   FaultInjector injector(options.fault_plan, options.out_dir);
@@ -277,11 +118,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
   for (std::size_t i = 0; i < total; ++i) {
     CellOutcome& cell = out.cells[i];
     if (options.resume) {
-      const fs::path path = cells_dir / (cell.id + ".json");
-      if (scan_cell_file(path, quarantine_dir, cell) == CellScan::Trusted) {
-        cell.status = CellStatus::Resumed;
-        cell.resumed = true;
-        fs::remove(ledger_path(cells_dir, cell.id));  // stale crash ledger
+      if (dir->resume(cell)) {
         ++out.resumed;
         ++done;
         if (options.on_cell) options.on_cell(cell, done, total);
@@ -289,7 +126,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
       }
       // No trusted result; a surviving ledger records attempts that died
       // with the previous process.
-      prior_attempts[i] = read_attempts_ledger(ledger_path(cells_dir, cell.id));
+      prior_attempts[i] = read_attempts_ledger(dir->ledger(cell));
     }
     pending.push_back(i);
   }
@@ -314,11 +151,9 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     const ThreadPlan plan = plan_threads(spec.trials, spec.n, threads, graph_cell);
     const bool own_team = graph_cell && plan.trial_team == threads;
     const std::uint64_t estimate = estimate_cell_memory_bytes(spec);
-    if (estimate > budget) {
+    if (std::string refusal = preflight_refusal(estimate, budget); !refusal.empty()) {
       cell.status = CellStatus::FailedSpec;
-      cell.error = "preflight: estimated peak memory " + format_bytes(estimate) +
-                   " exceeds the sweep budget " + format_bytes(budget) +
-                   " (raise memory_budget_bytes or shrink the cell)";
+      cell.error = std::move(refusal);
       ++done;
       if (options.on_cell) options.on_cell(cell, done, total);
     } else if (threads > 1 && (own_team || estimate > budget / threads)) {
@@ -382,7 +217,7 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
     if (shutdown_requested()) return;  // skipped cells stay Pending (resumable)
 
     CellRunContext ctx;
-    ctx.cells_dir = files ? cells_dir : fs::path();
+    ctx.cells_dir = dir ? dir->cells_dir() : fs::path();
     ctx.observe = spec.observe;
     ctx.zero_wall_times = options.zero_wall_times;
     ctx.cell_timeout_seconds = options.cell_timeout_seconds;
@@ -421,7 +256,6 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
   }
 
   // --- account statuses ----------------------------------------------------
-  bool complete = true;
   for (const CellOutcome& cell : out.cells) {
     switch (cell.status) {
       case CellStatus::Done:
@@ -432,36 +266,16 @@ SweepOutcome run_sweep(const SweepSpec& spec_in, const SweepOptions& options) {
       case CellStatus::Interrupted:
       case CellStatus::Pending:
         out.interrupted = true;
-        complete = false;
         break;
       default:
         ++out.failed;
-        complete = false;
         break;
     }
   }
   if (shutdown_requested()) out.interrupted = true;
 
-  // --- failure table + final manifest -------------------------------------
-  if (files) {
-    // Prune attempts ledgers for cells that reached a clean verdict — a
-    // ledger's job ends when its cell's story does. (Covers ledgers left
-    // by OTHER processes of this out_dir, e.g. a service worker that died
-    // between committing the cell file and removing its ledger.)
-    for (const CellOutcome& cell : out.cells) {
-      if (cell.status == CellStatus::Done || cell.status == CellStatus::Resumed) {
-        fs::remove(ledger_path(cells_dir, cell.id));
-      }
-    }
-    write_failures_csv((fs::path(options.out_dir) / "failures.csv").string(), out.cells);
-    io::write_checkpoint_file(manifest.string(), manifest_to_json(spec, out.cells));
-  }
-
-  // --- aggregate (complete runs only) --------------------------------------
-  if (files && complete) {
-    const std::string aggregate = (fs::path(options.out_dir) / "aggregate.csv").string();
-    write_aggregate_csv(aggregate, spec, out.cells, options.zero_wall_times);
-    out.aggregate_path = aggregate;
+  if (dir && dir->finish(out.cells, options.zero_wall_times)) {
+    out.aggregate_path = dir->aggregate_path().string();
   }
 
   out.wall_seconds = timer.seconds();

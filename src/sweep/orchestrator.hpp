@@ -12,24 +12,15 @@
 // WHICH cell — or how many times a cell is retried — can never affect any
 // result.
 //
-// Checkpointing: with an out_dir, the orchestrator writes
-//
-//   <out_dir>/manifest.json             sweep spec + cell table + statuses
-//   <out_dir>/cells/cell_NNNNN.json     one ScenarioResult (+ probes) per cell
-//   <out_dir>/cells/cell_NNNNN_trajectory.csv   (observe.trajectory > 0)
-//   <out_dir>/cells/quarantine/         corrupt checkpoint files, preserved
-//   <out_dir>/aggregate.csv             one row per cell (complete runs only)
-//   <out_dir>/failures.csv              one row per failed cell
-//
-// Manifest and cell files are CRC-stamped checkpoint envelopes
-// (io/checkpoint.hpp) written atomically (tmp + rename), so a killed sweep
-// leaves only complete files behind. Resume re-expands the grid, verifies
-// each cell file's CRC and schema, trusts cells whose payload matches the
-// expected spec, QUARANTINES corrupt files (moved aside, never silently
-// deleted or trusted), hard-refuses schema skew with an actionable error,
-// and runs the rest. A manifest whose sweep differs from the current spec
-// refuses to resume — silently mixing two grids' cells is how result files
-// stop being trustworthy.
+// Checkpointing: with an out_dir, the orchestrator writes the sweep
+// out_dir layout of sweep/sweep_dir.hpp, shared with the service master.
+// Resume re-expands the grid, verifies each cell file's CRC and schema,
+// trusts cells whose payload matches the expected spec, QUARANTINES
+// corrupt files (moved aside, never silently deleted or trusted),
+// hard-refuses schema skew with an actionable error, and runs the rest. A
+// manifest whose sweep differs from the current spec refuses to resume —
+// silently mixing two grids' cells is how result files stop being
+// trustworthy.
 //
 // Fault tolerance: each cell attempt runs under a CancellationToken watched
 // by a wall-clock watchdog (SweepOptions::cell_timeout_seconds) and the
@@ -139,8 +130,9 @@ struct SweepOptions {
   /// expected spec. Corrupt files are quarantined and recomputed.
   bool resume = false;
   /// Allow starting over inside an out_dir that already has a manifest
-  /// (cell files get overwritten). Without resume or force, a populated
-  /// out_dir is an error — results must never be clobbered silently.
+  /// (every cell_* file of the previous run is deleted first). Without
+  /// resume or force, a populated out_dir is an error — results must never
+  /// be clobbered silently.
   bool force = false;
   /// Share the OpenMP threads between cells. Graph cells with at least as
   /// many trials as threads then run one at a time on their own trial
@@ -159,7 +151,7 @@ struct SweepOptions {
   /// crash / corrupt write). failed_spec never retries. Attempts persist
   /// across process deaths via the per-cell ledger file.
   std::uint32_t max_retries = 2;
-  /// Base backoff before retry r: base * 2^(r-1), plus seeded jitter.
+  /// Base backoff before retry r (retry_backoff_seconds, cell_runner.hpp).
   double retry_backoff_seconds = 0.05;
   /// Deterministic fault injection (tests / torture CI). Empty = inert.
   FaultPlan fault_plan;
@@ -208,25 +200,5 @@ SweepOutcome run_sweep(const SweepSpec& spec, const SweepOptions& options);
 /// One cell's result document (the checkpoint payload) — resolved spec +
 /// summary + probe scalars + retry audit block.
 io::JsonValue cell_result_to_json(const CellOutcome& outcome);
-
-/// CSV header/row serialization shared by run_sweep and the CLI.
-std::vector<std::string> aggregate_columns(const SweepSpec& spec);
-std::vector<std::string> aggregate_row(const SweepSpec& spec, const CellOutcome& outcome);
-
-/// Manifest checkpoint payload (sweep spec + cell table with statuses) —
-/// written by run_sweep and by the sweep service master (plurality_sweepd),
-/// so a drained service out_dir resumes under either runner.
-io::JsonValue manifest_to_json(const SweepSpec& spec,
-                               const std::vector<CellOutcome>& cells);
-
-/// Atomically (tmp + rename) writes failures.csv — one row per failed_*
-/// cell. Shared by run_sweep and the service master.
-void write_failures_csv(const std::string& path, const std::vector<CellOutcome>& cells);
-
-/// Atomically writes aggregate.csv (one row per cell, expansion order).
-/// Call only when every cell is Done/Resumed. zero_wall_times zeroes the
-/// wall column so identical grids produce bitwise-identical files.
-void write_aggregate_csv(const std::string& path, const SweepSpec& spec,
-                         std::vector<CellOutcome>& cells, bool zero_wall_times);
 
 }  // namespace plurality::sweep

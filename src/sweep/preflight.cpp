@@ -181,6 +181,16 @@ std::uint64_t default_memory_budget_bytes() {
   return kFallback;
 }
 
+std::string preflight_refusal(std::uint64_t estimate, std::uint64_t budget,
+                              bool worker_share) {
+  if (estimate <= budget) return {};
+  const std::string head = "preflight: estimated peak memory " + format_bytes(estimate);
+  return worker_share ? head + " exceeds this worker's share " + format_bytes(budget) +
+                            " of the sweep budget (fewer workers or a larger budget)"
+                      : head + " exceeds the sweep budget " + format_bytes(budget) +
+                            " (raise memory_budget_bytes or shrink the cell)";
+}
+
 std::string format_bytes(std::uint64_t bytes) {
   const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
   double value = static_cast<double>(bytes);

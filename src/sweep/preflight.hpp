@@ -47,6 +47,12 @@ namespace plurality::sweep {
 /// the platform won't say. SweepOptions::memory_budget_bytes overrides.
 [[nodiscard]] std::uint64_t default_memory_budget_bytes();
 
+/// The failed_spec error for a cell whose estimate exceeds `budget`, or ""
+/// when it fits. `worker_share` names the budget as a service worker's
+/// slice of the sweep budget (the master splits it across its workers).
+[[nodiscard]] std::string preflight_refusal(std::uint64_t estimate, std::uint64_t budget,
+                                            bool worker_share = false);
+
 /// Human-readable "1.5 GiB" style rendering for refusal messages.
 [[nodiscard]] std::string format_bytes(std::uint64_t bytes);
 

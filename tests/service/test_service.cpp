@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -908,6 +909,29 @@ TEST_F(ServiceTest, OverBudgetCellsAreRefusedAsFailedSpec) {
   EXPECT_NE(failures.find("failed_spec"), std::string::npos);
   EXPECT_NE(failures.find("preflight"), std::string::npos);
   EXPECT_FALSE(fs::exists(dir / "aggregate.csv"));
+}
+
+TEST_F(ServiceTest, ForcedStartClearsThePreviousCells) {
+  // A forced start keeps no result, trajectory or ledger of the previous
+  // grid, past the new grid's end included: the workers' first-write-wins
+  // commit would keep a stale cell file instead of the recomputed one.
+  const fs::path dir = fresh_dir("forced");
+  MasterOptions four = fast_master(
+      dir, "dynamics=3-majority workload=bias:2c n=500 trials=2 max_rounds=5000 k=2,3,4,5 "
+           "seed=21");
+  four.spec.observe.trajectory = 8;
+  ASSERT_EQ(run_service(four), kExitComplete);
+  ASSERT_TRUE(fs::exists(dir / "cells" / "cell_00003_trajectory.csv"));
+
+  MasterOptions two = fast_master(dir);
+  two.force = true;
+  ASSERT_EQ(run_service(two), kExitComplete);
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir / "cells")) {
+    if (entry.is_regular_file()) names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"cell_00000.json", "cell_00001.json"}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -205,6 +206,38 @@ TEST(Orchestrator, PopulatedOutDirNeedsResumeOrForce) {
   EXPECT_THROW((void)run_sweep(small_sweep(), options), CheckError);
   options.force = true;
   EXPECT_NO_THROW((void)run_sweep(small_sweep(), options));
+}
+
+/// Sorted names of the regular files directly in `dir`.
+std::vector<std::string> regular_files(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file()) names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(Orchestrator, ForcedStartClearsThePreviousCells) {
+  // A forced start keeps no result, trajectory or ledger of the previous
+  // grid, past the new grid's end included; the quarantine stays.
+  const fs::path dir = fresh_dir("forced");
+  SweepSpec four = small_sweep();
+  four.observe.trajectory = 8;
+  SweepOptions options;
+  options.out_dir = dir.string();
+  ASSERT_EQ(run_sweep(four, options).ran, 4u);
+  std::ofstream(dir / "cells" / "cell_00003.attempts.json") << "{\"attempts\": 1}";
+  fs::create_directories(dir / "cells" / "quarantine");
+  std::ofstream(dir / "cells" / "quarantine" / "cell_00001.json") << "evidence";
+
+  options.force = true;
+  const SweepSpec two = SweepSpec::parse(
+      "dynamics=3-majority workload=bias:2c n=2000 trials=3 max_rounds=5000 k=2,4");
+  ASSERT_EQ(run_sweep(two, options).ran, 2u);
+  EXPECT_EQ(regular_files(dir / "cells"),
+            (std::vector<std::string>{"cell_00000.json", "cell_00001.json"}));
+  EXPECT_TRUE(fs::exists(dir / "cells" / "quarantine" / "cell_00001.json"));
 }
 
 TEST(Orchestrator, CorruptCellFileIsRecomputedNotTrusted) {

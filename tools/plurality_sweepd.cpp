@@ -49,7 +49,7 @@ int run(int argc, char** argv) {
                  "write the bound port here (atomically) once listening — how workers "
                  "find an ephemeral port");
   cli.add_flag("resume", "skip cells whose result file already matches the grid");
-  cli.add_flag("force", "start over inside a populated out dir (deletes stale cell files)");
+  cli.add_flag("force", "start over inside a populated out dir (deletes its cell files)");
   cli.add_uint("trials", 0, "override every cell's trial count (0 = spec values)");
   cli.add_double("heartbeat-seconds", service::kDefaultHeartbeatSeconds,
                  "workers heartbeat at this cadence while computing");
