@@ -50,7 +50,7 @@ RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
 RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
                        const RunOptions& options, rng::Xoshiro256pp& gen,
                        StepWorkspace& ws) {
-  return run_dynamics(dynamics, start, options, options.observer_trial, gen, ws);
+  return run_dynamics(dynamics, start, options, 0, gen, ws);
 }
 
 RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,

@@ -102,9 +102,6 @@ struct RunOptions {
   /// and draw no RNG, so wiring one in never changes the run's results
   /// (pinned by tests/core/test_observer.cpp).
   RoundObserver* observer = nullptr;
-  /// Trial index forwarded to the observer's callbacks by the run_dynamics
-  /// forms without a `trial` argument (the trial drivers pass their own).
-  std::uint64_t observer_trial = 0;
   /// Cooperative cancellation (support/cancellation.hpp): checked between
   /// rounds (one relaxed atomic load). A fired token stops the run at the
   /// next round boundary with StopReason::Cancelled — the run's partial
@@ -193,7 +190,7 @@ RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
                        const RunOptions& options, std::uint64_t trial,
                        rng::Xoshiro256pp& gen, StepWorkspace& ws);
 
-/// As above, with the observer callbacks tagged options.observer_trial.
+/// As above, with the observer callbacks tagged trial 0.
 RunResult run_dynamics(const Dynamics& dynamics, const Configuration& start,
                        const RunOptions& options, rng::Xoshiro256pp& gen,
                        StepWorkspace& ws);
