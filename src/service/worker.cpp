@@ -340,7 +340,7 @@ LeaseEnd Worker::run_lease(const io::JsonValue& lease, sweep::FaultInjector& inj
 }
 
 int Worker::run() {
-  if (opt_.name.empty()) opt_.name = "w" + std::to_string(::getpid());
+  if (opt_.name.empty()) opt_.name = std::to_string(::getpid()).insert(0, 1, 'w');
   if (!handshake()) {
     log("master already finished the grid; exiting");
     return kExitComplete;
