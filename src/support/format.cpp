@@ -50,7 +50,7 @@ std::string format_si(double v) {
 
 std::string format_duration(double seconds) {
   char buf[64];
-  if (seconds < 0) return "-" + format_duration(-seconds);
+  if (seconds < 0) return format_duration(-seconds).insert(0, 1, '-');
   if (seconds < 1e-3) {
     std::snprintf(buf, sizeof buf, "%.0fus", seconds * 1e6);
   } else if (seconds < 1.0) {

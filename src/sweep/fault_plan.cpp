@@ -140,7 +140,7 @@ FaultInjector::FaultInjector(FaultPlan plan, const std::string& out_dir)
 
 bool FaultInjector::arm(std::size_t fault_index, const FaultSpec& fault,
                         const std::string& id) {
-  const std::string key = "f" + std::to_string(fault_index) + "_" + id;
+  const std::string key = std::to_string(fault_index).insert(0, 1, 'f') + "_" + id;
   std::lock_guard<std::mutex> lock(mutex_);
   if (fault_dir_.empty()) {
     std::uint32_t& count = memory_counts_[key];
